@@ -155,6 +155,11 @@ def symbolic_square_cm_beta2(g: Graph) -> bool:
     if g.independence_number() != 2:
         raise ValueError("this specialization needs independence number 2")
     verdict, _ = edge_criticality(g)
+    return _beta2_complement_agreement(g, verdict)
+
+
+def _beta2_complement_agreement(g: Graph, verdict: bool) -> bool:
+    """Assert the complement readings of the edge-criticality verdict."""
     comp = g.complement()
     routes = {
         "edge-critical": verdict,
@@ -239,12 +244,7 @@ def full_report(
     if alpha0 + beta0 != c.vertex_count:
         raise CrossRouteError("alpha0 + beta0 must equal the vertex count")
     if isolated:
-        keep = [u for u in c.vertices() if u not in isolated]
-        stripped = (
-            c.induced_subgraph_members(keep)
-            if is_graph
-            else c.induced_subclutter_members(keep)
-        )
+        stripped = c.induced_subclutter([u for u in c.vertices() if u not in isolated])
     else:
         stripped = c
     reg_by_field = {f: regularity(stripped, f) for f in fields}
@@ -264,7 +264,7 @@ def full_report(
         if beta0 == 2:
             # at independence number two the complex is at most a graph, so
             # the verdict is field-free and must match the specialization
-            beta2 = symbolic_square_cm_beta2(c)
+            beta2 = _beta2_complement_agreement(c, edge_critical)
             _require_agreement(
                 "symbolic-square CM at independence number 2",
                 {"specialization": beta2, **{f.value: sscm[f] for f in fields}},

@@ -99,12 +99,6 @@ class Clutter:
             covered |= m
         return mask_members(self.full_mask & ~covered)
 
-    def is_prime_ideal(self) -> bool:
-        """True when every edge is a singleton, so the edge ideal is prime."""
-        return bool(self.edge_masks) and all(
-            m.bit_count() == 1 for m in self.edge_masks
-        )
-
     def _check_set(self, a: VertexSet) -> None:
         if a.ambient_size != self.vertex_count:
             raise AmbientMismatchError(
@@ -249,18 +243,23 @@ class Clutter:
         """Remove v and every edge through it, reindexing densely."""
         if not 1 <= v <= self.vertex_count:
             raise ValueError(f"vertex {v} not in 1..{self.vertex_count}")
-        keep = [u for u in range(1, self.vertex_count + 1) if u != v]
-        return self.induced_subclutter_members(keep)
+        return self.induced_subclutter([u for u in self.vertices() if u != v])
 
-    def induced_subclutter_members(self, keep: Sequence[int]) -> "Clutter":
-        old_of_new = tuple(keep)
-        new_of_old = {u: i + 1 for i, u in enumerate(old_of_new)}
+    def induced_subclutter(self, keep: Sequence[int]) -> "Clutter":
+        """The edges inside keep, with vertex keep[i] relabelled i + 1.
+
+        A graph yields a graph that records keep as its ``parent_map``.
+        """
+        new_of_old = {u: i + 1 for i, u in enumerate(keep)}
         keep_mask = mask_of(self.vertex_count, keep)
-        edges = []
-        for m in self.edge_masks:
-            if m & ~keep_mask == 0:
-                edges.append(frozenset(new_of_old[u] for u in mask_members(m)))
-        return Clutter.of(len(old_of_new), edges)
+        edges = [
+            [new_of_old[u] for u in mask_members(m)]
+            for m in self.edge_masks
+            if m & ~keep_mask == 0
+        ]
+        if isinstance(self, Graph):
+            return Graph.of(len(keep), edges, parent_map=tuple(keep))
+        return Clutter.of(len(keep), edges)
 
 
 # -- hypergraph transversals -------------------------------------------------
@@ -374,27 +373,6 @@ class Graph(Clutter):
 
     # -- derived graphs ------------------------------------------------------
 
-    def induced_subgraph_members(self, keep: Sequence[int]) -> "Graph":
-        old_of_new = tuple(keep)
-        new_of_old = {u: i + 1 for i, u in enumerate(old_of_new)}
-        keep_mask = mask_of(self.vertex_count, keep) if keep else 0
-        edges = []
-        for m in self.edge_masks:
-            if m & ~keep_mask == 0:
-                a, b = mask_members(m)
-                edges.append((new_of_old[a], new_of_old[b]))
-        return Graph.of(len(old_of_new), edges, parent_map=old_of_new)
-
-    def induced_subgraph(self, a: VertexSet) -> "Graph":
-        self._check_set(a)
-        return self.induced_subgraph_members(a.members())
-
-    def delete_vertex(self, v: int) -> "Graph":
-        if not 1 <= v <= self.vertex_count:
-            raise ValueError(f"vertex {v} not in 1..{self.vertex_count}")
-        keep = [u for u in range(1, self.vertex_count + 1) if u != v]
-        return self.induced_subgraph_members(keep)
-
     def delete_edge(self, u: int, v: int) -> "Graph":
         m = mask_of(self.vertex_count, (u, v))
         if m not in set(self.edge_masks):
@@ -406,7 +384,7 @@ class Graph(Clutter):
         """G_v: the induced subgraph on V minus N[v]."""
         closed = self.closed_neighborhood(v)
         keep = [u for u in range(1, self.vertex_count + 1) if u not in closed]
-        return self.induced_subgraph_members(keep)
+        return self.induced_subclutter(keep)
 
     def delete_edge_neighborhoods(self, u: int, v: int) -> "Graph":
         """G_e for e = {u, v}: drop N[u] and N[v] and take the induced graph."""
@@ -414,7 +392,7 @@ class Graph(Clutter):
             raise ValueError(f"edge {{{u},{v}}} not present")
         gone = self.closed_neighborhood(u).union(self.closed_neighborhood(v))
         keep = [w for w in range(1, self.vertex_count + 1) if w not in gone]
-        return self.induced_subgraph_members(keep)
+        return self.induced_subclutter(keep)
 
     def complement(self) -> "Graph":
         s = self.vertex_count
@@ -442,57 +420,16 @@ class Graph(Clutter):
     # -- structure predicates -------------------------------------------------
 
     def is_connected(self) -> bool:
-        s = self.vertex_count
-        if s == 0:
+        if self.vertex_count == 0:
             return True
-        adj = self.adjacency_masks()
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            for b in iter_bits(frontier):
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen == self.full_mask
-
-    def connected_components(self) -> tuple[tuple[int, ...], ...]:
-        adj = self.adjacency_masks()
-        remaining = self.full_mask
-        comps = []
-        while remaining:
-            start = remaining & -remaining
-            seen = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                for b in iter_bits(frontier):
-                    nxt |= adj[b.bit_length() - 1]
-                frontier = nxt & ~seen
-                seen |= frontier
-            comps.append(mask_members(seen))
-            remaining &= ~seen
-        return tuple(comps)
+        return _bfs(self.adjacency_masks(), 0)[0] == self.full_mask
 
     def diameter(self) -> float:
         """Greatest BFS distance between vertex pairs; inf when disconnected."""
-        s = self.vertex_count
-        if s == 0:
-            return 0
         adj = self.adjacency_masks()
         best = 0
-        for src in range(s):
-            dist = 0
-            seen = 1 << src
-            frontier = seen
-            while frontier:
-                nxt = 0
-                for b in iter_bits(frontier):
-                    nxt |= adj[b.bit_length() - 1]
-                frontier = nxt & ~seen
-                if frontier:
-                    seen |= frontier
-                    dist += 1
+        for src in range(self.vertex_count):
+            seen, dist = _bfs(adj, src)
             if seen != self.full_mask:
                 return float("inf")
             best = max(best, dist)
@@ -561,3 +498,21 @@ def _adjacency(vertex_count: int, edge_masks: tuple[int, ...]) -> tuple[int, ...
         adj[a - 1] |= 1 << (b - 1)
         adj[b - 1] |= 1 << (a - 1)
     return tuple(adj)
+
+
+def _bfs(adj: Sequence[int], src: int) -> tuple[int, int]:
+    """Breadth-first search from vertex index src over adjacency masks.
+
+    Returns the mask of vertices reached and the greatest distance reached.
+    """
+    seen = frontier = 1 << src
+    dist = 0
+    while True:
+        nxt = 0
+        for b in iter_bits(frontier):
+            nxt |= adj[b.bit_length() - 1]
+        frontier = nxt & ~seen
+        if not frontier:
+            return seen, dist
+        seen |= frontier
+        dist += 1

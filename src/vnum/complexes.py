@@ -1,8 +1,8 @@
 """Stanley-Reisner complexes and exact homological invariants.
 
 Complexes are stored by facets (an antichain of bit masks over a fixed
-ambient); the void complex has no facets and is distinct from {emptyset},
-which has the single facet 0.  Reduced homology ranks are computed exactly
+ambient, in increasing order of the masks as integers); the void complex
+has no facets and is distinct from {emptyset}, which has the single facet 0.  Reduced homology ranks are computed exactly
 over the rationals (fraction-free integer elimination) and over GF(2)
 (packed-word elimination).  On top of those sit the induced-subcomplex
 regularity scan, the link-vanishing Cohen-Macaulay test, and vertex
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .clutters import Clutter, _antichain_minima, _edge_sort_key
+from .clutters import Clutter, Graph
 from .monomials import MonomialIdeal, clutter_of_squarefree_ideal
 from .vertexsets import VertexSet, iter_bits, mask_members, mask_of
 
@@ -37,7 +37,7 @@ def _antichain_maxima(masks: Iterable[int]) -> tuple[int, ...]:
     for m in uniq:
         if not any(m & ~kept == 0 for kept in out):
             out.append(m)
-    return tuple(sorted(out, key=_edge_sort_key))
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,13 @@ class SimplicialComplex:
                 if sub == 0:
                     break
                 sub = (sub - 1) & f
-        return tuple(sorted(seen, key=_edge_sort_key))
+        return tuple(sorted(seen))
 
     def faces_by_dim(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}
         for m in self.face_masks():
             out.setdefault(m.bit_count() - 1, []).append(m)
-        return {d: tuple(sorted(v, key=_edge_sort_key)) for d, v in out.items()}
-
-    def face_count(self) -> int:
-        return len(self.face_masks())
+        return {d: tuple(v) for d, v in out.items()}
 
     # -- constructions ------------------------------------------------------
 
@@ -158,7 +155,7 @@ class SimplicialComplex:
 
 def independence_complex(c: Clutter) -> SimplicialComplex:
     """Faces are the stable sets; facets the maximal stable sets."""
-    return SimplicialComplex(c.vertex_count, c.maximal_stable_masks())
+    return SimplicialComplex(c.vertex_count, tuple(sorted(c.maximal_stable_masks())))
 
 
 def stanley_reisner_complex(i: MonomialIdeal) -> SimplicialComplex:
@@ -431,9 +428,7 @@ def _cm_recursive(facets: tuple[int, ...], field: Field) -> bool:
     if common:
         # The complex is a cone over the faces avoiding the common vertices,
         # and coning preserves Cohen-Macaulayness in both directions.
-        stripped = tuple(
-            sorted((f & ~common for f in facets), key=_edge_sort_key)
-        )
+        stripped = tuple(sorted(f & ~common for f in facets))
         return _cm_recursive(stripped, field)
     sizes = {f.bit_count() for f in facets}
     if len(sizes) > 1:
@@ -545,7 +540,7 @@ def _canonical_facets(facets: tuple[int, ...]) -> tuple[int, ...]:
         for v in mask_members(f):
             nf |= 1 << relabel[v]
         out.append(nf)
-    return tuple(sorted(out, key=_edge_sort_key))
+    return tuple(sorted(out))
 
 
 def _or_all(masks: Iterable[int]) -> int:
@@ -563,27 +558,6 @@ def one_dim_diameter(complex_: SimplicialComplex) -> float:
     if complex_.is_void() or complex_.dim() != 1 or not complex_.is_pure():
         raise ValueError("diameter needs a pure 1-dimensional complex")
     verts = complex_.vertices()
-    idx = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for f in complex_.facets:
-        a, b = mask_members(f)
-        adj[idx[a]] |= 1 << idx[b]
-        adj[idx[b]] |= 1 << idx[a]
-    full = (1 << len(verts)) - 1
-    best = 0
-    for src in range(len(verts)):
-        seen = 1 << src
-        frontier = seen
-        dist = 0
-        while frontier:
-            nxt = 0
-            for b in iter_bits(frontier):
-                nxt |= adj[b.bit_length() - 1]
-            frontier = nxt & ~seen
-            if frontier:
-                seen |= frontier
-                dist += 1
-        if seen != full:
-            return float("inf")
-        best = max(best, dist)
-    return best
+    label = {v: i + 1 for i, v in enumerate(verts)}
+    edges = [[label[v] for v in mask_members(f)] for f in complex_.facets]
+    return Graph.of(len(verts), edges).diameter()

@@ -4,7 +4,9 @@ Monomials are exponent tuples over t_1, ..., t_s; ideals always store their
 unique minimal generating set, so equality of ideals is equality of values.
 Associated primes of an edge ideal are read off the blocker of its clutter,
 which keeps colon ideals, symbolic powers, and the algebraic v-number exact
-without any generic primary decomposition.
+without any generic primary decomposition.  The algebraic v-number only
+meets squarefree ideals and works on the clutter's edge masks; exponent
+tuples carry symbolic powers, polarization and the general ideal algebra.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .clutters import Clutter, ZeroIdealError, _edge_sort_key
-from .vertexsets import AmbientMismatchError, VertexSet, mask_members
+from .clutters import Clutter, ZeroIdealError, _antichain_minima
+from .vertexsets import AmbientMismatchError, VertexSet, iter_bits
 
 
 @dataclass(frozen=True)
@@ -154,13 +156,11 @@ class MonomialIdeal:
         for g in self.generators:
             if g.ambient_size != self.ambient_size:
                 raise AmbientMismatchError("generator over the wrong ambient")
-        minimal = _minimalize(self.generators)
-        if tuple(minimal) != self.generators:
-            raise ValueError("generators not minimal/sorted; use MonomialIdeal.of")
+        object.__setattr__(self, "generators", tuple(_minimalize(self.generators)))
 
     @classmethod
     def of(cls, ambient_size: int, generators: Iterable[Monomial]) -> "MonomialIdeal":
-        return cls(ambient_size, tuple(_minimalize(tuple(generators))))
+        return cls(ambient_size, tuple(generators))
 
     @classmethod
     def zero(cls, ambient_size: int) -> "MonomialIdeal":
@@ -199,10 +199,6 @@ def _minimalize(gens: Sequence[Monomial]) -> list[Monomial]:
         if not any(kept.divides(g) for kept in out):
             out.append(g)
     return out
-
-
-def minimal_generators(i: MonomialIdeal) -> tuple[Monomial, ...]:
-    return i.generators
 
 
 # -- edge and cover ideals ----------------------------------------------------
@@ -251,22 +247,6 @@ def intersect(i1: MonomialIdeal, i2: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.of(i1.ambient_size, gens)
 
 
-def colon_by_ideal(i: MonomialIdeal, p: PrimeCover) -> MonomialIdeal:
-    """(i : p) as the intersection of (i : x) over the variables x of p."""
-    if p.ambient_size != i.ambient_size:
-        raise AmbientMismatchError("prime over the wrong ambient")
-    out: Optional[MonomialIdeal] = None
-    for v in p.members():
-        piece = colon_by_monomial(i, Monomial.variable(i.ambient_size, v))
-        out = piece if out is None else intersect(out, piece)
-    assert out is not None
-    return out
-
-
-def add_monomial(i: MonomialIdeal, f: Monomial) -> MonomialIdeal:
-    return MonomialIdeal.of(i.ambient_size, list(i.generators) + [f])
-
-
 def add_variables(i: MonomialIdeal, vs: VertexSet) -> MonomialIdeal:
     """(i, t_v : v in vs)."""
     if vs.ambient_size != i.ambient_size:
@@ -311,8 +291,7 @@ def associated_primes(c: Clutter) -> tuple[PrimeCover, ...]:
     if not c.has_edges():
         raise ZeroIdealError("the zero ideal has no associated primes")
     return tuple(
-        PrimeCover(VertexSet(c.vertex_count, m))
-        for m in sorted(c.minimal_cover_masks(), key=_edge_sort_key)
+        PrimeCover(VertexSet(c.vertex_count, m)) for m in c.minimal_cover_masks()
     )
 
 
@@ -361,14 +340,20 @@ def alpha_of_colon_quotient(c: Clutter, p: PrimeCover) -> int:
 
     The minimum over monomials of the quotient is attained at a generator of
     the colon ideal: any member is a multiple of some generator, and a
-    generator inside I only produces multiples inside I.
+    generator inside I only produces multiples inside I.  Every ideal here
+    is squarefree, so generators are vertex masks: (I : t_v) is generated by
+    the edges with v removed, an intersection by the pairwise unions, and a
+    generator lies outside I exactly when its support is stable.
     """
-    i = edge_ideal(c)
+    if p.ambient_size != c.vertex_count:
+        raise AmbientMismatchError("prime over the wrong ambient")
     if p.variables.mask not in set(c.minimal_cover_masks()):
         raise ValueError("prime is not associated to the edge ideal")
-    colon = colon_by_ideal(i, p)
-    outside = [g.degree() for g in colon.generators if not i.contains(g)]
-    return min(outside) if outside else 0
+    colon = [0]  # the unit ideal, generated by the empty support
+    for b in iter_bits(p.variables.mask):
+        piece = _antichain_minima([e & ~b for e in c.edge_masks])
+        colon = _antichain_minima([g | h for g in colon for h in piece])
+    return min((g.bit_count() for g in colon if c.is_stable_mask(g)), default=0)
 
 
 def v_number_algebraic(c: Clutter) -> int:
@@ -376,13 +361,6 @@ def v_number_algebraic(c: Clutter) -> int:
     if not c.has_edges():
         raise ZeroIdealError("v-number undefined for the zero ideal")
     return min(alpha_of_colon_quotient(c, p) for p in associated_primes(c))
-
-
-def v_number_of_ideal(i: MonomialIdeal) -> int:
-    """v-number of a squarefree monomial ideal via its clutter of generators."""
-    if i.is_zero():
-        raise ZeroIdealError("v-number undefined for the zero ideal")
-    return clutter_of_squarefree_ideal(i).v_number()
 
 
 # -- polarization ---------------------------------------------------------------

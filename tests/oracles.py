@@ -2,6 +2,9 @@
 
 Everything here scans full subset or monomial spaces with no pruning and no
 shared code paths with the package internals, so agreement is meaningful.
+The exception is the exponent-tuple route of the algebraic v-number, which
+the package replaced by edge-mask arithmetic: it is kept here on the public
+monomial-ideal algebra as the reference for the mask route.
 """
 
 from __future__ import annotations
@@ -10,6 +13,14 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from vnum.clutters import Clutter, Graph
+from vnum.monomials import (
+    Monomial,
+    MonomialIdeal,
+    PrimeCover,
+    colon_by_monomial,
+    edge_ideal,
+    intersect,
+)
 
 
 def subsets(universe):
@@ -122,6 +133,28 @@ def minimal_exponents(members: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
         for m in members
         if not any(divides(other, m) and other != m for other in members)
     }
+
+
+# -- the exponent-tuple route of the algebraic v-number --------------------------
+
+
+def colon_by_ideal(i: MonomialIdeal, p: PrimeCover) -> MonomialIdeal:
+    """(i : p) as the intersection of (i : x) over the variables x of p."""
+    out = None
+    for v in p.members():
+        piece = colon_by_monomial(i, Monomial.variable(i.ambient_size, v))
+        out = piece if out is None else intersect(out, piece)
+    return out
+
+
+def alpha_of_colon_quotient_tuples(c: Clutter, p: PrimeCover) -> int:
+    """alpha((I : p)/I) from the colon ideal's exponent-tuple generators."""
+    i = edge_ideal(c)
+    if p.variables.mask not in set(c.minimal_cover_masks()):
+        raise ValueError("prime is not associated to the edge ideal")
+    colon = colon_by_ideal(i, p)
+    outside = [g.degree() for g in colon.generators if not i.contains(g)]
+    return min(outside) if outside else 0
 
 
 # -- homology oracle --------------------------------------------------------------

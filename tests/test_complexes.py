@@ -376,7 +376,7 @@ def _has_only_short_chordless_cycles(g):
         if size == 5:
             continue
         for verts in itertools.combinations(range(1, n + 1), size):
-            sub = g.induced_subgraph_members(list(verts))
+            sub = g.induced_subclutter(verts)
             if len(sub.edge_masks) == size and all(
                 sub.adjacency_masks()[v].bit_count() == 2 for v in range(size)
             ):

@@ -17,7 +17,6 @@ from vnum.monomials import (
     alpha_of_colon_quotient,
     associated_primes,
     clutter_of_squarefree_ideal,
-    colon_by_ideal,
     colon_by_monomial,
     cover_ideal,
     edge_ideal,
@@ -32,7 +31,12 @@ from vnum.monomials import (
 )
 from vnum.vertexsets import VertexSet
 
-from .oracles import minimal_exponents, symbolic_power_members_naive
+from .oracles import (
+    alpha_of_colon_quotient_tuples,
+    colon_by_ideal,
+    minimal_exponents,
+    symbolic_power_members_naive,
+)
 
 
 def ideal(ambient, *exponents):
@@ -207,6 +211,14 @@ class TestAlpha:
     def test_non_associated_rejected(self):
         with pytest.raises(ValueError):
             alpha_of_colon_quotient(path_graph(3), PrimeCover(VertexSet.of(3, [1])))
+
+    def test_mask_route_matches_tuple_oracle(self, corpus, cm36_graphs):
+        graphs = corpus + [g for _, g in cm36_graphs] + [EXAMPLE_GRAPH3.graph()]
+        for g in graphs:
+            for p in associated_primes(g):
+                assert alpha_of_colon_quotient(g, p) == (
+                    alpha_of_colon_quotient_tuples(g, p)
+                ), (g.edge_lists(), p.members())
 
 
 class TestVNumberAlgebraic:

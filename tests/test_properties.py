@@ -18,6 +18,8 @@ from vnum.complexes import (
 from vnum.monomials import (
     Monomial,
     MonomialIdeal,
+    alpha_of_colon_quotient,
+    associated_primes,
     colon_by_monomial,
     edge_ideal,
     intersect,
@@ -25,6 +27,8 @@ from vnum.monomials import (
     symbolic_power,
     v_number_algebraic,
 )
+
+from .oracles import alpha_of_colon_quotient_tuples
 
 
 @st.composite
@@ -106,6 +110,8 @@ class TestClutterFamilies:
         if not c.has_edges():
             return
         assert v_number_algebraic(c) == c.v_number()
+        for p in associated_primes(c):
+            assert alpha_of_colon_quotient(c, p) == alpha_of_colon_quotient_tuples(c, p)
 
 
 class TestGraphProperties:
