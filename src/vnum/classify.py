@@ -19,9 +19,8 @@ from .complexes import (
     is_cohen_macaulay,
     is_vertex_decomposable,
     regularity,
-    stanley_reisner_complex,
 )
-from .monomials import polarize, symbolic_power
+from .monomials import polarized_symbolic_power
 from .vertexsets import VertexSet
 
 DEFAULT_ORACLE_CAP = 7
@@ -113,13 +112,21 @@ def symbolic_square_cm(
     polarizing the symbolic square and testing its Stanley-Reisner complex.
     The empty graph on zero vertices counts as Cohen-Macaulay.
     """
-    combo = _symbolic_square_cm_combinatorial(g, field)
+    return symbolic_square_cm_by_field(g, (field,), oracle_cap)[field]
+
+
+def symbolic_square_cm_by_field(
+    g: Graph, fields: Sequence[Field], oracle_cap: int = DEFAULT_ORACLE_CAP
+) -> dict[Field, bool]:
+    """symbolic_square_cm for several fields, with one polarization oracle."""
+    combo = {f: _symbolic_square_cm_combinatorial(g, f) for f in fields}
     if g.has_edges() and g.vertex_count <= oracle_cap:
-        oracle = _symbolic_square_cm_oracle(g, field)
-        _require_agreement(
-            f"symbolic-square CM over {field.value}",
-            {"combinatorial": combo, "polarization": oracle},
-        )
+        oracle = _symbolic_square_cm_oracle(g, fields)
+        for f in fields:
+            _require_agreement(
+                f"symbolic-square CM over {f.value}",
+                {"combinatorial": combo[f], "polarization": oracle[f]},
+            )
     return combo
 
 
@@ -139,10 +146,10 @@ def _symbolic_square_cm_combinatorial(g: Graph, field: Field) -> bool:
     return True
 
 
-def _symbolic_square_cm_oracle(g: Graph, field: Field) -> bool:
-    square = symbolic_power(g, 2)
-    polarized, _ = polarize(square)
-    return is_cohen_macaulay(stanley_reisner_complex(polarized), field)
+def _symbolic_square_cm_oracle(g: Graph, fields: Sequence[Field]) -> dict[Field, bool]:
+    """Cohen-Macaulayness of the polarized symbolic square, built once."""
+    complex_ = independence_complex(polarized_symbolic_power(g, 2))
+    return {f: is_cohen_macaulay(complex_, f) for f in fields}
 
 
 def symbolic_square_cm_beta2(g: Graph) -> bool:
@@ -220,6 +227,14 @@ class InvariantReport:
                 raise CrossRouteError(
                     f"regularity over {field.value} exceeds the dimension"
                 )
+        reg_q = self.reg_by_field.get(Field.Q)
+        reg_f2 = self.reg_by_field.get(Field.F2)
+        if reg_q is not None and reg_f2 is not None and reg_q > reg_f2:
+            # universal coefficients: rational homology vanishes wherever
+            # mod-2 homology does
+            raise CrossRouteError(
+                f"reg over Q exceeds reg over GF(2): reg-Q={reg_q}, reg-F2={reg_f2}"
+            )
 
 
 def full_report(
@@ -260,7 +275,7 @@ def full_report(
         if not isolated and c.vertex_count >= 2:
             w2 = is_w2(c)
         edge_critical, edge_critical_violation = edge_criticality(c)
-        sscm = {f: symbolic_square_cm(c, f, oracle_cap) for f in fields}
+        sscm = symbolic_square_cm_by_field(c, fields, oracle_cap)
         if beta0 == 2:
             # at independence number two the complex is at most a graph, so
             # the verdict is field-free and must match the specialization

@@ -223,6 +223,13 @@ def _batch_worker(task: tuple[int, str, str, str, int]) -> tuple[int, dict]:
         return index, {"schema": SCHEMA, "name": f"line {index + 1}", "error": str(exc)}
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def cmd_batch(args: argparse.Namespace) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -237,7 +244,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
     env = os.environ.get("VNUM_THREADS")
     if env:
         workers = int(env)
-    if workers > 1 and len(tasks) > 1:
+    # the executor starts every worker up front, so never more than can run
+    workers = min(workers, len(tasks), _usable_cpus())
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_worker, tasks))
     else:

@@ -2,11 +2,15 @@
 
 Complexes are stored by facets (an antichain of bit masks over a fixed
 ambient, in increasing order of the masks as integers); the void complex
-has no facets and is distinct from {emptyset}, which has the single facet 0.  Reduced homology ranks are computed exactly
-over the rationals (fraction-free integer elimination) and over GF(2)
-(packed-word elimination).  On top of those sit the induced-subcomplex
+has no facets and is distinct from {emptyset}, which has the single facet 0.
+Reduced homology ranks are computed exactly over the rationals
+(fraction-free integer elimination) and over GF(2) (packed-word
+elimination), mod-2 first.  On top of those sit the induced-subcomplex
 regularity scan, the link-vanishing Cohen-Macaulay test, and vertex
-decomposability.
+decomposability.  The Cohen-Macaulay test runs one memoized recursion for
+both fields: it finds the level (not over Q, over Q only, over Q and GF(2))
+from the mod-2 ranks of each link, with rational elimination only where
+mod-2 homology survives below the link's dimension.
 """
 
 from __future__ import annotations
@@ -28,9 +32,6 @@ class Field(enum.Enum):
     F2 = "F2"
 
 
-FIELDS = (Field.Q, Field.F2)
-
-
 def _antichain_maxima(masks: Iterable[int]) -> tuple[int, ...]:
     uniq = sorted(set(masks), key=int.bit_count, reverse=True)
     out: list[int] = []
@@ -38,6 +39,25 @@ def _antichain_maxima(masks: Iterable[int]) -> tuple[int, ...]:
         if not any(m & ~kept == 0 for kept in out):
             out.append(m)
     return tuple(sorted(out))
+
+
+def _face_masks(facets: Iterable[int]) -> tuple[int, ...]:
+    seen: set[int] = set()
+    for f in facets:
+        sub = f
+        while True:
+            seen.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & f
+    return tuple(sorted(seen))
+
+
+def _faces_by_dim(facets: Iterable[int]) -> dict[int, tuple[int, ...]]:
+    out: dict[int, list[int]] = {}
+    for m in _face_masks(facets):
+        out.setdefault(m.bit_count() - 1, []).append(m)
+    return {d: tuple(v) for d, v in out.items()}
 
 
 @dataclass(frozen=True)
@@ -100,21 +120,10 @@ class SimplicialComplex:
 
     def face_masks(self) -> tuple[int, ...]:
         """Every face, including the empty face of a nonvoid complex."""
-        seen: set[int] = set()
-        for f in self.facets:
-            sub = f
-            while True:
-                seen.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & f
-        return tuple(sorted(seen))
+        return _face_masks(self.facets)
 
     def faces_by_dim(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for m in self.face_masks():
-            out.setdefault(m.bit_count() - 1, []).append(m)
-        return {d: tuple(v) for d, v in out.items()}
+        return _faces_by_dim(self.facets)
 
     # -- constructions ------------------------------------------------------
 
@@ -302,44 +311,65 @@ def _combinatorial_boundary_ranks(by_dim: dict[int, tuple[int, ...]]) -> dict[in
     return ranks
 
 
-def _homology_profile(by_dim: dict[int, tuple[int, ...]], field: Field) -> HomologyProfile:
-    """Exact reduced homology ranks from a face table.
+def _mod2_homology(
+    by_dim: dict[int, tuple[int, ...]]
+) -> tuple[dict[int, int], list[int]]:
+    """Boundary ranks over GF(2) and mod-2 reduced homology ranks.
 
-    Mod-2 ranks come first in either case: a rational rank is at least the
-    rank mod 2, so mod-2 homology vanishing in a dimension forces rational
-    vanishing there, and fraction-free elimination only runs in dimensions
-    whose mod-2 homology survives.
+    Rank d is the rank of the boundary map from d-faces; homology is listed
+    from dimension -1 up to the top dimension.
     """
-    if not by_dim:
-        return HomologyProfile(())
     top = max(by_dim)
-    counts = {d: len(by_dim[d]) for d in by_dim}
     rank2 = _combinatorial_boundary_ranks(by_dim)
     for d in range(2, top + 1):
         rank2[d] = rank_gf2(_boundary_rows_gf2(by_dim[d - 1], by_dim[d]))
     h2 = [
-        counts.get(d, 0) - rank2[d] - rank2[d + 1] for d in range(-1, top + 1)
+        len(by_dim.get(d, ())) - rank2[d] - rank2[d + 1] for d in range(-1, top + 1)
     ]
-    if field is Field.F2:
-        return HomologyProfile(tuple(h2))
+    return rank2, h2
+
+
+def _rational_homology(
+    by_dim: dict[int, tuple[int, ...]],
+    rank2: dict[int, int],
+    h2: list[int],
+    below: int,
+) -> list[int]:
+    """Rational reduced homology ranks in dimensions -1 .. below - 1.
+
+    A rational rank is at least the rank mod 2, so mod-2 homology vanishing
+    in a dimension forces rational vanishing there, and fraction-free
+    elimination only runs on the boundary maps around dimensions whose
+    mod-2 homology survives.
+    """
+    top = max(by_dim)
     rankq: dict[int, int] = dict(rank2)
     exact: set[int] = {-1, 0, 1, top + 1}
-    for d in range(-1, top + 1):
+    ranks = []
+    for d in range(-1, below):
         if h2[d + 1] == 0:
+            ranks.append(0)
             continue
         for b in (d, d + 1):
-            if 2 <= b <= top and b not in exact:
+            if b not in exact:
                 rankq[b] = rank_int_matrix(
                     _boundary_rows_int(by_dim[b - 1], by_dim[b])
                 )
                 exact.add(b)
-    ranks = []
-    for d in range(-1, top + 1):
-        if h2[d + 1] == 0:
-            ranks.append(0)
-        else:
-            ranks.append(counts.get(d, 0) - rankq[d] - rankq[d + 1])
-    return HomologyProfile(tuple(ranks))
+        ranks.append(len(by_dim.get(d, ())) - rankq[d] - rankq[d + 1])
+    return ranks
+
+
+def _homology_profile(by_dim: dict[int, tuple[int, ...]], field: Field) -> HomologyProfile:
+    """Exact reduced homology ranks from a face table; mod-2 ranks come first."""
+    if not by_dim:
+        return HomologyProfile(())
+    rank2, h2 = _mod2_homology(by_dim)
+    if field is Field.F2:
+        return HomologyProfile(tuple(h2))
+    return HomologyProfile(
+        tuple(_rational_homology(by_dim, rank2, h2, max(by_dim) + 1))
+    )
 
 
 def reduced_homology_ranks(
@@ -404,6 +434,12 @@ def regularity_of_ideal(i: MonomialIdeal, field: Field) -> int:
 # -- Cohen-Macaulayness -----------------------------------------------------------
 
 
+# A complex that is Cohen-Macaulay over GF(2) is Cohen-Macaulay over Q, so
+# one recursion answers both fields with a level: 0 when the complex is not
+# Cohen-Macaulay over Q, 1 when it is over Q only, 2 when it is over both.
+_CM_LEVEL = {Field.Q: 1, Field.F2: 2}
+
+
 def is_cohen_macaulay(complex_: SimplicialComplex, field: Field) -> bool:
     """Link-vanishing Cohen-Macaulay test over the given field.
 
@@ -411,52 +447,43 @@ def is_cohen_macaulay(complex_: SimplicialComplex, field: Field) -> bool:
     reduced homology of the link of F vanishes below the link's dimension.
     Runs recursively: purity, then homology of the whole complex, then the
     links of vertices (links of larger faces are links of vertices inside
-    links).  Results are memoized by facet set.
+    links).  One memoized recursion, keyed by facet set, serves both fields.
     """
     if complex_.is_void():
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
-    return _cm_recursive(complex_.facets, field)
+    return _cm_recursive(complex_.facets) >= _CM_LEVEL[field]
 
 
 @lru_cache(maxsize=None)
-def _cm_recursive(facets: tuple[int, ...], field: Field) -> bool:
+def _cm_recursive(facets: tuple[int, ...]) -> int:
+    """Cohen-Macaulay level of a nonvoid complex; stops once Q fails."""
     if len(facets) == 1:
-        return True
+        return 2
     common = facets[0]
     for f in facets:
         common &= f
     if common:
         # The complex is a cone over the faces avoiding the common vertices,
         # and coning preserves Cohen-Macaulayness in both directions.
-        stripped = tuple(sorted(f & ~common for f in facets))
-        return _cm_recursive(stripped, field)
+        return _cm_recursive(tuple(sorted(f & ~common for f in facets)))
     sizes = {f.bit_count() for f in facets}
     if len(sizes) > 1:
-        return False
+        return 0
     dim = next(iter(sizes)) - 1
-    ambient = max(f.bit_length() for f in facets)
-    complex_ = SimplicialComplex(ambient, facets)
-    profile = reduced_homology_ranks(complex_, field)
-    if any(profile.rank(i) for i in range(-1, dim)):
-        return False
-    for b in iter_bits(complex_.vertex_mask()):
+    by_dim = _faces_by_dim(facets)
+    rank2, h2 = _mod2_homology(by_dim)
+    if not any(h2[: dim + 1]):
+        level = 2
+    elif any(_rational_homology(by_dim, rank2, h2, dim)):
+        return 0
+    else:
+        level = 1
+    for b in iter_bits(_or_all(facets)):
         link_facets = _antichain_maxima(f & ~b for f in facets if f & b)
-        if not _cm_recursive(link_facets, field):
-            return False
-    return True
-
-
-def is_cohen_macaulay_all_faces(complex_: SimplicialComplex, field: Field) -> bool:
-    """Literal all-faces form of the link-vanishing test (reference route)."""
-    if complex_.is_void():
-        raise ValueError("Cohen-Macaulayness is undefined for the void complex")
-    for fmask in complex_.face_masks():
-        link = complex_.link_mask(fmask)
-        d = link.dim()
-        profile = reduced_homology_ranks(link, field)
-        if any(profile.rank(i) for i in range(-1, d)):
-            return False
-    return True
+        level = min(level, _cm_recursive(link_facets))
+        if not level:
+            return 0
+    return level
 
 
 # -- vertex decomposability ---------------------------------------------------------
@@ -478,10 +505,8 @@ def _vd(facets: tuple[int, ...]) -> bool:
     if len(facets) <= 1:
         return True
     sizes = {f.bit_count() for f in facets}
-    if len(sizes) == 1:
-        for field in FIELDS:
-            if not _cm_recursive(facets, field):
-                return False
+    if len(sizes) == 1 and _cm_recursive(facets) < 2:
+        return False
     vmask = 0
     for f in facets:
         vmask |= f

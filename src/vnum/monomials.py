@@ -4,16 +4,17 @@ Monomials are exponent tuples over t_1, ..., t_s; ideals always store their
 unique minimal generating set, so equality of ideals is equality of values.
 Associated primes of an edge ideal are read off the blocker of its clutter,
 which keeps colon ideals, symbolic powers, and the algebraic v-number exact
-without any generic primary decomposition.  The algebraic v-number only
-meets squarefree ideals and works on the clutter's edge masks; exponent
-tuples carry symbolic powers, polarization and the general ideal algebra.
+without any generic primary decomposition.  The computations run on bit
+masks: the algebraic v-number on the clutter's edge masks, symbolic powers
+and their polarization on unary-layer masks.  Exponent tuples are only the
+output form of symbolic_power and the value type of the ideal classes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .clutters import Clutter, ZeroIdealError, _antichain_minima
 from .vertexsets import AmbientMismatchError, VertexSet, iter_bits
@@ -187,10 +188,6 @@ class MonomialIdeal:
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(self.contains(g) for g in other.generators)
 
-    def _check(self, other: "MonomialIdeal") -> None:
-        if self.ambient_size != other.ambient_size:
-            raise AmbientMismatchError("ideals over different ambients")
-
 
 def _minimalize(gens: Sequence[Monomial]) -> list[Monomial]:
     uniq = sorted(set(gens), key=Monomial.sort_key)
@@ -228,61 +225,6 @@ def clutter_of_squarefree_ideal(i: MonomialIdeal) -> Clutter:
     )
 
 
-# -- ideal arithmetic ---------------------------------------------------------
-
-
-def colon_by_monomial(i: MonomialIdeal, f: Monomial) -> MonomialIdeal:
-    """(i : f), generated by g / gcd(g, f) over the generators g."""
-    if f.ambient_size != i.ambient_size:
-        raise AmbientMismatchError("monomial over the wrong ambient")
-    return MonomialIdeal.of(
-        i.ambient_size, [g.quotient_by_gcd(f) for g in i.generators]
-    )
-
-
-def intersect(i1: MonomialIdeal, i2: MonomialIdeal) -> MonomialIdeal:
-    """Intersection via pairwise lcms of generators."""
-    i1._check(i2)
-    gens = [g1.lcm(g2) for g1 in i1.generators for g2 in i2.generators]
-    return MonomialIdeal.of(i1.ambient_size, gens)
-
-
-def add_variables(i: MonomialIdeal, vs: VertexSet) -> MonomialIdeal:
-    """(i, t_v : v in vs)."""
-    if vs.ambient_size != i.ambient_size:
-        raise AmbientMismatchError("variables over the wrong ambient")
-    gens = list(i.generators)
-    gens += [Monomial.variable(i.ambient_size, v) for v in vs.members()]
-    return MonomialIdeal.of(i.ambient_size, gens)
-
-
-def extend_ambient(i: MonomialIdeal, new_size: int) -> MonomialIdeal:
-    if new_size < i.ambient_size:
-        raise ValueError("cannot shrink the ambient")
-    pad = new_size - i.ambient_size
-    gens = [
-        Monomial(new_size, g.exponents + (0,) * pad) for g in i.generators
-    ]
-    return MonomialIdeal.of(new_size, gens)
-
-
-def ordinary_power(i: MonomialIdeal, n: int) -> MonomialIdeal:
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    gens = [
-        combo[0] if len(combo) == 1 else _product(combo)
-        for combo in itertools.combinations_with_replacement(i.generators, n)
-    ]
-    return MonomialIdeal.of(i.ambient_size, gens)
-
-
-def _product(monomials: Sequence[Monomial]) -> Monomial:
-    out = monomials[0]
-    for m in monomials[1:]:
-        out = out.times(m)
-    return out
-
-
 # -- associated primes and symbolic powers ------------------------------------
 
 
@@ -295,41 +237,69 @@ def associated_primes(c: Clutter) -> tuple[PrimeCover, ...]:
     )
 
 
-def prime_power(p: PrimeCover, n: int) -> MonomialIdeal:
-    """p^n: all degree-n monomials in the variables of p."""
+def _symbolic_power_masks(c: Clutter, n: int) -> list[int]:
+    """Minimal generators of I^(n) as unary-layer masks over n * s bits.
+
+    Bit k*s + i means "the exponent of t_{i+1} is at least k+1", so a
+    monomial with exponents at most n is the union of its layers, lcm is |
+    and divisibility is the subset test.  Generators of an intersection of
+    monomial ideals are the lcms of generator pairs, so the intersection of
+    the prime powers p^n, whose generators are the degree-n monomials in the
+    variables of p, is a fold of pairwise unions; no exponent exceeds n.
+    """
     if n < 1:
-        raise ValueError("power must be >= 1")
-    s = p.ambient_size
-    gens = []
-    for combo in itertools.combinations_with_replacement(p.members(), n):
-        exps = [0] * s
-        for v in combo:
-            exps[v - 1] += 1
-        gens.append(Monomial(s, tuple(exps)))
-    return MonomialIdeal.of(s, gens)
+        raise ValueError("symbolic power needs n >= 1")
+    s = c.vertex_count
+    primes = sorted(associated_primes(c), key=lambda p: (len(p.variables), p.members()))
+    out = [0]  # the unit ideal
+    for p in primes:
+        piece = []
+        for combo in itertools.combinations_with_replacement(p.members(), n):
+            m, layer, prev = 0, 0, None
+            for v in combo:
+                layer = layer + 1 if v == prev else 0
+                m |= 1 << (layer * s + v - 1)
+                prev = v
+            piece.append(m)
+        out = _antichain_minima([g | h for g in out for h in piece])
+    return out
 
 
 def symbolic_power(c: Clutter, n: int) -> MonomialIdeal:
     """Intersection of the n-th powers of the associated primes.
 
-    Folds the intersection over primes in increasing size and minimalizes
-    after each fold to keep intermediate generator sets small.
+    Folds the intersection over primes in increasing size on unary-layer
+    masks, minimalizing after each fold to keep intermediate generator sets
+    small.
     """
-    if n < 1:
-        raise ValueError("symbolic power needs n >= 1")
-    primes = sorted(associated_primes(c), key=lambda p: (len(p.variables), p.members()))
-    out: Optional[MonomialIdeal] = None
-    for p in primes:
-        piece = prime_power(p, n)
-        out = piece if out is None else intersect(out, piece)
-    assert out is not None
-    return out
+    s = c.vertex_count
+    gens = []
+    for m in _symbolic_power_masks(c, n):
+        exps = tuple(sum(m >> (k * s + i) & 1 for k in range(n)) for i in range(s))
+        gens.append(Monomial(s, exps))
+    return MonomialIdeal.of(s, gens)
 
 
-def radical(i: MonomialIdeal) -> MonomialIdeal:
-    """Support-wise radical: replace each generator by its squarefree part."""
-    gens = [Monomial.from_support(g.support()) for g in i.generators]
-    return MonomialIdeal.of(i.ambient_size, gens)
+def polarized_symbolic_power(c: Clutter, n: int) -> Clutter:
+    """The clutter of the polarization of I^(n).
+
+    Polarization gives copy k of t_{i+1} a variable of its own, and that is
+    the layer bit k*s + i, so the polarized generators are the layer masks
+    with their used bits relabelled: grouped by original variable in index
+    order, copies in layer order, as polarization numbers them.
+    """
+    s = c.vertex_count
+    masks = _symbolic_power_masks(c, n)
+    used = 0
+    for m in masks:
+        used |= m
+    relabel: dict[int, int] = {}
+    for i in range(s):
+        for k in range(n):
+            bit = 1 << (k * s + i)
+            if used & bit:
+                relabel[bit] = len(relabel) + 1
+    return Clutter.of(len(relabel), [[relabel[b] for b in iter_bits(m)] for m in masks])
 
 
 # -- the algebraic v-number route ---------------------------------------------
@@ -361,36 +331,3 @@ def v_number_algebraic(c: Clutter) -> int:
     if not c.has_edges():
         raise ZeroIdealError("v-number undefined for the zero ideal")
     return min(alpha_of_colon_quotient(c, p) for p in associated_primes(c))
-
-
-# -- polarization ---------------------------------------------------------------
-
-
-def polarize(i: MonomialIdeal) -> tuple[MonomialIdeal, tuple[tuple[int, int], ...]]:
-    """Split exponents into distinct squarefree variables.
-
-    Returns the squarefree ideal together with the variable map: entry j of
-    the map is (original variable, copy index) for new variable j+1.  New
-    variables are grouped by original variable in index order, so copy 0 of
-    t_i stands in for the original t_i.
-    """
-    s = i.ambient_size
-    height = [0] * s
-    for g in i.generators:
-        for k, e in enumerate(g.exponents):
-            height[k] = max(height[k], e)
-    var_map: list[tuple[int, int]] = []
-    slot: dict[tuple[int, int], int] = {}
-    for v in range(s):
-        for copy in range(height[v]):
-            slot[(v + 1, copy)] = len(var_map) + 1
-            var_map.append((v + 1, copy))
-    new_size = len(var_map)
-    gens = []
-    for g in i.generators:
-        exps = [0] * new_size
-        for k, e in enumerate(g.exponents):
-            for copy in range(e):
-                exps[slot[(k + 1, copy)] - 1] = 1
-        gens.append(Monomial(new_size, tuple(exps)))
-    return MonomialIdeal.of(new_size, gens), tuple(var_map)

@@ -2,25 +2,29 @@
 
 Everything here scans full subset or monomial spaces with no pruning and no
 shared code paths with the package internals, so agreement is meaningful.
-The exception is the exponent-tuple route of the algebraic v-number, which
-the package replaced by edge-mask arithmetic: it is kept here on the public
-monomial-ideal algebra as the reference for the mask route.
+The exceptions are routes the package replaced by faster ones, kept here as
+references for them: the exponent-tuple ideal algebra (colon ideals,
+intersections, powers, polarization) behind the algebraic v-number and the
+symbolic powers, which now run on bit masks, and the per-field
+Cohen-Macaulay recursion, which one recursion for both fields replaced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
 
 from vnum.clutters import Clutter, Graph
+from vnum.complexes import Field, SimplicialComplex, reduced_homology_ranks
 from vnum.monomials import (
     Monomial,
     MonomialIdeal,
     PrimeCover,
-    colon_by_monomial,
+    associated_primes,
     edge_ideal,
-    intersect,
 )
+from vnum.vertexsets import AmbientMismatchError, VertexSet
 
 
 def subsets(universe):
@@ -135,6 +139,118 @@ def minimal_exponents(members: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
     }
 
 
+# -- exponent-tuple ideal algebra -------------------------------------------------
+
+
+def colon_by_monomial(i: MonomialIdeal, f: Monomial) -> MonomialIdeal:
+    """(i : f), generated by g / gcd(g, f) over the generators g."""
+    if f.ambient_size != i.ambient_size:
+        raise AmbientMismatchError("monomial over the wrong ambient")
+    return MonomialIdeal.of(
+        i.ambient_size, [g.quotient_by_gcd(f) for g in i.generators]
+    )
+
+
+def intersect(i1: MonomialIdeal, i2: MonomialIdeal) -> MonomialIdeal:
+    """Intersection via pairwise lcms of generators."""
+    if i1.ambient_size != i2.ambient_size:
+        raise AmbientMismatchError("ideals over different ambients")
+    gens = [g1.lcm(g2) for g1 in i1.generators for g2 in i2.generators]
+    return MonomialIdeal.of(i1.ambient_size, gens)
+
+
+def add_variables(i: MonomialIdeal, vs: VertexSet) -> MonomialIdeal:
+    """(i, t_v : v in vs)."""
+    if vs.ambient_size != i.ambient_size:
+        raise AmbientMismatchError("variables over the wrong ambient")
+    gens = list(i.generators)
+    gens += [Monomial.variable(i.ambient_size, v) for v in vs.members()]
+    return MonomialIdeal.of(i.ambient_size, gens)
+
+
+def extend_ambient(i: MonomialIdeal, new_size: int) -> MonomialIdeal:
+    if new_size < i.ambient_size:
+        raise ValueError("cannot shrink the ambient")
+    pad = new_size - i.ambient_size
+    gens = [
+        Monomial(new_size, g.exponents + (0,) * pad) for g in i.generators
+    ]
+    return MonomialIdeal.of(new_size, gens)
+
+
+def ordinary_power(i: MonomialIdeal, n: int) -> MonomialIdeal:
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    gens = []
+    for combo in combinations_with_replacement(i.generators, n):
+        out = combo[0]
+        for m in combo[1:]:
+            out = out.times(m)
+        gens.append(out)
+    return MonomialIdeal.of(i.ambient_size, gens)
+
+
+def prime_power(p: PrimeCover, n: int) -> MonomialIdeal:
+    """p^n: all degree-n monomials in the variables of p."""
+    if n < 1:
+        raise ValueError("power must be >= 1")
+    s = p.ambient_size
+    gens = []
+    for combo in combinations_with_replacement(p.members(), n):
+        exps = [0] * s
+        for v in combo:
+            exps[v - 1] += 1
+        gens.append(Monomial(s, tuple(exps)))
+    return MonomialIdeal.of(s, gens)
+
+
+def radical(i: MonomialIdeal) -> MonomialIdeal:
+    """Support-wise radical: replace each generator by its squarefree part."""
+    gens = [Monomial.from_support(g.support()) for g in i.generators]
+    return MonomialIdeal.of(i.ambient_size, gens)
+
+
+def symbolic_power_tuples(c: Clutter, n: int) -> MonomialIdeal:
+    """I^(n) as the fold of intersect over the prime powers p^n."""
+    if n < 1:
+        raise ValueError("symbolic power needs n >= 1")
+    out = None
+    for p in associated_primes(c):
+        piece = prime_power(p, n)
+        out = piece if out is None else intersect(out, piece)
+    return out
+
+
+def polarize(i: MonomialIdeal) -> tuple[MonomialIdeal, tuple[tuple[int, int], ...]]:
+    """Split exponents into distinct squarefree variables.
+
+    Returns the squarefree ideal together with the variable map: entry j of
+    the map is (original variable, copy index) for new variable j+1.  New
+    variables are grouped by original variable in index order, so copy 0 of
+    t_i stands in for the original t_i.
+    """
+    s = i.ambient_size
+    height = [0] * s
+    for g in i.generators:
+        for k, e in enumerate(g.exponents):
+            height[k] = max(height[k], e)
+    var_map: list[tuple[int, int]] = []
+    slot: dict[tuple[int, int], int] = {}
+    for v in range(s):
+        for copy in range(height[v]):
+            slot[(v + 1, copy)] = len(var_map) + 1
+            var_map.append((v + 1, copy))
+    new_size = len(var_map)
+    gens = []
+    for g in i.generators:
+        exps = [0] * new_size
+        for k, e in enumerate(g.exponents):
+            for copy in range(e):
+                exps[slot[(k + 1, copy)] - 1] = 1
+        gens.append(Monomial(new_size, tuple(exps)))
+    return MonomialIdeal.of(new_size, gens), tuple(var_map)
+
+
 # -- the exponent-tuple route of the algebraic v-number --------------------------
 
 
@@ -245,3 +361,51 @@ def homology_ranks_naive(facet_sets: list[frozenset], field: str) -> dict[int, i
             - ranks_of_boundary[d + 1]
         )
     return out
+
+
+# -- Cohen-Macaulay references ------------------------------------------------------
+
+
+def is_cohen_macaulay_all_faces(complex_: SimplicialComplex, field: Field) -> bool:
+    """Literal all-faces form of the link-vanishing test."""
+    if complex_.is_void():
+        raise ValueError("Cohen-Macaulayness is undefined for the void complex")
+    for fmask in complex_.face_masks():
+        link = complex_.link_mask(fmask)
+        d = link.dim()
+        profile = reduced_homology_ranks(link, field)
+        if any(profile.rank(i) for i in range(-1, d)):
+            return False
+    return True
+
+
+def is_cohen_macaulay_per_field(complex_: SimplicialComplex, field: Field) -> bool:
+    """Link-vanishing test run separately for one field, memoized per field."""
+    return _cm_per_field(complex_.facets, field)
+
+
+@lru_cache(maxsize=None)
+def _cm_per_field(facets: tuple[int, ...], field: Field) -> bool:
+    if len(facets) == 1:
+        return True
+    common = facets[0]
+    for f in facets:
+        common &= f
+    if common:
+        stripped = tuple(sorted(f & ~common for f in facets))
+        return _cm_per_field(stripped, field)
+    sizes = {f.bit_count() for f in facets}
+    if len(sizes) > 1:
+        return False
+    dim = next(iter(sizes)) - 1
+    complex_ = SimplicialComplex(max(f.bit_length() for f in facets), facets)
+    profile = reduced_homology_ranks(complex_, field)
+    if any(profile.rank(i) for i in range(-1, dim)):
+        return False
+    vmask = complex_.vertex_mask()
+    for v in range(1, vmask.bit_length() + 1):
+        if vmask >> (v - 1) & 1:
+            link = complex_.link(VertexSet.of(complex_.ambient_size, [v]))
+            if not _cm_per_field(link.facets, field):
+                return False
+    return True

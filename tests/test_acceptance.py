@@ -34,12 +34,12 @@ from vnum.monomials import (
     Monomial,
     MonomialIdeal,
     clutter_of_squarefree_ideal,
-    colon_by_monomial,
     edge_ideal,
-    ordinary_power,
     symbolic_power,
     v_number_algebraic,
 )
+
+from .oracles import colon_by_monomial, ordinary_power
 
 BOTH = (Field.Q, Field.F2)
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+
+import vnum.classify as classify
 
 from vnum.catalog import (
     EXAMPLE_GRAPH3,
@@ -14,6 +18,7 @@ from vnum.catalog import (
     star_graph,
 )
 from vnum.classify import (
+    CrossRouteError,
     edge_criticality,
     full_report,
     has_linear_resolution,
@@ -288,3 +293,26 @@ class TestFullReport:
         rep = full_report(cycle_graph(4), [Field.Q])
         assert rep.v_witness == (1,)
         assert rep.edge_critical_violation == (1, 2)
+
+    def test_rational_regularity_above_mod2_rejected(self):
+        # example-graph3 has reg_Q = 2 <= reg_F2 = 3; swapped, the universal
+        # coefficient bound fails
+        rep = full_report(EXAMPLE_GRAPH3.graph(), [Field.Q, Field.F2])
+        with pytest.raises(CrossRouteError, match="reg-Q=3, reg-F2=2"):
+            dataclasses.replace(rep, reg_by_field={Field.Q: 3, Field.F2: 2})
+        # one field alone has nothing to compare with
+        dataclasses.replace(rep, reg_by_field={Field.Q: 3})
+
+    @pytest.mark.parametrize("g", [cycle_graph(5), complete_graph(3), path_graph(4)])
+    def test_one_oracle_for_both_fields(self, monkeypatch, g):
+        calls = []
+        oracle = classify._symbolic_square_cm_oracle
+
+        def counted(graph, fields):
+            calls.append(tuple(fields))
+            return oracle(graph, fields)
+
+        monkeypatch.setattr(classify, "_symbolic_square_cm_oracle", counted)
+        rep = full_report(g, (Field.Q, Field.F2))
+        assert calls == [(Field.Q, Field.F2)]
+        assert set(rep.symbolic_square_cm_by_field) == {Field.Q, Field.F2}

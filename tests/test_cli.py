@@ -204,6 +204,43 @@ class TestBatch:
         )
         assert serial == parallel
 
+    def test_workers_clamped(self, capsys, tmp_path, monkeypatch):
+        # the executor is replaced, so no worker process is ever started
+        import vnum.cli as cli
+
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        stream = self._write_stream(tmp_path)
+        _, serial, _ = run_cli(capsys, "batch", stream, "--graph6", "--json")
+        assert asked == []
+        _, out, _ = run_cli(
+            capsys, "batch", stream, "--graph6", "--json", "--parallel", "1000"
+        )
+        assert asked == [2] and out == serial
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+        monkeypatch.setenv("VNUM_THREADS", "1000")
+        _, out, _ = run_cli(capsys, "batch", stream, "--graph6", "--json")
+        assert asked == [2, 3] and out == serial
+        one = tmp_path / "one.g6"
+        one.write_text("A_\n")
+        run_cli(capsys, "batch", str(one), "--graph6", "--json")
+        assert asked == [2, 3]
+
     def test_env_var_override(self, capsys, tmp_path, monkeypatch):
         stream = self._write_stream(tmp_path)
         monkeypatch.setenv("VNUM_THREADS", "2")

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from vnum.catalog import (
+    CM36,
     EXAMPLE_GRAPH3,
     complete_graph,
     cycle_graph,
@@ -19,7 +20,6 @@ from vnum.complexes import (
     euler_characteristic_reduced,
     independence_complex,
     is_cohen_macaulay,
-    is_cohen_macaulay_all_faces,
     is_vertex_decomposable,
     one_dim_diameter,
     rank_gf2,
@@ -29,10 +29,29 @@ from vnum.complexes import (
     regularity_of_ideal,
     stanley_reisner_complex,
 )
-from vnum.monomials import Monomial, MonomialIdeal, cover_ideal, edge_ideal, polarize, symbolic_power
+from vnum.monomials import (
+    Monomial,
+    MonomialIdeal,
+    cover_ideal,
+    edge_ideal,
+    polarized_symbolic_power,
+    symbolic_power,
+)
 from vnum.vertexsets import VertexSet
 
-from .oracles import homology_ranks_naive, rank_fraction, rank_gf2_sets
+from .oracles import (
+    homology_ranks_naive,
+    is_cohen_macaulay_all_faces,
+    is_cohen_macaulay_per_field,
+    polarize,
+    rank_fraction,
+    rank_gf2_sets,
+)
+
+RP2_FACETS = (
+    (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+    (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+)
 
 
 def profile_dict(profile):
@@ -331,6 +350,43 @@ class TestCohenMacaulay:
                 assert is_cohen_macaulay(c, field) == is_cohen_macaulay_all_faces(
                     c, field
                 )
+
+
+class TestOneRecursionForBothFields:
+    """The merged Cohen-Macaulay recursion against the per-field one."""
+
+    @staticmethod
+    def levels(c):
+        merged = tuple(is_cohen_macaulay(c, f) for f in (Field.Q, Field.F2))
+        per_field = tuple(
+            is_cohen_macaulay_per_field(c, f) for f in (Field.Q, Field.F2)
+        )
+        assert merged == per_field
+        return merged
+
+    def test_independence_complexes(self, corpus, cm36_graphs):
+        graphs = corpus + [g for _, g in cm36_graphs] + [EXAMPLE_GRAPH3.graph()]
+        seen = {self.levels(independence_complex(g)) for g in graphs}
+        # example-graph3 is Cohen-Macaulay over Q only
+        assert seen == {(False, False), (True, False), (True, True)}
+
+    def test_polarized_symbolic_squares(self, corpus):
+        graphs = [g for g in corpus if g.vertex_count <= 5]
+        graphs += [g for g in corpus if g.vertex_count in (6, 7)][::7]
+        graphs += [fix.graph() for fix in CM36 if fix.vertex_count <= 6]
+        seen = set()
+        for g in graphs:
+            polarized = polarized_symbolic_power(g, 2)
+            seen.add(self.levels(independence_complex(polarized)))
+        assert seen == {(False, False), (True, True)}
+
+    def test_projective_plane_is_the_rational_only_level(self):
+        rp2 = SimplicialComplex.of(6, RP2_FACETS)
+        assert self.levels(rp2) == (True, False)
+        cone = SimplicialComplex.of(7, [f + (7,) for f in RP2_FACETS])
+        assert self.levels(cone) == (True, False)
+        with_point = SimplicialComplex.of(7, list(RP2_FACETS) + [(7,)])
+        assert self.levels(with_point) == (False, False)
 
 
 class TestVertexDecomposable:

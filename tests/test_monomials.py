@@ -13,29 +13,31 @@ from vnum.monomials import (
     Monomial,
     MonomialIdeal,
     PrimeCover,
-    add_variables,
     alpha_of_colon_quotient,
     associated_primes,
     clutter_of_squarefree_ideal,
-    colon_by_monomial,
     cover_ideal,
     edge_ideal,
-    extend_ambient,
-    intersect,
-    ordinary_power,
-    polarize,
-    prime_power,
-    radical,
+    polarized_symbolic_power,
     symbolic_power,
     v_number_algebraic,
 )
 from vnum.vertexsets import VertexSet
 
 from .oracles import (
+    add_variables,
     alpha_of_colon_quotient_tuples,
     colon_by_ideal,
+    colon_by_monomial,
+    extend_ambient,
+    intersect,
     minimal_exponents,
+    ordinary_power,
+    polarize,
+    prime_power,
+    radical,
     symbolic_power_members_naive,
+    symbolic_power_tuples,
 )
 
 
@@ -342,6 +344,33 @@ class TestSymbolicPowers:
             3, list(base.generators) + list(ui.generators) + [u.times(u)]
         )
         assert lhs == rhs
+
+
+class TestMaskSymbolicPower:
+    """The unary-layer mask fold against the exponent-tuple fold."""
+
+    CLUTTERS = (
+        Clutter.of(4, [(1, 2, 3), (3, 4)]),
+        Clutter.of(5, [(1, 2), (2, 3, 4), (4, 5), (1, 5)]),
+        Clutter.of(3, [(1,), (2, 3)]),
+        Clutter.of(5, [(1, 2)]),
+    )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_tuple_fold(self, small_corpus, cm36_graphs, n):
+        graphs = list(small_corpus) + list(self.CLUTTERS)
+        graphs += [g for _, g in cm36_graphs if g.vertex_count <= 8 - n]
+        for g in graphs:
+            assert symbolic_power(g, n) == symbolic_power_tuples(g, n)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_polarized_clutter_matches_polarize(self, corpus, n):
+        graphs = [g for g in corpus if g.vertex_count <= 7 - n] + list(self.CLUTTERS)
+        for g in graphs:
+            polarized, _ = polarize(symbolic_power(g, n))
+            assert polarized_symbolic_power(g, n) == clutter_of_squarefree_ideal(
+                polarized
+            )
 
 
 class TestPolarize:

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from vnum.clutters import Clutter, Graph
 from vnum.complexes import (
     Field,
+    SimplicialComplex,
     euler_characteristic_reduced,
     independence_complex,
+    is_cohen_macaulay,
     reduced_homology_ranks,
     regularity,
     stanley_reisner_complex,
@@ -20,15 +22,23 @@ from vnum.monomials import (
     MonomialIdeal,
     alpha_of_colon_quotient,
     associated_primes,
-    colon_by_monomial,
+    clutter_of_squarefree_ideal,
     edge_ideal,
-    intersect,
-    radical,
+    polarized_symbolic_power,
     symbolic_power,
     v_number_algebraic,
 )
 
-from .oracles import alpha_of_colon_quotient_tuples
+from .oracles import (
+    alpha_of_colon_quotient_tuples,
+    colon_by_monomial,
+    intersect,
+    is_cohen_macaulay_per_field,
+    ordinary_power,
+    polarize,
+    radical,
+    symbolic_power_tuples,
+)
 
 
 @st.composite
@@ -54,6 +64,18 @@ def clutters(draw, max_vertices=6, max_edges=4):
     ]
     dedup = {frozenset(e) for e in minimal}
     return Clutter.of(n, dedup)
+
+
+@st.composite
+def complexes(draw, max_vertices=7, max_facets=8):
+    """Complexes from at least two facets, mostly pure (impure ones fail at once)."""
+    n = draw(st.integers(2, max_vertices))
+    pure = draw(st.booleans()) or draw(st.booleans())
+    size = draw(st.integers(1, n - 1))
+    lo, hi = (size, size) if pure else (1, n)
+    facet = st.frozensets(st.integers(1, n), min_size=lo, max_size=hi)
+    facets = draw(st.lists(facet, min_size=2, max_size=max_facets, unique=True))
+    return SimplicialComplex.of(n, facets)
 
 
 @st.composite
@@ -150,13 +172,21 @@ class TestIdealContracts:
             return
         assert radical(symbolic_power(g, 2)) == edge_ideal(g)
 
+    @given(clutters(max_vertices=5), st.integers(1, 3))
+    @settings(deadline=None)
+    def test_mask_symbolic_power_matches_tuple_fold(self, c, n):
+        if not c.has_edges():
+            return
+        sym = symbolic_power(c, n)
+        assert sym == symbolic_power_tuples(c, n)
+        polarized, _ = polarize(sym)
+        assert polarized_symbolic_power(c, n) == clutter_of_squarefree_ideal(polarized)
+
     @given(graphs(min_vertices=2, max_vertices=5))
     @settings(deadline=None)
     def test_triangle_free_square_equality(self, g):
         if not g.has_edges():
             return
-        from vnum.monomials import ordinary_power
-
         sym = symbolic_power(g, 2)
         square = ordinary_power(edge_ideal(g), 2)
         assert sym.contains_ideal(square)
@@ -167,6 +197,12 @@ class TestComplexProperties:
     @given(graphs(min_vertices=1, max_vertices=6))
     def test_stanley_reisner_roundtrip(self, g):
         assert stanley_reisner_complex(edge_ideal(g)) == independence_complex(g)
+
+    @given(complexes())
+    @settings(deadline=None, max_examples=200)
+    def test_one_cm_recursion_matches_per_field(self, c):
+        for field in (Field.Q, Field.F2):
+            assert is_cohen_macaulay(c, field) == is_cohen_macaulay_per_field(c, field)
 
     @given(graphs(min_vertices=1, max_vertices=5))
     @settings(deadline=None)
