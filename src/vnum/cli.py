@@ -16,11 +16,16 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from .catalog import CM36, cm36_vertex_split
-from .classify import CrossRouteError, full_report, InvariantReport
+from .classify import (
+    DEFAULT_ORACLE_CAP,
+    CrossRouteError,
+    InvariantReport,
+    full_report,
+)
 from .clutters import ZeroIdealError
 from .complexes import Field
 from .formats import InputDocument, ParseError, parse_edge_list, parse_graph6
-from .monomials import edge_ideal, symbolic_power
+from .monomials import symbolic_power
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -28,6 +33,9 @@ EXIT_CROSS_ROUTE = 2
 EXIT_ASSERTION = 3
 
 SCHEMA = "vnum/1"
+
+# Prefix of the in-band error of a batch row whose routes disagreed.
+CROSS_ROUTE_PREFIX = "cross-route: "
 
 
 def _parse_fields(spec: str) -> tuple[Field, ...]:
@@ -219,8 +227,11 @@ def _batch_worker(task: tuple[int, str, str, str, int]) -> tuple[int, dict]:
             doc = _load_document(payload)
         rep = full_report(doc.to_clutter(), fields, name=doc.name, oracle_cap=oracle_cap)
         return index, _report_dict(rep)
-    except (ParseError, ZeroIdealError, ValueError) as exc:
-        return index, {"schema": SCHEMA, "name": f"line {index + 1}", "error": str(exc)}
+    except ValueError as exc:
+        error = str(exc)
+    except CrossRouteError as exc:
+        error = CROSS_ROUTE_PREFIX + str(exc)
+    return index, {"schema": SCHEMA, "name": f"line {index + 1}", "error": error}
 
 
 def _usable_cpus() -> int:
@@ -240,12 +251,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     tasks = [
         (i, kind, line, args.field, args.oracle_cap) for i, line in enumerate(lines)
     ]
-    workers = args.parallel
-    env = os.environ.get("VNUM_THREADS")
-    if env:
-        workers = int(env)
     # the executor starts every worker up front, so never more than can run
-    workers = min(workers, len(tasks), _usable_cpus())
+    workers = min(args.parallel, len(tasks), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_worker, tasks))
@@ -257,7 +264,16 @@ def cmd_batch(args: argparse.Namespace) -> int:
             print(json.dumps(row))
     else:
         print("\n".join(_tsv_lines(rows)))
-    return EXIT_OK
+    crossed = [
+        row for row in rows if row.get("error", "").startswith(CROSS_ROUTE_PREFIX)
+    ]
+    for row in crossed:
+        detail = row["error"].removeprefix(CROSS_ROUTE_PREFIX)
+        print(
+            f"internal cross-route disagreement in {row['name']}: {detail}",
+            file=sys.stderr,
+        )
+    return EXIT_CROSS_ROUTE if crossed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = rep.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--tsv", action="store_true")
-    rep.add_argument("--oracle-cap", type=int, default=7, dest="oracle_cap")
+    rep.add_argument(
+        "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, dest="oracle_cap"
+    )
     rep.set_defaults(func=cmd_report)
 
     sp = sub.add_parser("symbolic-power", help="minimal generators of I^(k)")
@@ -295,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     bfmt.add_argument("--json", action="store_true")
     bfmt.add_argument("--tsv", action="store_true", help="tab-separated (default)")
     bat.add_argument("--parallel", type=int, default=1)
-    bat.add_argument("--oracle-cap", type=int, default=7, dest="oracle_cap")
+    bat.add_argument(
+        "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, dest="oracle_cap"
+    )
     bat.set_defaults(func=cmd_batch)
 
     return parser
@@ -306,16 +326,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ZeroIdealError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except CrossRouteError as exc:
         print(f"internal cross-route disagreement: {exc}", file=sys.stderr)
         return EXIT_CROSS_ROUTE
     except ValueError as exc:
+        # ParseError and ZeroIdealError are ValueErrors too
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

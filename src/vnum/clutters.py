@@ -342,11 +342,6 @@ class Graph(Clutter):
         """Neighbor mask per vertex, indexed 0..s-1 for vertex 1..s."""
         return _adjacency(self.vertex_count, self.edge_masks)
 
-    def neighbors(self, v: int) -> VertexSet:
-        if not 1 <= v <= self.vertex_count:
-            raise ValueError(f"vertex {v} not in 1..{self.vertex_count}")
-        return VertexSet(self.vertex_count, self.adjacency_masks()[v - 1])
-
     def closed_neighborhood(self, v: int) -> VertexSet:
         return VertexSet(
             self.vertex_count, self.adjacency_masks()[v - 1] | 1 << (v - 1)

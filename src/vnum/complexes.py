@@ -10,7 +10,10 @@ regularity scan, the link-vanishing Cohen-Macaulay test, and vertex
 decomposability.  The Cohen-Macaulay test runs one memoized recursion for
 both fields: it finds the level (not over Q, over Q only, over Q and GF(2))
 from the mod-2 ranks of each link, with rational elimination only where
-mod-2 homology survives below the link's dimension.
+mod-2 homology survives below the link's dimension.  Both recursions work
+on plain facet tuples, take links and deletions through `_link` and
+`_deletion`, and are memoized by those tuples, so the vertex-decomposability
+search reuses the Cohen-Macaulay memo.
 """
 
 from __future__ import annotations
@@ -39,6 +42,23 @@ def _antichain_maxima(masks: Iterable[int]) -> tuple[int, ...]:
         if not any(m & ~kept == 0 for kept in out):
             out.append(m)
     return tuple(sorted(out))
+
+
+def _or_all(masks: Iterable[int]) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def _link(facets: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """Facets of the link of the face `mask`: facets containing it, minus it."""
+    return _antichain_maxima(f & ~mask for f in facets if mask & ~f == 0)
+
+
+def _deletion(facets: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """Facets of the complex with the vertices of `mask` deleted."""
+    return _antichain_maxima(f & ~mask for f in facets)
 
 
 def _face_masks(facets: Iterable[int]) -> tuple[int, ...]:
@@ -107,10 +127,7 @@ class SimplicialComplex:
         return len({f.bit_count() for f in self.facets}) == 1
 
     def vertex_mask(self) -> int:
-        out = 0
-        for f in self.facets:
-            out |= f
-        return out
+        return _or_all(self.facets)
 
     def vertices(self) -> tuple[int, ...]:
         return mask_members(self.vertex_mask())
@@ -148,17 +165,13 @@ class SimplicialComplex:
         """lk(F) = {H : H disjoint from F, H union F a face}."""
         if not self.has_face(fmask):
             raise ValueError("link of a non-face")
-        return SimplicialComplex(
-            self.ambient_size,
-            _antichain_maxima(f & ~fmask for f in self.facets if fmask & ~f == 0),
-        )
+        return SimplicialComplex(self.ambient_size, _link(self.facets, fmask))
 
     def deletion(self, v: int) -> "SimplicialComplex":
         if not 1 <= v <= self.ambient_size:
             raise ValueError("vertex outside ambient")
-        b = 1 << (v - 1)
         return SimplicialComplex(
-            self.ambient_size, _antichain_maxima(f & ~b for f in self.facets)
+            self.ambient_size, _deletion(self.facets, 1 << (v - 1))
         )
 
 
@@ -479,8 +492,7 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
     else:
         level = 1
     for b in iter_bits(_or_all(facets)):
-        link_facets = _antichain_maxima(f & ~b for f in facets if f & b)
-        level = min(level, _cm_recursive(link_facets))
+        level = min(level, _cm_recursive(_link(facets, b)))
         if not level:
             return 0
     return level
@@ -490,14 +502,17 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
 
 
 def is_vertex_decomposable(complex_: SimplicialComplex) -> bool:
-    """Shedding-vertex recursion with memoization on canonical facet sets.
+    """Shedding-vertex recursion, memoized on facet tuples.
 
-    Base cases: the void complex and simplices are decomposable.  A pure
-    complex that fails the link-vanishing test over some field cannot be
-    decomposable (decomposable implies shellable implies Cohen-Macaulay over
-    every field), which prunes the expensive negative searches.
+    Base cases: the void complex and simplices are decomposable.  A vertex
+    v sheds when every facet of the deletion of v is a facet of the complex
+    (no facet of the deletion is a face of the link).  A pure complex that
+    is not Cohen-Macaulay over GF(2) cannot be decomposable (decomposable
+    implies shellable implies Cohen-Macaulay over every field), which prunes
+    the expensive negative searches; that test shares its memo with
+    `is_cohen_macaulay`, since both are keyed by the same facet tuples.
     """
-    return _vd(_canonical_facets(complex_.facets))
+    return _vd(complex_.facets)
 
 
 @lru_cache(maxsize=None)
@@ -507,72 +522,13 @@ def _vd(facets: tuple[int, ...]) -> bool:
     sizes = {f.bit_count() for f in facets}
     if len(sizes) == 1 and _cm_recursive(facets) < 2:
         return False
-    vmask = 0
-    for f in facets:
-        vmask |= f
-    for b in iter_bits(vmask):
-        with_v = [f for f in facets if f & b]
-        without_v = [f for f in facets if not f & b]
-        if not without_v:
-            continue
-        del_facets = _antichain_maxima(without_v + [f & ~b for f in with_v])
+    for b in iter_bits(_or_all(facets)):
+        del_facets = _deletion(facets, b)
         if any(d not in facets for d in del_facets):
             continue
-        link_facets = _antichain_maxima(f & ~b for f in with_v)
-        if _vd(_canonical_facets(link_facets)) and _vd(
-            _canonical_facets(del_facets)
-        ):
+        if _vd(_link(facets, b)) and _vd(del_facets):
             return True
     return False
-
-
-def _canonical_facets(facets: tuple[int, ...]) -> tuple[int, ...]:
-    """Relabel vertices by refined structural colors; sound up to isomorphism.
-
-    The key is the facet set after a vertex permutation, so two inputs share
-    a key only when some permutation identifies them, which is exactly when
-    they are isomorphic complexes.
-    """
-    if not facets:
-        return facets
-    verts = mask_members(_or_all(facets))
-    incident = {
-        v: tuple(sorted(f.bit_count() for f in facets if f >> (v - 1) & 1))
-        for v in verts
-    }
-    color: dict[int, tuple] = {v: incident[v] for v in verts}
-    for _ in range(2):
-        color = {
-            v: (
-                color[v],
-                tuple(
-                    sorted(
-                        tuple(
-                            sorted(color[w] for w in mask_members(f) if w != v)
-                        )
-                        for f in facets
-                        if f >> (v - 1) & 1
-                    )
-                ),
-            )
-            for v in verts
-        }
-    order = sorted(verts, key=lambda v: (color[v], v))
-    relabel = {old: new for new, old in enumerate(order)}
-    out = []
-    for f in facets:
-        nf = 0
-        for v in mask_members(f):
-            nf |= 1 << relabel[v]
-        out.append(nf)
-    return tuple(sorted(out))
-
-
-def _or_all(masks: Iterable[int]) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
 
 
 # -- one-dimensional complexes -----------------------------------------------------

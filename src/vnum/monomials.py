@@ -95,13 +95,6 @@ class Monomial:
             tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)),
         )
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(
-            self.ambient_size,
-            tuple(min(a, b) for a, b in zip(self.exponents, other.exponents)),
-        )
-
     def quotient_by_gcd(self, other: "Monomial") -> "Monomial":
         """self / gcd(self, other)."""
         self._check(other)

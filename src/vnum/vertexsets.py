@@ -101,9 +101,5 @@ class VertexSet:
         self._check(other)
         return self.mask & ~other.mask == 0
 
-    def sort_key(self) -> tuple[int, ...]:
-        """Lexicographic key on the sorted member tuple, used for witness ties."""
-        return self.members()
-
     def __repr__(self) -> str:
         return f"VertexSet({self.ambient_size}, {{{', '.join(map(str, self.members()))}}})"

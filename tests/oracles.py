@@ -409,3 +409,34 @@ def _cm_per_field(facets: tuple[int, ...], field: Field) -> bool:
             if not _cm_per_field(link.facets, field):
                 return False
     return True
+
+
+# -- vertex decomposability -----------------------------------------------------------
+
+
+def _maximal_sets(sets) -> list[frozenset]:
+    uniq = set(sets)
+    return [f for f in uniq if not any(f < g for g in uniq)]
+
+
+def is_vertex_decomposable_naive(facets) -> bool:
+    """Vertex decomposability from its definition (Provan-Billera 1980).
+
+    `facets` holds the facets as vertex collections; no facets is the void
+    complex.  A complex is decomposable when it is void or a simplex, or
+    when some vertex v has decomposable link and deletion and no facet of
+    del(v) is a face of lk(v).  No memo and no Cohen-Macaulay prune.
+    """
+    facets = _maximal_sets(frozenset(f) for f in facets)
+    if len(facets) <= 1:
+        return True
+    for v in sorted(frozenset().union(*facets)):
+        link = _maximal_sets(f - {v} for f in facets if v in f)
+        deletion = _maximal_sets(f - {v} for f in facets)
+        if any(d <= l for d in deletion for l in link):
+            continue
+        if is_vertex_decomposable_naive(link) and is_vertex_decomposable_naive(
+            deletion
+        ):
+            return True
+    return False

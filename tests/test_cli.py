@@ -233,21 +233,61 @@ class TestBatch:
         )
         assert asked == [2] and out == serial
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-        monkeypatch.setenv("VNUM_THREADS", "1000")
-        _, out, _ = run_cli(capsys, "batch", stream, "--graph6", "--json")
+        _, out, _ = run_cli(
+            capsys, "batch", stream, "--graph6", "--json", "--parallel", "1000"
+        )
         assert asked == [2, 3] and out == serial
         one = tmp_path / "one.g6"
         one.write_text("A_\n")
         run_cli(capsys, "batch", str(one), "--graph6", "--json")
         assert asked == [2, 3]
 
-    def test_env_var_override(self, capsys, tmp_path, monkeypatch):
+    def test_cross_route_row_in_band(self, capsys, tmp_path, monkeypatch):
+        # one worker, so the patched report runs in this process
+        import vnum.cli as cli
+        from vnum.classify import CrossRouteError
+
+        real = cli.full_report
+
+        def failing_on_line_2(c, fields, name, oracle_cap):
+            if name == "line 2":
+                raise CrossRouteError("synthetic disagreement: v 1 vs 2")
+            return real(c, fields, name=name, oracle_cap=oracle_cap)
+
+        monkeypatch.setattr(cli, "full_report", failing_on_line_2)
         stream = self._write_stream(tmp_path)
-        monkeypatch.setenv("VNUM_THREADS", "2")
-        _, out, _ = run_cli(capsys, "batch", stream, "--graph6", "--json")
-        monkeypatch.delenv("VNUM_THREADS")
-        _, serial, _ = run_cli(capsys, "batch", stream, "--graph6", "--json")
-        assert out == serial
+        code, out, err = run_cli(capsys, "batch", stream, "--graph6", "--json")
+        assert code == 2
+        rows = [json.loads(ln) for ln in out.strip().split("\n")]
+        assert len(rows) == 3
+        assert rows[0]["v"] == 1 and rows[2]["v"] == 1
+        assert rows[1] == {
+            "schema": "vnum/1",
+            "name": "line 2",
+            "error": "cross-route: synthetic disagreement: v 1 vs 2",
+        }
+        assert "line 2" in err and "v 1 vs 2" in err
+        code, out, _ = run_cli(capsys, "batch", stream, "--graph6", "--tsv")
+        assert code == 2 and len(out.strip().split("\n")) == 4
+
+
+class TestGoldenOutput:
+    """`batch --json --field both` output is frozen byte for byte.
+
+    tests/data/golden.g6 holds every 10th conftest corpus graph, the CM36
+    catalog and example-graph3; golden.jsonl is its recorded output.  A
+    change that moves any value, key order or formatting fails here.
+    """
+
+    def test_batch_matches_golden(self, capsys):
+        data = os.path.join(os.path.dirname(__file__), "data")
+        code, out, _ = run_cli(
+            capsys, "batch", os.path.join(data, "golden.g6"),
+            "--graph6", "--json", "--field", "both",
+        )
+        assert code == 0
+        with open(os.path.join(data, "golden.jsonl"), "rb") as fh:
+            assert out.encode("utf-8") == fh.read()
 
 
 class TestCrossRouteExit:

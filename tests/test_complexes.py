@@ -43,6 +43,8 @@ from .oracles import (
     homology_ranks_naive,
     is_cohen_macaulay_all_faces,
     is_cohen_macaulay_per_field,
+    is_vertex_decomposable_naive,
+    maximal_stable_naive,
     polarize,
     rank_fraction,
     rank_gf2_sets,
@@ -421,6 +423,47 @@ class TestVertexDecomposable:
                 continue
             if _has_only_short_chordless_cycles(g):
                 assert is_vertex_decomposable(independence_complex(g))
+
+    def test_matches_definition_on_corpus(self, corpus, cm36_graphs):
+        # the oracle gets the maximal stable sets from its own subset scan
+        graphs = list(corpus) + [g for _, g in cm36_graphs if g.vertex_count <= 8]
+        verdicts = set()
+        for g in graphs:
+            fast = is_vertex_decomposable(independence_complex(g))
+            assert fast == is_vertex_decomposable_naive(maximal_stable_naive(g))
+            verdicts.add(fast)
+        assert verdicts == {True, False}
+
+    def test_matches_definition_on_whiskers(self, corpus):
+        # whiskered graphs have vertex decomposable independence complexes
+        # (Dochtermann-Engstrom, Electron. J. Combin. 16 (2009))
+        graphs = [g for g in corpus if g.vertex_count <= 4] + [
+            g for g in corpus[::25] if g.vertex_count == 5
+        ]
+        for g in graphs:
+            w = g.whisker()
+            assert is_vertex_decomposable(independence_complex(w))
+            assert is_vertex_decomposable_naive(maximal_stable_naive(w))
+
+    def test_matches_definition_on_small_complexes(self):
+        assert is_vertex_decomposable_naive([])
+        assert is_vertex_decomposable_naive([()])
+        rp2 = SimplicialComplex.of(6, RP2_FACETS)
+        assert not is_vertex_decomposable(rp2)
+        assert not is_vertex_decomposable_naive(RP2_FACETS)
+        # a path on three vertices sheds an end; in two disjoint edges the
+        # deletion of any vertex keeps a point of its link as a facet
+        path = [(1, 2), (2, 3)]
+        assert is_vertex_decomposable(SimplicialComplex.of(3, path))
+        assert is_vertex_decomposable_naive(path)
+        two_edges = [(1, 2), (3, 4)]
+        assert not is_vertex_decomposable(SimplicialComplex.of(4, two_edges))
+        assert not is_vertex_decomposable_naive(two_edges)
+        # impure, so the Cohen-Macaulay prune does not apply: only the point
+        # 5 sheds, and its deletion is the two edges
+        with_point = two_edges + [(5,)]
+        assert not is_vertex_decomposable(SimplicialComplex.of(5, with_point))
+        assert not is_vertex_decomposable_naive(with_point)
 
 
 def _has_only_short_chordless_cycles(g):

@@ -13,6 +13,7 @@ from vnum.complexes import (
     euler_characteristic_reduced,
     independence_complex,
     is_cohen_macaulay,
+    is_vertex_decomposable,
     reduced_homology_ranks,
     regularity,
     stanley_reisner_complex,
@@ -28,12 +29,14 @@ from vnum.monomials import (
     symbolic_power,
     v_number_algebraic,
 )
+from vnum.vertexsets import mask_members
 
 from .oracles import (
     alpha_of_colon_quotient_tuples,
     colon_by_monomial,
     intersect,
     is_cohen_macaulay_per_field,
+    is_vertex_decomposable_naive,
     ordinary_power,
     polarize,
     radical,
@@ -203,6 +206,12 @@ class TestComplexProperties:
     def test_one_cm_recursion_matches_per_field(self, c):
         for field in (Field.Q, Field.F2):
             assert is_cohen_macaulay(c, field) == is_cohen_macaulay_per_field(c, field)
+
+    @given(complexes())
+    @settings(deadline=None, max_examples=200)
+    def test_vertex_decomposable_matches_definition(self, c):
+        facets = [mask_members(f) for f in c.facets]
+        assert is_vertex_decomposable(c) == is_vertex_decomposable_naive(facets)
 
     @given(graphs(min_vertices=1, max_vertices=5))
     @settings(deadline=None)
