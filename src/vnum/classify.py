@@ -18,7 +18,7 @@ from .complexes import (
     independence_complex,
     is_cohen_macaulay,
     is_vertex_decomposable,
-    regularity,
+    regularities,
 )
 from .monomials import polarized_symbolic_power
 from .vertexsets import VertexSet
@@ -216,6 +216,8 @@ class InvariantReport:
     has_isolated_vertices: bool
     v_witness: tuple[int, ...]
     edge_critical_violation: Optional[tuple[int, int]]
+    # (induced matching number, matching number) of a graph input
+    matching_bounds: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         if self.dim != self.beta0:
@@ -235,6 +237,17 @@ class InvariantReport:
             raise CrossRouteError(
                 f"reg over Q exceeds reg over GF(2): reg-Q={reg_q}, reg-F2={reg_f2}"
             )
+        if self.matching_bounds is not None:
+            # Katzman (JCTA 113, 2006) and Ha-Van Tuyl (J. Algebraic
+            # Combin. 27, 2008), over every field
+            low, high = self.matching_bounds
+            for field, reg in self.reg_by_field.items():
+                if not low <= reg <= high:
+                    raise CrossRouteError(
+                        f"reg over {field.value} outside the matching bounds: "
+                        f"induced-matching={low}, reg-{field.value}={reg}, "
+                        f"matching={high}"
+                    )
 
 
 def full_report(
@@ -247,8 +260,10 @@ def full_report(
 
     Graph-only classifications are None for clutter input; W2 and the
     linear resolution flag are None when their isolated-vertex or edge
-    preconditions fail.  Regularity is computed on the isolated-free part,
-    which leaves it unchanged and shrinks the subset scan.
+    preconditions fail.  Regularity over every requested field comes from
+    one subset scan of the isolated-free part, which leaves it unchanged and
+    shrinks the scan.  For a graph the report also carries the induced
+    matching number and the matching number, which must bound it.
     """
     is_graph = isinstance(c, Graph)
     isolated = c.isolated_vertices()
@@ -262,7 +277,7 @@ def full_report(
         stripped = c.induced_subclutter([u for u in c.vertices() if u not in isolated])
     else:
         stripped = c
-    reg_by_field = {f: regularity(stripped, f) for f in fields}
+    reg_by_field = regularities(stripped, fields)
     complex_ = independence_complex(c)
     cm_by_field = {f: is_cohen_macaulay(complex_, f) for f in fields}
     gamma = c.domination_number() if is_graph else None
@@ -323,4 +338,7 @@ def full_report(
         has_isolated_vertices=bool(isolated),
         v_witness=witness.members(),
         edge_critical_violation=edge_critical_violation,
+        matching_bounds=(
+            (c.induced_matching_number(), c.matching_number()) if is_graph else None
+        ),
     )

@@ -2,8 +2,16 @@
 
 Subcommands: report, symbolic-power, catalog-verify, batch.  Exit codes:
 0 success, 1 input error, 2 internal cross-route disagreement, 3 fixture or
-assertion failure.  Output is deterministic: identical inputs and flags
-produce byte-identical output at any parallelism level.
+assertion failure, 4 input refused as too large.  Output is deterministic:
+identical inputs and flags produce byte-identical output at any parallelism
+level.
+
+Every algorithm is exponential in the vertex count, so `report` and `batch`
+refuse an input with more than `--max-vertices` vertices (default 24)
+instead of starting a scan that would not finish.  `report` then exits 4;
+`batch` prints the input as an in-band `"error": "too large: ..."` row,
+keeps every other row, and exits 4 unless a cross-route disagreement
+(exit 2) also occurred.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .classify import (
     InvariantReport,
     full_report,
 )
-from .clutters import ZeroIdealError
+from .clutters import Clutter, ZeroIdealError
 from .complexes import Field
 from .formats import InputDocument, ParseError, parse_edge_list, parse_graph6
 from .monomials import symbolic_power
@@ -31,11 +39,28 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CROSS_ROUTE = 2
 EXIT_ASSERTION = 3
+EXIT_TOO_LARGE = 4
+
+DEFAULT_MAX_VERTICES = 24
 
 SCHEMA = "vnum/1"
 
-# Prefix of the in-band error of a batch row whose routes disagreed.
+# Prefixes of the in-band errors of batch rows whose routes disagreed or
+# whose input was refused as too large.
 CROSS_ROUTE_PREFIX = "cross-route: "
+TOO_LARGE_PREFIX = "too large: "
+
+
+class InputTooLargeError(ValueError):
+    """The input has more vertices than the exponential algorithms accept."""
+
+
+def _check_size(c: Clutter, max_vertices: int) -> Clutter:
+    if c.vertex_count > max_vertices:
+        raise InputTooLargeError(
+            f"{c.vertex_count} vertices exceed --max-vertices {max_vertices}"
+        )
+    return c
 
 
 def _parse_fields(spec: str) -> tuple[Field, ...]:
@@ -122,9 +147,8 @@ def _load_document(path: str) -> InputDocument:
 def cmd_report(args: argparse.Namespace) -> int:
     fields = _parse_fields(args.field)
     doc = _load_document(args.file)
-    rep = full_report(
-        doc.to_clutter(), fields, name=doc.name, oracle_cap=args.oracle_cap
-    )
+    c = _check_size(doc.to_clutter(), args.max_vertices)
+    rep = full_report(c, fields, name=doc.name, oracle_cap=args.oracle_cap)
     data = _report_dict(rep)
     if args.json:
         print(json.dumps(data, indent=2))
@@ -217,16 +241,19 @@ def _scan_edge_critical(path: str) -> int:
     return EXIT_OK
 
 
-def _batch_worker(task: tuple[int, str, str, str, int]) -> tuple[int, dict]:
-    index, kind, payload, field_spec, oracle_cap = task
+def _batch_worker(task: tuple[int, str, str, str, int, int]) -> tuple[int, dict]:
+    index, kind, payload, field_spec, oracle_cap, max_vertices = task
     fields = _parse_fields(field_spec)
     try:
         if kind == "graph6":
             doc = parse_graph6(payload, name=f"line {index + 1}")
         else:
             doc = _load_document(payload)
-        rep = full_report(doc.to_clutter(), fields, name=doc.name, oracle_cap=oracle_cap)
+        c = _check_size(doc.to_clutter(), max_vertices)
+        rep = full_report(c, fields, name=doc.name, oracle_cap=oracle_cap)
         return index, _report_dict(rep)
+    except InputTooLargeError as exc:
+        error = TOO_LARGE_PREFIX + str(exc)
     except ValueError as exc:
         error = str(exc)
     except CrossRouteError as exc:
@@ -249,7 +276,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         raise ParseError(f"cannot read {args.file}: {exc}")
     kind = "graph6" if args.graph6 else "files"
     tasks = [
-        (i, kind, line, args.field, args.oracle_cap) for i, line in enumerate(lines)
+        (i, kind, line, args.field, args.oracle_cap, args.max_vertices)
+        for i, line in enumerate(lines)
     ]
     # the executor starts every worker up front, so never more than can run
     workers = min(args.parallel, len(tasks), _usable_cpus())
@@ -273,7 +301,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
             f"internal cross-route disagreement in {row['name']}: {detail}",
             file=sys.stderr,
         )
-    return EXIT_CROSS_ROUTE if crossed else EXIT_OK
+    if crossed:
+        return EXIT_CROSS_ROUTE
+    if any(row.get("error", "").startswith(TOO_LARGE_PREFIX) for row in rows):
+        return EXIT_TOO_LARGE
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,6 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--tsv", action="store_true")
     rep.add_argument(
         "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, dest="oracle_cap"
+    )
+    rep.add_argument(
+        "--max-vertices", type=int, default=DEFAULT_MAX_VERTICES, dest="max_vertices"
     )
     rep.set_defaults(func=cmd_report)
 
@@ -316,6 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     bat.add_argument(
         "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, dest="oracle_cap"
     )
+    bat.add_argument(
+        "--max-vertices", type=int, default=DEFAULT_MAX_VERTICES, dest="max_vertices"
+    )
     bat.set_defaults(func=cmd_batch)
 
     return parser
@@ -329,6 +367,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CrossRouteError as exc:
         print(f"internal cross-route disagreement: {exc}", file=sys.stderr)
         return EXIT_CROSS_ROUTE
+    except InputTooLargeError as exc:
+        print(f"input too large: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
     except ValueError as exc:
         # ParseError and ZeroIdealError are ValueErrors too
         print(f"input error: {exc}", file=sys.stderr)

@@ -3,25 +3,35 @@
 Complexes are stored by facets (an antichain of bit masks over a fixed
 ambient, in increasing order of the masks as integers); the void complex
 has no facets and is distinct from {emptyset}, which has the single facet 0.
-Reduced homology ranks are computed exactly over the rationals
-(fraction-free integer elimination) and over GF(2) (packed-word
-elimination), mod-2 first.  On top of those sit the induced-subcomplex
-regularity scan, the link-vanishing Cohen-Macaulay test, and vertex
-decomposability.  The Cohen-Macaulay test runs one memoized recursion for
-both fields: it finds the level (not over Q, over Q only, over Q and GF(2))
-from the mod-2 ranks of each link, with rational elimination only where
-mod-2 homology survives below the link's dimension.  Both recursions work
-on plain facet tuples, take links and deletions through `_link` and
-`_deletion`, and are memoized by those tuples, so the vertex-decomposability
-search reuses the Cohen-Macaulay memo.
+
+All homology comes from one top-down kernel, `_top_down(facets, stop)`:
+starting from the top facets it walks each dimension d down to `stop`,
+builds every d-face's GF(2) boundary column (packed words), and so discovers
+and indexes the (d-1)-faces; lower-dimensional facets join their level on
+the way down.  Nothing below dimension stop - 1 is built.  Rational ranks
+come from fraction-free (Bareiss) elimination on the same face lists, and
+only where mod-2 homology survives: a rational rank is at least the rank
+mod 2, so rational homology vanishes wherever mod-2 homology does.
+
+Three callers use the kernel: `reduced_homology_ranks`; `regularities`,
+one Hochster scan of induced subcomplexes for every requested field at
+once, which prunes subsets that cannot beat the best found so far and asks
+the kernel only for dimensions at or above it; and the Cohen-Macaulay
+test.  That test runs one memoized recursion for both fields: it finds the
+level (not over Q, over Q only, over Q and GF(2)) from the mod-2 ranks of
+each link.  Its memo keys are compacted (used vertices relabelled to the low
+bits in order), since the level does not depend on labels.  Vertex
+decomposability recurses on plain facet tuples through `_link` and
+`_deletion` and prunes with the Cohen-Macaulay memo.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .clutters import Clutter, Graph
 from .monomials import MonomialIdeal, clutter_of_squarefree_ideal
@@ -52,8 +62,30 @@ def _or_all(masks: Iterable[int]) -> int:
 
 
 def _link(facets: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """Facets of the link of the face `mask`: facets containing it, minus it."""
-    return _antichain_maxima(f & ~mask for f in facets if mask & ~f == 0)
+    """Facets of the link of the face `mask`: facets containing it, minus it.
+
+    These are already an antichain in increasing order: removing the same
+    vertices from facets that all contain them keeps both inclusion and order.
+    """
+    return tuple(f & ~mask for f in facets if mask & ~f == 0)
+
+
+def _compact(facets: tuple[int, ...]) -> tuple[int, ...]:
+    """The same facets with their used vertices relabelled to the low bits.
+
+    The relabelling keeps the vertex order, so the facets stay in increasing
+    order, and isomorphic copies on different vertices share one tuple.
+    """
+    used = _or_all(facets)
+    out = facets
+    gaps = ~used & ((1 << used.bit_length()) - 1)
+    while gaps:
+        # squeeze out the highest unused position: the bits above it move down
+        h = gaps.bit_length() - 1
+        gaps ^= 1 << h
+        low = (1 << h) - 1
+        out = tuple((f & low) | (f >> 1 & ~low) for f in out)
+    return out
 
 
 def _deletion(facets: tuple[int, ...], mask: int) -> tuple[int, ...]:
@@ -71,13 +103,6 @@ def _face_masks(facets: Iterable[int]) -> tuple[int, ...]:
                 break
             sub = (sub - 1) & f
     return tuple(sorted(seen))
-
-
-def _faces_by_dim(facets: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    out: dict[int, list[int]] = {}
-    for m in _face_masks(facets):
-        out.setdefault(m.bit_count() - 1, []).append(m)
-    return {d: tuple(v) for d, v in out.items()}
 
 
 @dataclass(frozen=True)
@@ -138,9 +163,6 @@ class SimplicialComplex:
     def face_masks(self) -> tuple[int, ...]:
         """Every face, including the empty face of a nonvoid complex."""
         return _face_masks(self.facets)
-
-    def faces_by_dim(self) -> dict[int, tuple[int, ...]]:
-        return _faces_by_dim(self.facets)
 
     # -- constructions ------------------------------------------------------
 
@@ -233,19 +255,17 @@ def rank_int_matrix(rows: list[list[int]]) -> int:
 
 
 def rank_gf2(rows: list[int]) -> int:
-    """Rank over GF(2); each row is a packed bit word."""
+    """Rank over GF(2); each row is a packed bit word, pivoted on its top bit."""
     pivots: dict[int, int] = {}
-    rank = 0
     for row in rows:
         while row:
-            low = row & -row
-            other = pivots.get(low)
+            top = row.bit_length()
+            other = pivots.get(top)
             if other is None:
-                pivots[low] = row
-                rank += 1
+                pivots[top] = row
                 break
             row ^= other
-    return rank
+    return len(pivots)
 
 
 def _boundary_rows_int(
@@ -262,13 +282,77 @@ def _boundary_rows_int(
     return rows
 
 
-def _boundary_rows_gf2(lower: Sequence[int], upper: Sequence[int]) -> list[int]:
-    index = {f: i for i, f in enumerate(lower)}
-    rows = [0] * len(lower)
-    for j, f in enumerate(upper):
-        for b in iter_bits(f):
-            rows[index[f ^ b]] |= 1 << j
-    return rows
+class _Chains:
+    """Face levels and boundary ranks found by `_top_down`.
+
+    `levels[d]` lists the d-faces for stop - 1 <= d <= top, and `rank2[d]`
+    is the GF(2) rank of the boundary map out of the d-faces for
+    max(stop, 0) <= d <= top + 1, so Betti numbers are known for
+    stop <= d <= top.  Rational ranks are eliminated on demand and kept.
+    """
+
+    __slots__ = ("top", "levels", "rank2", "_rankq")
+
+    def __init__(self, top: int, levels: dict[int, list[int]], rank2: dict[int, int]):
+        self.top = top
+        self.levels = levels
+        self.rank2 = rank2
+        self._rankq: dict[int, int] = {}
+
+    def betti2(self, d: int) -> int:
+        """Rank of mod-2 reduced homology in dimension d."""
+        return len(self.levels[d]) - self.rank2.get(d, 0) - self.rank2[d + 1]
+
+    def betti_q(self, d: int) -> int:
+        """Rank of rational reduced homology in dimension d."""
+        if not self.betti2(d):
+            return 0
+        return len(self.levels[d]) - self._rank_q(d) - self._rank_q(d + 1)
+
+    def _rank_q(self, d: int) -> int:
+        # The rank of the boundary out of vertices (1 when they exist) or
+        # out of edges (vertices minus components), and the zero map above
+        # the top, are the same over every field; so is a rank mod 2 that
+        # is already full, since the rational rank is at least that.
+        r = self.rank2.get(d, 0)
+        if d <= 1 or d > self.top:
+            return r
+        lower, upper = self.levels[d - 1], self.levels[d]
+        if r == min(len(lower), len(upper)):
+            return r
+        if d not in self._rankq:
+            self._rankq[d] = rank_int_matrix(_boundary_rows_int(lower, upper))
+        return self._rankq[d]
+
+
+def _top_down(facets: Iterable[int], stop: int) -> _Chains:
+    """Faces and GF(2) boundary ranks of a nonvoid complex, top down to `stop`.
+
+    `facets` may be any faces that generate the complex, without repeats.
+    Level d starts with the generators of dimension d; the boundary column
+    of each d-face indexes the (d-1)-faces it meets, which discovers the
+    rest of level d - 1.  Levels below stop - 1 are never built.
+    """
+    by_dim: dict[int, list[int]] = {}
+    for f in facets:
+        by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    top = max(by_dim)
+    levels = {top: by_dim[top]}
+    rank2 = {top + 1: 0}
+    for d in range(top, max(stop, 0) - 1, -1):
+        index = {f: i for i, f in enumerate(by_dim.get(d - 1, ()))}
+        cols = []
+        for f in levels[d]:
+            col = 0
+            rest = f
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                col |= 1 << index.setdefault(f ^ b, len(index))
+            cols.append(col)
+        levels[d - 1] = list(index)
+        rank2[d] = rank_gf2(cols)
+    return _Chains(top, levels, rank2)
 
 
 @dataclass(frozen=True)
@@ -282,108 +366,6 @@ class HomologyProfile:
             return 0
         return self.ranks[i + 1]
 
-    def top_nonzero(self) -> Optional[int]:
-        """Largest dimension with nonzero rank, or None if all vanish."""
-        best = None
-        for i in range(-1, len(self.ranks) - 1):
-            if self.rank(i):
-                best = i
-        return best
-
-
-def _component_count(vertices: Sequence[int], edges: Sequence[int]) -> int:
-    idx = {v: i for i, v in enumerate(vertices)}
-    parent = list(range(len(vertices)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        lo = e & -e
-        hi = e ^ lo
-        ra, rb = find(idx[lo]), find(idx[hi])
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(len(vertices))})
-
-
-def _combinatorial_boundary_ranks(by_dim: dict[int, tuple[int, ...]]) -> dict[int, int]:
-    """Boundary ranks that hold over every field: the empty-face map has
-    rank 1 when vertices exist, and the edge incidence matrix of a graph
-    with n vertices and c components has rank n - c."""
-    top = max(by_dim)
-    verts = by_dim.get(0, ())
-    edges = by_dim.get(1, ())
-    ranks = {d: 0 for d in range(-1, top + 2)}
-    ranks[0] = 1 if verts else 0
-    if edges:
-        ranks[1] = len(verts) - _component_count(verts, edges)
-    return ranks
-
-
-def _mod2_homology(
-    by_dim: dict[int, tuple[int, ...]]
-) -> tuple[dict[int, int], list[int]]:
-    """Boundary ranks over GF(2) and mod-2 reduced homology ranks.
-
-    Rank d is the rank of the boundary map from d-faces; homology is listed
-    from dimension -1 up to the top dimension.
-    """
-    top = max(by_dim)
-    rank2 = _combinatorial_boundary_ranks(by_dim)
-    for d in range(2, top + 1):
-        rank2[d] = rank_gf2(_boundary_rows_gf2(by_dim[d - 1], by_dim[d]))
-    h2 = [
-        len(by_dim.get(d, ())) - rank2[d] - rank2[d + 1] for d in range(-1, top + 1)
-    ]
-    return rank2, h2
-
-
-def _rational_homology(
-    by_dim: dict[int, tuple[int, ...]],
-    rank2: dict[int, int],
-    h2: list[int],
-    below: int,
-) -> list[int]:
-    """Rational reduced homology ranks in dimensions -1 .. below - 1.
-
-    A rational rank is at least the rank mod 2, so mod-2 homology vanishing
-    in a dimension forces rational vanishing there, and fraction-free
-    elimination only runs on the boundary maps around dimensions whose
-    mod-2 homology survives.
-    """
-    top = max(by_dim)
-    rankq: dict[int, int] = dict(rank2)
-    exact: set[int] = {-1, 0, 1, top + 1}
-    ranks = []
-    for d in range(-1, below):
-        if h2[d + 1] == 0:
-            ranks.append(0)
-            continue
-        for b in (d, d + 1):
-            if b not in exact:
-                rankq[b] = rank_int_matrix(
-                    _boundary_rows_int(by_dim[b - 1], by_dim[b])
-                )
-                exact.add(b)
-        ranks.append(len(by_dim.get(d, ())) - rankq[d] - rankq[d + 1])
-    return ranks
-
-
-def _homology_profile(by_dim: dict[int, tuple[int, ...]], field: Field) -> HomologyProfile:
-    """Exact reduced homology ranks from a face table; mod-2 ranks come first."""
-    if not by_dim:
-        return HomologyProfile(())
-    rank2, h2 = _mod2_homology(by_dim)
-    if field is Field.F2:
-        return HomologyProfile(tuple(h2))
-    return HomologyProfile(
-        tuple(_rational_homology(by_dim, rank2, h2, max(by_dim) + 1))
-    )
-
 
 def reduced_homology_ranks(
     complex_: SimplicialComplex, field: Field
@@ -391,50 +373,70 @@ def reduced_homology_ranks(
     """Exact reduced homology ranks of a complex over the chosen field."""
     if complex_.is_void():
         return HomologyProfile(())
-    return _homology_profile(complex_.faces_by_dim(), field)
+    chains = _top_down(complex_.facets, -1)
+    betti = chains.betti2 if field is Field.F2 else chains.betti_q
+    return HomologyProfile(tuple(betti(d) for d in range(-1, chains.top + 1)))
 
 
 def euler_characteristic_reduced(complex_: SimplicialComplex) -> int:
     """Alternating sum over faces, the empty face included with sign -1."""
     if complex_.is_void():
         return 0
-    out = 0
-    for d, faces in complex_.faces_by_dim().items():
-        out += len(faces) if d % 2 == 0 else -len(faces)
-    return out
+    return sum(1 if m.bit_count() % 2 else -1 for m in complex_.face_masks())
 
 
 # -- regularity via induced subcomplexes -----------------------------------------
 
 
-def regularity(c: Clutter, field: Field) -> int:
-    """Largest d with nonvanishing (d-1)-homology of an induced subcomplex.
+def regularities(c: Clutter, fields: Sequence[Field]) -> dict[Field, int]:
+    """reg(S/I) over each field from one scan of induced subcomplexes.
 
-    Scans every vertex subset A; a subset is skipped when some member lies
-    in no edge inside A, because the induced complex is then a cone with
-    that member as apex and all its reduced homology vanishes.
+    By Hochster's formula the regularity is the largest d + 1 with
+    nonvanishing d-homology of some induced subcomplex Delta_A, and Delta_A
+    is generated by the maximal stable sets cut down to A.  Subsets are
+    scanned from the largest down.  A subset is skipped when some member
+    lies in no edge inside A, because Delta_A is then a cone with that
+    member as apex and all its reduced homology vanishes; and when
+    dim Delta_A + 1 is at most the smallest best so far, because then no
+    field can improve.  Homology is computed only in dimensions at or
+    above that best.  Over Q, elimination runs only where mod-2 homology
+    survives in a dimension at or above the Q best.  The bests come from
+    the scan alone.
     """
     s = c.vertex_count
-    stable = tuple(c.stable_masks())
-    best = 0
-    for amask in range(1 << s):
-        covered = 0
-        for e in c.edge_masks:
-            if e & ~amask == 0:
-                covered |= e
-        if covered != amask:
-            continue
-        faces = [f for f in stable if f & ~amask == 0]
-        by_dim: dict[int, list[int]] = {}
-        for f in faces:
-            by_dim.setdefault(f.bit_count() - 1, []).append(f)
-        profile = _homology_profile(
-            {d: tuple(v) for d, v in by_dim.items()}, field
-        )
-        top = profile.top_nonzero()
-        if top is not None:
-            best = max(best, top + 1)
+    edges = c.edge_masks
+    maximal = c.maximal_stable_masks()
+    best = dict.fromkeys(fields, 0)
+    for size in range(s, 0, -1):
+        low = min(best.values(), default=s)
+        if size <= low:
+            break
+        for combo in itertools.combinations([1 << i for i in range(s)], size):
+            amask = sum(combo)
+            covered = 0
+            for e in edges:
+                if e & ~amask == 0:
+                    covered |= e
+            if covered != amask:
+                continue
+            faces = {f & amask for f in maximal}
+            top = max(f.bit_count() for f in faces) - 1
+            if top + 1 <= low:
+                continue
+            chains = _top_down(faces, low)
+            for field in fields:
+                betti = chains.betti2 if field is Field.F2 else chains.betti_q
+                for d in range(top, best[field] - 1, -1):
+                    if betti(d):
+                        best[field] = d + 1
+                        break
+            low = min(best.values())
     return best
+
+
+def regularity(c: Clutter, field: Field) -> int:
+    """reg(S/I) over one field; see `regularities`."""
+    return regularities(c, (field,))[field]
 
 
 def regularity_of_ideal(i: MonomialIdeal, field: Field) -> int:
@@ -460,16 +462,20 @@ def is_cohen_macaulay(complex_: SimplicialComplex, field: Field) -> bool:
     reduced homology of the link of F vanishes below the link's dimension.
     Runs recursively: purity, then homology of the whole complex, then the
     links of vertices (links of larger faces are links of vertices inside
-    links).  One memoized recursion, keyed by facet set, serves both fields.
+    links).  One memoized recursion, keyed by compacted facet tuples,
+    serves both fields.
     """
     if complex_.is_void():
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
-    return _cm_recursive(complex_.facets) >= _CM_LEVEL[field]
+    return _cm_recursive(_compact(complex_.facets)) >= _CM_LEVEL[field]
 
 
 @lru_cache(maxsize=None)
 def _cm_recursive(facets: tuple[int, ...]) -> int:
-    """Cohen-Macaulay level of a nonvoid complex; stops once Q fails."""
+    """Cohen-Macaulay level of a nonvoid complex; stops once Q fails.
+
+    Takes and passes on compacted facet tuples (see `_compact`).
+    """
     if len(facets) == 1:
         return 2
     common = facets[0]
@@ -478,21 +484,20 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
     if common:
         # The complex is a cone over the faces avoiding the common vertices,
         # and coning preserves Cohen-Macaulayness in both directions.
-        return _cm_recursive(tuple(sorted(f & ~common for f in facets)))
+        return _cm_recursive(_compact(tuple(f & ~common for f in facets)))
     sizes = {f.bit_count() for f in facets}
     if len(sizes) > 1:
         return 0
     dim = next(iter(sizes)) - 1
-    by_dim = _faces_by_dim(facets)
-    rank2, h2 = _mod2_homology(by_dim)
-    if not any(h2[: dim + 1]):
+    chains = _top_down(facets, 0)
+    if not any(chains.betti2(d) for d in range(dim)):
         level = 2
-    elif any(_rational_homology(by_dim, rank2, h2, dim)):
+    elif any(chains.betti_q(d) for d in range(dim)):
         return 0
     else:
         level = 1
     for b in iter_bits(_or_all(facets)):
-        level = min(level, _cm_recursive(_link(facets, b)))
+        level = min(level, _cm_recursive(_compact(_link(facets, b))))
         if not level:
             return 0
     return level
@@ -510,7 +515,8 @@ def is_vertex_decomposable(complex_: SimplicialComplex) -> bool:
     is not Cohen-Macaulay over GF(2) cannot be decomposable (decomposable
     implies shellable implies Cohen-Macaulay over every field), which prunes
     the expensive negative searches; that test shares its memo with
-    `is_cohen_macaulay`, since both are keyed by the same facet tuples.
+    `is_cohen_macaulay`, since both compact the facets the same way.  The
+    shedding search itself is memoized on the uncompacted facet tuples.
     """
     return _vd(complex_.facets)
 
@@ -520,7 +526,7 @@ def _vd(facets: tuple[int, ...]) -> bool:
     if len(facets) <= 1:
         return True
     sizes = {f.bit_count() for f in facets}
-    if len(sizes) == 1 and _cm_recursive(facets) < 2:
+    if len(sizes) == 1 and _cm_recursive(_compact(facets)) < 2:
         return False
     for b in iter_bits(_or_all(facets)):
         del_facets = _deletion(facets, b)

@@ -312,15 +312,31 @@ def alpha_of_colon_quotient(c: Clutter, p: PrimeCover) -> int:
         raise AmbientMismatchError("prime over the wrong ambient")
     if p.variables.mask not in set(c.minimal_cover_masks()):
         raise ValueError("prime is not associated to the edge ideal")
+    return _alpha_of_colon(c, p.variables.mask, _colon_pieces(c, p.variables.mask))
+
+
+def _colon_pieces(c: Clutter, mask: int) -> dict[int, list[int]]:
+    """Generators of (I : t_v) for each vertex bit v of mask."""
+    return {
+        b: _antichain_minima([e & ~b for e in c.edge_masks]) for b in iter_bits(mask)
+    }
+
+
+def _alpha_of_colon(c: Clutter, prime: int, pieces: dict[int, list[int]]) -> int:
+    """alpha((I : p)/I) for the prime on the vertex mask `prime`."""
     colon = [0]  # the unit ideal, generated by the empty support
-    for b in iter_bits(p.variables.mask):
-        piece = _antichain_minima([e & ~b for e in c.edge_masks])
-        colon = _antichain_minima([g | h for g in colon for h in piece])
+    for b in iter_bits(prime):
+        colon = _antichain_minima([g | h for g in colon for h in pieces[b]])
     return min((g.bit_count() for g in colon if c.is_stable_mask(g)), default=0)
 
 
 def v_number_algebraic(c: Clutter) -> int:
-    """min over associated primes p of alpha((I : p)/I)."""
+    """min over associated primes p of alpha((I : p)/I).
+
+    The colon piece (I : t_v) of each vertex is built once and shared by
+    every prime that contains v.
+    """
     if not c.has_edges():
         raise ZeroIdealError("v-number undefined for the zero ideal")
-    return min(alpha_of_colon_quotient(c, p) for p in associated_primes(c))
+    pieces = _colon_pieces(c, c.full_mask)
+    return min(_alpha_of_colon(c, p, pieces) for p in c.minimal_cover_masks())

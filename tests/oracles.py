@@ -5,8 +5,10 @@ shared code paths with the package internals, so agreement is meaningful.
 The exceptions are routes the package replaced by faster ones, kept here as
 references for them: the exponent-tuple ideal algebra (colon ideals,
 intersections, powers, polarization) behind the algebraic v-number and the
-symbolic powers, which now run on bit masks, and the per-field
-Cohen-Macaulay recursion, which one recursion for both fields replaced.
+symbolic powers, which now run on bit masks; the per-field Cohen-Macaulay
+recursion, which one recursion for both fields replaced; and the per-field
+regularity scan over every vertex subset, which one pruned scan for all
+fields replaced.
 """
 
 from __future__ import annotations
@@ -361,6 +363,52 @@ def homology_ranks_naive(facet_sets: list[frozenset], field: str) -> dict[int, i
             - ranks_of_boundary[d + 1]
         )
     return out
+
+
+# -- regularity and its matching bounds ------------------------------------------
+
+
+def regularity_per_field(c: Clutter, field: Field) -> int:
+    """The per-field Hochster scan: every vertex subset, homology from scratch.
+
+    No size order, no pruning by the best so far and no shared face tables:
+    each induced complex Delta_A (the stable sets inside A) goes through
+    `homology_ranks_naive`.  Only the cone skip stays: when a member of A
+    lies in no edge inside A, Delta_A is a cone and has no reduced homology.
+    """
+    edges = [frozenset(e) for e in c.edge_lists()]
+    best = 0
+    for a in subsets(range(1, c.vertex_count + 1)):
+        aset = frozenset(a)
+        inside = [e for e in edges if e <= aset]
+        if frozenset().union(*inside) != aset:
+            continue
+        stable = [
+            frozenset(f) for f in subsets(a) if not any(e <= set(f) for e in inside)
+        ]
+        facets = [f for f in stable if not any(f < g for g in stable)]
+        ranks = homology_ranks_naive(facets, field.value)
+        top = max((d for d, r in ranks.items() if r), default=None)
+        if top is not None:
+            best = max(best, top + 1)
+    return best
+
+
+def matching_numbers_naive(g: Graph) -> tuple[int, int]:
+    """(induced matching number, matching number) by trying every edge set."""
+    edges = [frozenset(e) for e in g.edge_lists()]
+    induced = plain = 0
+    for k in range(1, len(edges) + 1):
+        for combo in combinations(edges, k):
+            covered = frozenset().union(*combo)
+            if len(covered) < 2 * k:
+                continue
+            plain = k
+            if sum(1 for e in edges if e <= covered) == k:
+                induced = k
+        if plain < k:
+            break  # a sub-matching of a matching is one, so none is larger
+    return induced, plain
 
 
 # -- Cohen-Macaulay references ------------------------------------------------------

@@ -303,6 +303,24 @@ class TestFullReport:
         # one field alone has nothing to compare with
         dataclasses.replace(rep, reg_by_field={Field.Q: 3})
 
+    def test_regularity_outside_matching_bounds_rejected(self):
+        # the claw has induced matching number = matching number = 1
+        rep = full_report(star_graph(3), [Field.Q, Field.F2])
+        assert rep.matching_bounds == (1, 1)
+        with pytest.raises(
+            CrossRouteError, match="induced-matching=1, reg-F2=2, matching=1"
+        ):
+            dataclasses.replace(rep, reg_by_field={Field.Q: 1, Field.F2: 2})
+        # two disjoint edges have induced matching number 2
+        rep = full_report(Graph.of(4, [(1, 2), (3, 4)]))
+        assert rep.matching_bounds == (2, 2)
+        with pytest.raises(CrossRouteError, match="induced-matching=2, reg-Q=1"):
+            dataclasses.replace(rep, reg_by_field={Field.Q: 1})
+
+    def test_clutter_report_has_no_matching_bounds(self):
+        rep = full_report(Clutter.of(4, [(1, 2, 3), (3, 4)]))
+        assert rep.matching_bounds is None
+
     @pytest.mark.parametrize("g", [cycle_graph(5), complete_graph(3), path_graph(4)])
     def test_one_oracle_for_both_fields(self, monkeypatch, g):
         calls = []

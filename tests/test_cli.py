@@ -271,6 +271,63 @@ class TestBatch:
         assert code == 2 and len(out.strip().split("\n")) == 4
 
 
+class TestMaxVertices:
+    """Inputs above --max-vertices are refused with exit 4, not scanned."""
+
+    def test_report_refused(self, capsys, example3_file):
+        code, out, err = run_cli(capsys, "report", example3_file, "--max-vertices", "10")
+        assert code == 4 and out == ""
+        assert "11 vertices exceed --max-vertices 10" in err
+        code, _, _ = run_cli(capsys, "report", example3_file, "--max-vertices", "11")
+        assert code == 0
+
+    def test_default_admits_current_inputs(self):
+        from vnum.cli import DEFAULT_MAX_VERTICES, build_parser
+
+        assert DEFAULT_MAX_VERTICES >= 24
+        for cmd in ("report", "batch"):
+            args = build_parser().parse_args([cmd, "x"])
+            assert args.max_vertices == DEFAULT_MAX_VERTICES
+
+    def test_batch_row_in_band(self, capsys, tmp_path):
+        # one worker, so everything runs in this process
+        stream = tmp_path / "s.g6"
+        stream.write_text("A_\nCF\nBw\n")  # K2, the claw, K3
+        code, out, err = run_cli(
+            capsys, "batch", str(stream), "--graph6", "--json", "--max-vertices", "3"
+        )
+        assert code == 4
+        rows = [json.loads(ln) for ln in out.strip().split("\n")]
+        assert len(rows) == 3
+        assert rows[0]["v"] == 1 and rows[2]["v"] == 1
+        assert rows[1] == {
+            "schema": "vnum/1",
+            "name": "line 2",
+            "error": "too large: 4 vertices exceed --max-vertices 3",
+        }
+        assert err == ""
+        code, out, _ = run_cli(capsys, "batch", str(stream), "--graph6", "--tsv",
+                               "--max-vertices", "3")
+        assert code == 4 and len(out.strip().split("\n")) == 4
+        code, _, _ = run_cli(capsys, "batch", str(stream), "--graph6", "--json")
+        assert code == 0
+
+    def test_cross_route_exit_wins(self, capsys, tmp_path, monkeypatch):
+        import vnum.cli as cli
+        from vnum.classify import CrossRouteError
+
+        def boom(*args, **kwargs):
+            raise CrossRouteError("synthetic disagreement")
+
+        monkeypatch.setattr(cli, "full_report", boom)
+        stream = tmp_path / "s.g6"
+        stream.write_text("A_\nCF\n")
+        code, _, _ = run_cli(
+            capsys, "batch", str(stream), "--graph6", "--json", "--max-vertices", "3"
+        )
+        assert code == 2
+
+
 class TestGoldenOutput:
     """`batch --json --field both` output is frozen byte for byte.
 

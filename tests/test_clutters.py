@@ -13,6 +13,7 @@ from .oracles import (
     domination_naive,
     family_a_naive,
     is_minimal_cover_naive,
+    matching_numbers_naive,
     maximal_stable_naive,
     minimal_covers_naive,
     v_number_naive,
@@ -238,6 +239,25 @@ class TestNumericInvariants:
         for g in corpus:
             if g.is_claw_free():
                 assert g.domination_number() == g.independent_domination()
+
+
+class TestMatchingNumbers:
+    def test_small_graphs(self):
+        cases = [
+            (path_graph(5), (2, 2)),
+            (cycle_graph(6), (2, 3)),
+            (complete_graph(4), (1, 2)),
+            (star_graph(3), (1, 1)),
+            (empty_graph(3), (0, 0)),
+            (Graph.of(0, []), (0, 0)),
+        ]
+        for g, want in cases:
+            assert (g.induced_matching_number(), g.matching_number()) == want
+
+    def test_against_edge_subsets(self, corpus, cm36_graphs):
+        for g in corpus + [g for _, g in cm36_graphs]:
+            want = matching_numbers_naive(g)
+            assert (g.induced_matching_number(), g.matching_number()) == want
 
 
 class TestVNumber:

@@ -17,6 +17,9 @@ from vnum.clutters import Clutter
 from vnum.complexes import (
     Field,
     SimplicialComplex,
+    _cm_recursive,
+    _compact,
+    _top_down,
     euler_characteristic_reduced,
     independence_complex,
     is_cohen_macaulay,
@@ -25,6 +28,7 @@ from vnum.complexes import (
     rank_gf2,
     rank_int_matrix,
     reduced_homology_ranks,
+    regularities,
     regularity,
     regularity_of_ideal,
     stanley_reisner_complex,
@@ -48,6 +52,7 @@ from .oracles import (
     polarize,
     rank_fraction,
     rank_gf2_sets,
+    regularity_per_field,
 )
 
 RP2_FACETS = (
@@ -298,6 +303,129 @@ class TestRegularity:
         assert regularity_of_ideal(MonomialIdeal.zero(3), Field.Q) == 0
 
 
+BOTH = (Field.Q, Field.F2)
+
+
+class TestRegularities:
+    """The one pruned scan for all fields against the per-field oracle."""
+
+    @staticmethod
+    def check(c):
+        got = regularities(c, BOTH)
+        want = {f: regularity_per_field(c, f) for f in BOTH}
+        assert got == want
+        assert list(got) == list(BOTH)
+        return got
+
+    def test_corpus(self, corpus):
+        for g in corpus:
+            self.check(g)
+
+    def test_cm36(self, cm36_graphs):
+        for _, g in cm36_graphs:
+            self.check(g)
+
+    def test_example3_differs_between_fields(self):
+        assert self.check(EXAMPLE_GRAPH3.graph()) == {Field.Q: 2, Field.F2: 3}
+
+    def test_one_field_wrapper(self):
+        g = EXAMPLE_GRAPH3.graph()
+        assert regularities(g, (Field.F2,)) == {Field.F2: 3}
+        assert regularity(g, Field.Q) == 2
+
+    def test_clutters_with_singleton_and_larger_edges(self):
+        for edges in ([(1,), (2, 3), (3, 4)], [(1, 2, 3), (3, 4), (4, 5, 1)]):
+            c = Clutter.of(5, edges)
+            self.check(c)
+
+
+def kernel_matches_naive(facets, n, stop):
+    """Compare `_top_down` with the from-scratch ranks in dimensions >= stop."""
+    chains = _top_down(facets, stop)
+    sets = [frozenset(VertexSet(n, f).members()) for f in facets]
+    for field, betti in ((Field.F2, chains.betti2), (Field.Q, chains.betti_q)):
+        want = homology_ranks_naive(sets, field.value)
+        for d in range(max(stop, -1), chains.top + 1):
+            assert betti(d) == want.get(d, 0), (facets, stop, field, d)
+
+
+class TestTopDownKernel:
+    """The kernel's mod-2 and rational ranks against `homology_ranks_naive`."""
+
+    def test_independence_complexes(self, small_corpus):
+        for g in small_corpus:
+            facets = independence_complex(g).facets
+            for stop in (-1, 0, 1, 2):
+                kernel_matches_naive(facets, g.vertex_count, stop)
+
+    def test_projective_plane_from_each_stop(self):
+        rp2 = SimplicialComplex.of(6, RP2_FACETS)
+        for stop in (-1, 0, 1, 2):
+            kernel_matches_naive(rp2.facets, 6, stop)
+        chains = _top_down(rp2.facets, 2)
+        assert (chains.betti2(2), chains.betti_q(2)) == (1, 0)
+        assert set(chains.levels) == {1, 2}  # nothing below stop - 1
+
+    def test_lower_dimensional_facets_join_their_level(self):
+        # a triangle, an edge hanging off it and an isolated point
+        c = SimplicialComplex.of(5, [(1, 2, 3), (3, 4), (5,)])
+        chains = _top_down(c.facets, -1)
+        assert sorted(len(chains.levels[d]) for d in (-1, 0, 1, 2)) == [1, 1, 4, 5]
+        assert (chains.betti2(-1), chains.betti2(0), chains.betti2(1)) == (0, 1, 0)
+
+    def test_random_non_pure_complexes(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            n = rng.randrange(3, 8)
+            faces = [
+                rng.sample(range(1, n + 1), rng.randrange(1, n + 1))
+                for _ in range(rng.randrange(1, 7))
+            ]
+            c = SimplicialComplex.of(n, faces)
+            for stop in range(-1, c.dim() + 2):
+                kernel_matches_naive(c.facets, n, stop)
+
+    def test_generators_need_not_be_facets(self):
+        # the scan passes the maximal stable sets cut down to A, which may
+        # contain one another; the kernel must count each face once
+        c = SimplicialComplex.of(6, RP2_FACETS[:3] + ((1, 2), (4,)))
+        gens = c.facets + (0b0011, 0b1000 | 0b0001)
+        whole = _top_down(c.facets, -1)
+        redundant = _top_down(gens, -1)
+        for d in range(-1, whole.top + 1):
+            assert len(whole.levels[d]) == len(redundant.levels[d])
+            assert whole.betti2(d) == redundant.betti2(d)
+
+
+def compact_reference(facets):
+    """Relabel the used vertices 0, 1, ... in increasing order."""
+    used = sorted({v for f in facets for v in range(f.bit_length()) if f >> v & 1})
+    new = {v: i for i, v in enumerate(used)}
+    return tuple(
+        sum(1 << new[v] for v in range(f.bit_length()) if f >> v & 1) for f in facets
+    )
+
+
+class TestCompaction:
+    def test_matches_order_preserving_relabel(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            n = rng.randrange(1, 12)
+            faces = [
+                rng.sample(range(1, n + 1), rng.randrange(0, n + 1))
+                for _ in range(rng.randrange(1, 6))
+            ]
+            facets = SimplicialComplex.of(n, faces).facets
+            got = _compact(facets)
+            assert got == compact_reference(facets)
+            assert got == tuple(sorted(got))
+
+    def test_examples(self):
+        assert _compact((0b1010, 0b1100)) == (0b101, 0b110)
+        assert _compact((0b111,)) == (0b111,)
+        assert _compact((0,)) == (0,)
+
+
 class TestCohenMacaulay:
     def test_c5_is_cm(self):
         c = independence_complex(cycle_graph(5))
@@ -364,6 +492,9 @@ class TestOneRecursionForBothFields:
             is_cohen_macaulay_per_field(c, f) for f in (Field.Q, Field.F2)
         )
         assert merged == per_field
+        # the memo is keyed by compacted facets; the level is label-free
+        level = _cm_recursive(_compact(c.facets))
+        assert (level >= 1, level >= 2) == per_field
         return merged
 
     def test_independence_complexes(self, corpus, cm36_graphs):

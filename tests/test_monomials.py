@@ -217,10 +217,14 @@ class TestAlpha:
     def test_mask_route_matches_tuple_oracle(self, corpus, cm36_graphs):
         graphs = corpus + [g for _, g in cm36_graphs] + [EXAMPLE_GRAPH3.graph()]
         for g in graphs:
+            alphas = []
             for p in associated_primes(g):
-                assert alpha_of_colon_quotient(g, p) == (
-                    alpha_of_colon_quotient_tuples(g, p)
-                ), (g.edge_lists(), p.members())
+                alphas.append(alpha_of_colon_quotient_tuples(g, p))
+                assert alpha_of_colon_quotient(g, p) == alphas[-1], (
+                    g.edge_lists(), p.members()
+                )
+            # v_number_algebraic shares one colon piece per vertex
+            assert v_number_algebraic(g) == min(alphas)
 
 
 class TestVNumberAlgebraic:

@@ -10,11 +10,13 @@ from vnum.clutters import Clutter, Graph
 from vnum.complexes import (
     Field,
     SimplicialComplex,
+    _top_down,
     euler_characteristic_reduced,
     independence_complex,
     is_cohen_macaulay,
     is_vertex_decomposable,
     reduced_homology_ranks,
+    regularities,
     regularity,
     stanley_reisner_complex,
 )
@@ -34,12 +36,14 @@ from vnum.vertexsets import mask_members
 from .oracles import (
     alpha_of_colon_quotient_tuples,
     colon_by_monomial,
+    homology_ranks_naive,
     intersect,
     is_cohen_macaulay_per_field,
     is_vertex_decomposable_naive,
     ordinary_power,
     polarize,
     radical,
+    regularity_per_field,
     symbolic_power_tuples,
 )
 
@@ -240,3 +244,19 @@ class TestComplexProperties:
         dim = g.independence_number()
         for field in (Field.Q, Field.F2):
             assert regularity(g, field) <= dim
+
+    @given(clutters(max_vertices=7, max_edges=6))
+    @settings(deadline=None, max_examples=60)
+    def test_one_scan_matches_per_field_oracle(self, c):
+        both = (Field.Q, Field.F2)
+        assert regularities(c, both) == {f: regularity_per_field(c, f) for f in both}
+
+    @given(complexes(), st.integers(-1, 4))
+    @settings(deadline=None, max_examples=150)
+    def test_top_down_kernel_matches_naive_ranks(self, c, stop):
+        chains = _top_down(c.facets, stop)
+        facets = [frozenset(mask_members(f)) for f in c.facets]
+        for field, betti in ((Field.F2, chains.betti2), (Field.Q, chains.betti_q)):
+            want = homology_ranks_naive(facets, field.value)
+            for d in range(stop, chains.top + 1):
+                assert betti(d) == want.get(d, 0)
