@@ -77,15 +77,17 @@ def _compact(facets: tuple[int, ...]) -> tuple[int, ...]:
     order, and isomorphic copies on different vertices share one tuple.
     """
     used = _or_all(facets)
-    out = facets
     gaps = ~used & ((1 << used.bit_length()) - 1)
+    if not gaps:
+        return facets
+    out = list(facets)
     while gaps:
         # squeeze out the highest unused position: the bits above it move down
         h = gaps.bit_length() - 1
         gaps ^= 1 << h
         low = (1 << h) - 1
-        out = tuple((f & low) | (f >> 1 & ~low) for f in out)
-    return out
+        out = [(f & low) | (f >> 1 & ~low) for f in out]
+    return tuple(out)
 
 
 def _deletion(facets: tuple[int, ...], mask: int) -> tuple[int, ...]:
