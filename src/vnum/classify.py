@@ -217,7 +217,7 @@ class InvariantReport:
     v_witness: tuple[int, ...]
     edge_critical_violation: Optional[tuple[int, int]]
     # (induced matching number, matching number) of a graph input
-    matching_bounds: Optional[tuple[int, int]] = None
+    matching_bounds: Optional[tuple[int, int]]
 
     def __post_init__(self) -> None:
         if self.dim != self.beta0:

@@ -7,11 +7,11 @@ identical inputs and flags produce byte-identical output at any parallelism
 level.
 
 Every algorithm is exponential in the vertex count, so `report` and `batch`
-refuse an input with more than `--max-vertices` vertices (default 24)
-instead of starting a scan that would not finish.  `report` then exits 4;
-`batch` prints the input as an in-band `"error": "too large: ..."` row,
-keeps every other row, and exits 4 unless a cross-route disagreement
-(exit 2) also occurred.
+refuse an input with more than MAX_VERTICES (24) vertices instead of
+starting a scan that would not finish.  `report` then exits 4; `batch`
+prints the input as an in-band `"error": "too large: ..."` row, keeps every
+other row, and exits 4 unless a cross-route disagreement (exit 2) also
+occurred.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ EXIT_CROSS_ROUTE = 2
 EXIT_ASSERTION = 3
 EXIT_TOO_LARGE = 4
 
-DEFAULT_MAX_VERTICES = 24
+# the largest vertex count report and batch accept
+MAX_VERTICES = 24
 
 SCHEMA = "vnum/1"
 
@@ -55,10 +56,10 @@ class InputTooLargeError(ValueError):
     """The input has more vertices than the exponential algorithms accept."""
 
 
-def _check_size(c: Clutter, max_vertices: int) -> Clutter:
-    if c.vertex_count > max_vertices:
+def _check_size(c: Clutter) -> Clutter:
+    if c.vertex_count > MAX_VERTICES:
         raise InputTooLargeError(
-            f"{c.vertex_count} vertices exceed --max-vertices {max_vertices}"
+            f"{c.vertex_count} vertices exceed the limit of {MAX_VERTICES}"
         )
     return c
 
@@ -147,7 +148,7 @@ def _load_document(path: str) -> InputDocument:
 def cmd_report(args: argparse.Namespace) -> int:
     fields = _parse_fields(args.field)
     doc = _load_document(args.file)
-    c = _check_size(doc.to_clutter(), args.max_vertices)
+    c = _check_size(doc.to_clutter())
     rep = full_report(c, fields, name=doc.name, oracle_cap=args.oracle_cap)
     data = _report_dict(rep)
     if args.json:
@@ -241,15 +242,15 @@ def _scan_edge_critical(path: str) -> int:
     return EXIT_OK
 
 
-def _batch_worker(task: tuple[int, str, str, str, int, int]) -> tuple[int, dict]:
-    index, kind, payload, field_spec, oracle_cap, max_vertices = task
+def _batch_worker(task: tuple[int, str, str, str, int]) -> tuple[int, dict]:
+    index, kind, payload, field_spec, oracle_cap = task
     fields = _parse_fields(field_spec)
     try:
         if kind == "graph6":
             doc = parse_graph6(payload, name=f"line {index + 1}")
         else:
             doc = _load_document(payload)
-        c = _check_size(doc.to_clutter(), max_vertices)
+        c = _check_size(doc.to_clutter())
         rep = full_report(c, fields, name=doc.name, oracle_cap=oracle_cap)
         return index, _report_dict(rep)
     except InputTooLargeError as exc:
@@ -276,8 +277,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         raise ParseError(f"cannot read {args.file}: {exc}")
     kind = "graph6" if args.graph6 else "files"
     tasks = [
-        (i, kind, line, args.field, args.oracle_cap, args.max_vertices)
-        for i, line in enumerate(lines)
+        (i, kind, line, args.field, args.oracle_cap) for i, line in enumerate(lines)
     ]
     # the executor starts every worker up front, so never more than can run
     workers = min(args.parallel, len(tasks), _usable_cpus())
@@ -325,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument(
         "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, dest="oracle_cap"
     )
-    rep.add_argument(
-        "--max-vertices", type=int, default=DEFAULT_MAX_VERTICES, dest="max_vertices"
-    )
     rep.set_defaults(func=cmd_report)
 
     sp = sub.add_parser("symbolic-power", help="minimal generators of I^(k)")
@@ -350,9 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     bat.add_argument("--parallel", type=int, default=1)
     bat.add_argument(
         "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, dest="oracle_cap"
-    )
-    bat.add_argument(
-        "--max-vertices", type=int, default=DEFAULT_MAX_VERTICES, dest="max_vertices"
     )
     bat.set_defaults(func=cmd_batch)
 

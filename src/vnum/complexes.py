@@ -469,14 +469,20 @@ def is_cohen_macaulay(complex_: SimplicialComplex, field: Field) -> bool:
     """
     if complex_.is_void():
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
-    return _cm_recursive(_compact(complex_.facets)) >= _CM_LEVEL[field]
+    return _cm_level(complex_.facets) >= _CM_LEVEL[field]
+
+
+def _cm_level(facets: tuple[int, ...]) -> int:
+    """Cohen-Macaulay level of a nonvoid complex, from the compacted memo."""
+    return _cm_recursive(_compact(facets))
 
 
 @lru_cache(maxsize=None)
 def _cm_recursive(facets: tuple[int, ...]) -> int:
     """Cohen-Macaulay level of a nonvoid complex; stops once Q fails.
 
-    Takes and passes on compacted facet tuples (see `_compact`).
+    Keyed by compacted facet tuples (see `_compact`): call it through
+    `_cm_level`, which compacts, so relabelled copies share one entry.
     """
     if len(facets) == 1:
         return 2
@@ -486,7 +492,7 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
     if common:
         # The complex is a cone over the faces avoiding the common vertices,
         # and coning preserves Cohen-Macaulayness in both directions.
-        return _cm_recursive(_compact(tuple(f & ~common for f in facets)))
+        return _cm_level(tuple(f & ~common for f in facets))
     sizes = {f.bit_count() for f in facets}
     if len(sizes) > 1:
         return 0
@@ -499,7 +505,7 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
     else:
         level = 1
     for b in iter_bits(_or_all(facets)):
-        level = min(level, _cm_recursive(_compact(_link(facets, b))))
+        level = min(level, _cm_level(_link(facets, b)))
         if not level:
             return 0
     return level
@@ -517,7 +523,7 @@ def is_vertex_decomposable(complex_: SimplicialComplex) -> bool:
     is not Cohen-Macaulay over GF(2) cannot be decomposable (decomposable
     implies shellable implies Cohen-Macaulay over every field), which prunes
     the expensive negative searches; that test shares its memo with
-    `is_cohen_macaulay`, since both compact the facets the same way.  The
+    `is_cohen_macaulay`, since both go through `_cm_level`.  The
     shedding search itself is memoized on the uncompacted facet tuples.
     """
     return _vd(complex_.facets)
@@ -528,7 +534,7 @@ def _vd(facets: tuple[int, ...]) -> bool:
     if len(facets) <= 1:
         return True
     sizes = {f.bit_count() for f in facets}
-    if len(sizes) == 1 and _cm_recursive(_compact(facets)) < 2:
+    if len(sizes) == 1 and _cm_level(facets) < 2:
         return False
     for b in iter_bits(_or_all(facets)):
         del_facets = _deletion(facets, b)

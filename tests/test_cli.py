@@ -271,31 +271,24 @@ class TestBatch:
         assert code == 2 and len(out.strip().split("\n")) == 4
 
 
-class TestMaxVertices:
-    """Inputs above --max-vertices are refused with exit 4, not scanned."""
+class TestTooLarge:
+    """Inputs above MAX_VERTICES are refused with exit 4, not scanned."""
 
-    def test_report_refused(self, capsys, example3_file):
-        code, out, err = run_cli(capsys, "report", example3_file, "--max-vertices", "10")
+    # 25 vertices, one edge: parsed, then refused before any scan starts
+    BIG = "X_" + "?" * 49
+
+    def test_report_refused(self, capsys, tmp_path):
+        path = tmp_path / "big.g6"
+        path.write_text(self.BIG + "\n")
+        code, out, err = run_cli(capsys, "report", str(path))
         assert code == 4 and out == ""
-        assert "11 vertices exceed --max-vertices 10" in err
-        code, _, _ = run_cli(capsys, "report", example3_file, "--max-vertices", "11")
-        assert code == 0
-
-    def test_default_admits_current_inputs(self):
-        from vnum.cli import DEFAULT_MAX_VERTICES, build_parser
-
-        assert DEFAULT_MAX_VERTICES >= 24
-        for cmd in ("report", "batch"):
-            args = build_parser().parse_args([cmd, "x"])
-            assert args.max_vertices == DEFAULT_MAX_VERTICES
+        assert "25 vertices exceed the limit of 24" in err
 
     def test_batch_row_in_band(self, capsys, tmp_path):
         # one worker, so everything runs in this process
         stream = tmp_path / "s.g6"
-        stream.write_text("A_\nCF\nBw\n")  # K2, the claw, K3
-        code, out, err = run_cli(
-            capsys, "batch", str(stream), "--graph6", "--json", "--max-vertices", "3"
-        )
+        stream.write_text(f"A_\n{self.BIG}\nBw\n")  # K2, 25 vertices, K3
+        code, out, err = run_cli(capsys, "batch", str(stream), "--graph6", "--json")
         assert code == 4
         rows = [json.loads(ln) for ln in out.strip().split("\n")]
         assert len(rows) == 3
@@ -303,14 +296,11 @@ class TestMaxVertices:
         assert rows[1] == {
             "schema": "vnum/1",
             "name": "line 2",
-            "error": "too large: 4 vertices exceed --max-vertices 3",
+            "error": "too large: 25 vertices exceed the limit of 24",
         }
         assert err == ""
-        code, out, _ = run_cli(capsys, "batch", str(stream), "--graph6", "--tsv",
-                               "--max-vertices", "3")
+        code, out, _ = run_cli(capsys, "batch", str(stream), "--graph6", "--tsv")
         assert code == 4 and len(out.strip().split("\n")) == 4
-        code, _, _ = run_cli(capsys, "batch", str(stream), "--graph6", "--json")
-        assert code == 0
 
     def test_cross_route_exit_wins(self, capsys, tmp_path, monkeypatch):
         import vnum.cli as cli
@@ -321,10 +311,8 @@ class TestMaxVertices:
 
         monkeypatch.setattr(cli, "full_report", boom)
         stream = tmp_path / "s.g6"
-        stream.write_text("A_\nCF\n")
-        code, _, _ = run_cli(
-            capsys, "batch", str(stream), "--graph6", "--json", "--max-vertices", "3"
-        )
+        stream.write_text(f"A_\n{self.BIG}\n")
+        code, _, _ = run_cli(capsys, "batch", str(stream), "--graph6", "--json")
         assert code == 2
 
 

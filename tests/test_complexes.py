@@ -17,7 +17,7 @@ from vnum.clutters import Clutter
 from vnum.complexes import (
     Field,
     SimplicialComplex,
-    _cm_recursive,
+    _cm_level,
     _compact,
     _top_down,
     euler_characteristic_reduced,
@@ -493,7 +493,7 @@ class TestOneRecursionForBothFields:
         )
         assert merged == per_field
         # the memo is keyed by compacted facets; the level is label-free
-        level = _cm_recursive(_compact(c.facets))
+        level = _cm_level(c.facets)
         assert (level >= 1, level >= 2) == per_field
         return merged
 
