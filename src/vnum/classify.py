@@ -119,7 +119,7 @@ def symbolic_square_cm_by_field(
     g: Graph, fields: Sequence[Field], oracle_cap: int = DEFAULT_ORACLE_CAP
 ) -> dict[Field, bool]:
     """symbolic_square_cm for several fields, with one polarization oracle."""
-    combo = {f: _symbolic_square_cm_combinatorial(g, f) for f in fields}
+    combo = _symbolic_square_cm_combinatorial(g, fields)
     if g.has_edges() and g.vertex_count <= oracle_cap:
         oracle = _symbolic_square_cm_oracle(g, fields)
         for f in fields:
@@ -130,20 +130,26 @@ def symbolic_square_cm_by_field(
     return combo
 
 
-def _symbolic_square_cm_combinatorial(g: Graph, field: Field) -> bool:
-    if not is_cm_graph(g, field):
-        return False
-    if not g.has_edges():
-        return True
+def _symbolic_square_cm_combinatorial(
+    g: Graph, fields: Sequence[Field]
+) -> dict[Field, bool]:
+    """The combinatorial route for every field from one walk over the edges.
+
+    Each G_e is built once and tested for the fields that are still alive;
+    the walk stops as soon as none is.
+    """
+    alive = [f for f in fields if is_cm_graph(g, f)]
     beta0 = g.independence_number()
     for u, v in g.edge_lists():
+        if not alive:
+            break
         sub = g.delete_edge_neighborhoods(u, v)
         b = sub.independence_number() if sub.vertex_count else 0
         if b != beta0 - 1:
-            return False
-        if sub.vertex_count and not is_cm_graph(sub, field):
-            return False
-    return True
+            alive = []
+        elif sub.vertex_count:
+            alive = [f for f in alive if is_cm_graph(sub, f)]
+    return {f: f in alive for f in fields}
 
 
 def _symbolic_square_cm_oracle(g: Graph, fields: Sequence[Field]) -> dict[Field, bool]:
@@ -261,8 +267,7 @@ def full_report(
     Graph-only classifications are None for clutter input; W2 and the
     linear resolution flag are None when their isolated-vertex or edge
     preconditions fail.  Regularity over every requested field comes from
-    one subset scan of the isolated-free part, which leaves it unchanged and
-    shrinks the scan.  For a graph the report also carries the induced
+    one subset scan.  For a graph the report also carries the induced
     matching number and the matching number, which must bound it.
     """
     is_graph = isinstance(c, Graph)
@@ -273,11 +278,7 @@ def full_report(
     i_dom = c.independent_domination()
     if alpha0 + beta0 != c.vertex_count:
         raise CrossRouteError("alpha0 + beta0 must equal the vertex count")
-    if isolated:
-        stripped = c.induced_subclutter([u for u in c.vertices() if u not in isolated])
-    else:
-        stripped = c
-    reg_by_field = regularities(stripped, fields)
+    reg_by_field = regularities(c, fields)
     complex_ = independence_complex(c)
     cm_by_field = {f: is_cohen_macaulay(complex_, f) for f in fields}
     gamma = c.domination_number() if is_graph else None

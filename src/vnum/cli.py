@@ -130,12 +130,16 @@ def _tsv_lines(dicts: Sequence[dict]) -> list[str]:
     return lines
 
 
-def _load_document(path: str) -> InputDocument:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+
+
+def _load_document(path: str) -> InputDocument:
+    text = _read_text(path)
     name = os.path.basename(path)
     if text.lstrip().startswith(("graph", "clutter", "#")):
         return parse_edge_list(text, name=name)
@@ -215,14 +219,9 @@ def _verify_cm36() -> int:
 def _scan_edge_critical(path: str) -> int:
     from .classify import is_edge_critical
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
     counts: dict[int, int] = {}
     total = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -270,11 +269,7 @@ def _usable_cpus() -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.file}: {exc}")
+    lines = [ln.strip() for ln in _read_text(args.file).splitlines() if ln.strip()]
     kind = "graph6" if args.graph6 else "files"
     tasks = [
         (i, kind, line, args.field, args.oracle_cap) for i, line in enumerate(lines)

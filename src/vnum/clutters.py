@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .vertexsets import (
-    AmbientMismatchError,
-    VertexSet,
-    iter_bits,
-    mask_members,
-    mask_of,
-)
+from .vertexsets import VertexSet, iter_bits, mask_members, mask_of
 
 
 class ZeroIdealError(ValueError):
@@ -81,9 +75,6 @@ class Clutter:
     def full_mask(self) -> int:
         return (1 << self.vertex_count) - 1
 
-    def edges(self) -> tuple[VertexSet, ...]:
-        return tuple(VertexSet(self.vertex_count, m) for m in self.edge_masks)
-
     def edge_lists(self) -> tuple[tuple[int, ...], ...]:
         return tuple(mask_members(m) for m in self.edge_masks)
 
@@ -99,22 +90,10 @@ class Clutter:
             covered |= m
         return mask_members(self.full_mask & ~covered)
 
-    def _check_set(self, a: VertexSet) -> None:
-        if a.ambient_size != self.vertex_count:
-            raise AmbientMismatchError(
-                f"vertex set ambient {a.ambient_size} vs clutter on "
-                f"{self.vertex_count} vertices"
-            )
-
     # -- stability and covers ---------------------------------------------
 
     def is_stable_mask(self, mask: int) -> bool:
         return all(e & ~mask for e in self.edge_masks)
-
-    def is_stable(self, a: VertexSet) -> bool:
-        """True iff no edge is contained in a."""
-        self._check_set(a)
-        return self.is_stable_mask(a.mask)
 
     def neighbor_mask(self, mask: int) -> int:
         # N(A) collects v with some edge inside A | {v}; for stable A each
@@ -126,29 +105,14 @@ class Clutter:
                 out |= rest
         return out
 
-    def neighbor_set(self, a: VertexSet) -> VertexSet:
-        """The neighbor set N(a) of a stable set a."""
-        self._check_set(a)
-        if not self.is_stable_mask(a.mask):
-            raise ValueError("neighbor set is defined for stable sets only")
-        return VertexSet(self.vertex_count, self.neighbor_mask(a.mask))
-
     def is_cover_mask(self, mask: int) -> bool:
         return all(e & mask for e in self.edge_masks)
-
-    def is_vertex_cover(self, a: VertexSet) -> bool:
-        self._check_set(a)
-        return self.is_cover_mask(a.mask)
 
     def is_minimal_cover_mask(self, mask: int) -> bool:
         # Covers are upward closed, so dropping single vertices suffices.
         if not self.is_cover_mask(mask):
             return False
         return all(not self.is_cover_mask(mask ^ b) for b in iter_bits(mask))
-
-    def is_minimal_vertex_cover(self, a: VertexSet) -> bool:
-        self._check_set(a)
-        return self.is_minimal_cover_mask(a.mask)
 
     # -- enumeration ------------------------------------------------------
 
@@ -173,19 +137,13 @@ class Clutter:
         masks = [full ^ c for c in self.minimal_cover_masks()]
         return tuple(sorted(masks, key=_edge_sort_key))
 
-    def maximal_stable_sets(self) -> tuple[VertexSet, ...]:
-        return tuple(
-            VertexSet(self.vertex_count, m) for m in self.maximal_stable_masks()
-        )
-
     def family_a(self) -> tuple[VertexSet, ...]:
         """All stable sets whose neighbor set is a minimal vertex cover."""
         if not self.has_edges():
             raise ZeroIdealError("family undefined for the zero ideal")
         out = []
         for mask in self.stable_masks():
-            n = self.neighbor_mask(mask)
-            if self.is_cover_mask(n) and self.is_minimal_cover_mask(n):
+            if self.is_minimal_cover_mask(self.neighbor_mask(mask)):
                 out.append(VertexSet(self.vertex_count, mask))
         return tuple(out)
 
@@ -225,8 +183,7 @@ class Clutter:
         if not self.has_edges():
             raise ZeroIdealError("v-number undefined for the zero ideal")
         for mask in self.stable_masks():
-            n = self.neighbor_mask(mask)
-            if self.is_cover_mask(n) and self.is_minimal_cover_mask(n):
+            if self.is_minimal_cover_mask(self.neighbor_mask(mask)):
                 return mask.bit_count(), VertexSet(self.vertex_count, mask)
         raise AssertionError("unreachable: maximal stable sets always qualify")
 
@@ -513,20 +470,6 @@ class Graph(Clutter):
                 continue
             if not adj[u] & adj[v]:
                 return False
-        return True
-
-    def is_claw_free(self) -> bool:
-        """No induced K_{1,3}: no vertex has three pairwise non-adjacent neighbors."""
-        adj = self.adjacency_masks()
-        for v in range(self.vertex_count):
-            nbrs = mask_members(adj[v])
-            for a, b, c in itertools.combinations(nbrs, 3):
-                if (
-                    not adj[a - 1] >> (b - 1) & 1
-                    and not adj[a - 1] >> (c - 1) & 1
-                    and not adj[b - 1] >> (c - 1) & 1
-                ):
-                    return False
         return True
 
 

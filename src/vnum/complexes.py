@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from .clutters import Clutter, Graph
 from .monomials import MonomialIdeal, clutter_of_squarefree_ideal
-from .vertexsets import VertexSet, iter_bits, mask_members, mask_of
+from .vertexsets import iter_bits, mask_members, mask_of
 
 
 class Field(enum.Enum):
@@ -135,10 +135,6 @@ class SimplicialComplex:
     def void(cls, ambient_size: int) -> "SimplicialComplex":
         return cls(ambient_size, ())
 
-    @classmethod
-    def irrelevant(cls, ambient_size: int) -> "SimplicialComplex":
-        return cls(ambient_size, (0,))
-
     def is_void(self) -> bool:
         return not self.facets
 
@@ -159,44 +155,9 @@ class SimplicialComplex:
     def vertices(self) -> tuple[int, ...]:
         return mask_members(self.vertex_mask())
 
-    def has_face(self, mask: int) -> bool:
-        return any(mask & ~f == 0 for f in self.facets)
-
     def face_masks(self) -> tuple[int, ...]:
         """Every face, including the empty face of a nonvoid complex."""
         return _face_masks(self.facets)
-
-    # -- constructions ------------------------------------------------------
-
-    def induced(self, a: VertexSet) -> "SimplicialComplex":
-        if a.ambient_size != self.ambient_size:
-            raise ValueError("ambient mismatch for induced subcomplex")
-        return self.induced_mask(a.mask)
-
-    def induced_mask(self, amask: int) -> "SimplicialComplex":
-        if self.is_void():
-            return self
-        return SimplicialComplex(
-            self.ambient_size, _antichain_maxima(f & amask for f in self.facets)
-        )
-
-    def link(self, face: VertexSet) -> "SimplicialComplex":
-        if face.ambient_size != self.ambient_size:
-            raise ValueError("ambient mismatch for link")
-        return self.link_mask(face.mask)
-
-    def link_mask(self, fmask: int) -> "SimplicialComplex":
-        """lk(F) = {H : H disjoint from F, H union F a face}."""
-        if not self.has_face(fmask):
-            raise ValueError("link of a non-face")
-        return SimplicialComplex(self.ambient_size, _link(self.facets, fmask))
-
-    def deletion(self, v: int) -> "SimplicialComplex":
-        if not 1 <= v <= self.ambient_size:
-            raise ValueError("vertex outside ambient")
-        return SimplicialComplex(
-            self.ambient_size, _deletion(self.facets, 1 << (v - 1))
-        )
 
 
 def independence_complex(c: Clutter) -> SimplicialComplex:
@@ -380,13 +341,6 @@ def reduced_homology_ranks(
     return HomologyProfile(tuple(betti(d) for d in range(-1, chains.top + 1)))
 
 
-def euler_characteristic_reduced(complex_: SimplicialComplex) -> int:
-    """Alternating sum over faces, the empty face included with sign -1."""
-    if complex_.is_void():
-        return 0
-    return sum(1 if m.bit_count() % 2 else -1 for m in complex_.face_masks())
-
-
 # -- regularity via induced subcomplexes -----------------------------------------
 
 
@@ -398,22 +352,23 @@ def regularities(c: Clutter, fields: Sequence[Field]) -> dict[Field, int]:
     is generated by the maximal stable sets cut down to A.  Subsets are
     scanned from the largest down.  A subset is skipped when some member
     lies in no edge inside A, because Delta_A is then a cone with that
-    member as apex and all its reduced homology vanishes; and when
+    member as apex and all its reduced homology vanishes (so only vertices
+    that lie in some edge are scanned at all); and when
     dim Delta_A + 1 is at most the smallest best so far, because then no
     field can improve.  Homology is computed only in dimensions at or
     above that best.  Over Q, elimination runs only where mod-2 homology
     survives in a dimension at or above the Q best.  The bests come from
     the scan alone.
     """
-    s = c.vertex_count
     edges = c.edge_masks
+    bits = list(iter_bits(_or_all(edges)))
     maximal = c.maximal_stable_masks()
     best = dict.fromkeys(fields, 0)
-    for size in range(s, 0, -1):
-        low = min(best.values(), default=s)
+    for size in range(len(bits), 0, -1):
+        low = min(best.values(), default=size)
         if size <= low:
             break
-        for combo in itertools.combinations([1 << i for i in range(s)], size):
+        for combo in itertools.combinations(bits, size):
             amask = sum(combo)
             covered = 0
             for e in edges:

@@ -95,10 +95,6 @@ def render_edge_list(doc: InputDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def normalize_edge_list(text: str) -> str:
-    return render_edge_list(parse_edge_list(text))
-
-
 # -- graph6 ---------------------------------------------------------------------
 
 

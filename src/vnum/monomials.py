@@ -81,28 +81,6 @@ class Monomial:
         self._check(other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def times(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(
-            self.ambient_size,
-            tuple(a + b for a, b in zip(self.exponents, other.exponents)),
-        )
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(
-            self.ambient_size,
-            tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)),
-        )
-
-    def quotient_by_gcd(self, other: "Monomial") -> "Monomial":
-        """self / gcd(self, other)."""
-        self._check(other)
-        return Monomial(
-            self.ambient_size,
-            tuple(max(a - b, 0) for a, b in zip(self.exponents, other.exponents)),
-        )
-
     def sort_key(self) -> tuple:
         return (self.degree(), self.exponents)
 

@@ -85,21 +85,5 @@ class VertexSet:
         self._check(other)
         return VertexSet(self.ambient_size, self.mask | other.mask)
 
-    def intersection(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.ambient_size, self.mask & other.mask)
-
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.ambient_size, self.mask & ~other.mask)
-
-    def complement(self) -> "VertexSet":
-        full = (1 << self.ambient_size) - 1
-        return VertexSet(self.ambient_size, full ^ self.mask)
-
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
     def __repr__(self) -> str:
         return f"VertexSet({self.ambient_size}, {{{', '.join(map(str, self.members()))}}})"

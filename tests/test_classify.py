@@ -14,6 +14,7 @@ from vnum.catalog import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    fixture_by_label,
     path_graph,
     star_graph,
 )
@@ -334,3 +335,27 @@ class TestFullReport:
         rep = full_report(g, (Field.Q, Field.F2))
         assert calls == [(Field.Q, Field.F2)]
         assert set(rep.symbolic_square_cm_by_field) == {Field.Q, Field.F2}
+
+    @pytest.mark.parametrize(
+        "g, walked",
+        [
+            (cycle_graph(5), 5),
+            (fixture_by_label("cm36-06").graph(), 8),
+            (fixture_by_label("cm36-21").graph(), 19),
+            # not Cohen-Macaulay over any field: no G_e is built
+            (cycle_graph(4), 0),
+        ],
+        ids=["C5", "cm36-06", "cm36-21", "C4"],
+    )
+    def test_one_edge_walk_for_both_fields(self, monkeypatch, g, walked):
+        calls = []
+        build = Graph.delete_edge_neighborhoods
+
+        def counted(graph, u, v):
+            calls.append((u, v))
+            return build(graph, u, v)
+
+        monkeypatch.setattr(Graph, "delete_edge_neighborhoods", counted)
+        got = classify.symbolic_square_cm_by_field(g, (Field.Q, Field.F2))
+        assert len(calls) == walked
+        assert got == {f: classify.symbolic_square_cm(g, f) for f in got}

@@ -9,7 +9,6 @@ import pytest
 from vnum.formats import (
     InputDocument,
     ParseError,
-    normalize_edge_list,
     parse_edge_list,
     parse_graph6,
     render_edge_list,
@@ -58,9 +57,9 @@ class TestEdgeList:
 
     def test_roundtrip_normalization(self):
         text = "graph 4\n3 2\n1 2\n4 1\n"
-        normalized = normalize_edge_list(text)
+        normalized = render_edge_list(parse_edge_list(text))
         assert normalized == "graph 4\n1 2\n1 4\n2 3\n"
-        assert normalize_edge_list(normalized) == normalized
+        assert render_edge_list(parse_edge_list(normalized)) == normalized
 
     def test_render_clutter(self):
         doc = InputDocument("clutter", 4, ((3, 4), (1, 2, 3)))

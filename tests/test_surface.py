@@ -1,0 +1,63 @@
+"""The package surface: no function or method in `src/vnum` lacks a caller."""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import re
+from collections import Counter
+
+import vnum
+
+SRC = pathlib.Path(vnum.__file__).parent
+
+# Names that nothing else in src/vnum mentions, kept on purpose.
+KEEP = {
+    "path_graph": "catalog builder for test inputs",
+    "cycle_graph": "catalog builder for test inputs",
+    "complete_graph": "catalog builder for test inputs",
+    "star_graph": "catalog builder for test inputs",
+    "empty_graph": "catalog builder for test inputs",
+    "fixture_by_label": "looks up catalog fixtures for tests",
+    "whisker": "builds well-covered test inputs",
+    "disjoint_union": "builds disconnected test inputs",
+    "delete_closed_neighborhood": "G_v of the W2 heredity tests",
+    "alpha_of_colon_quotient": "the per-prime colon degree the acceptance checks use",
+    "contains_ideal": "ideal containment the acceptance checks use",
+    "face_masks": "face lists for the oracles and the Euler characteristic",
+    "render_edge_list": "canonical edge-list text, with parse_edge_list a round trip",
+}
+
+
+def caller_less_names() -> set[str]:
+    """Top-level functions and public methods whose name occurs only where defined.
+
+    A name counts as used when it occurs, as a whole word, anywhere in
+    src/vnum other than its own definitions, comments and docstrings
+    included, or when it is in `vnum.__all__`.  A word search cannot follow
+    calls, so this misses dead chains such as `link` -> `link_mask` ->
+    `has_face`, where each name has a caller that is itself dead, and names
+    that a live method shares or a comment mentions.
+    """
+    texts = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    defined: list[str] = []
+    for text in texts:
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append(node.name)
+            elif isinstance(node, ast.ClassDef):
+                defined += [
+                    sub.name
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+                ]
+    words = Counter(re.findall(r"\w+", "\n".join(texts)))
+    return {
+        name
+        for name in defined
+        if name not in vnum.__all__ and words[name] <= defined.count(name)
+    }
+
+
+def test_every_caller_less_name_is_kept_on_purpose():
+    assert caller_less_names() == set(KEEP)
