@@ -23,7 +23,8 @@ from .complexes import (
 from .monomials import polarized_symbolic_power
 from .vertexsets import VertexSet
 
-DEFAULT_ORACLE_CAP = 7
+# the largest vertex count on which the polarization oracle re-checks a verdict
+ORACLE_CAP = 7
 
 
 class CrossRouteError(RuntimeError):
@@ -101,26 +102,22 @@ def is_cm_graph(g: Clutter, field: Field) -> bool:
     return is_cohen_macaulay(independence_complex(g), field)
 
 
-def symbolic_square_cm(
-    g: Graph, field: Field, oracle_cap: int = DEFAULT_ORACLE_CAP
-) -> bool:
+def symbolic_square_cm(g: Graph, field: Field) -> bool:
     """Whether the second symbolic power of the edge ideal is Cohen-Macaulay.
 
     Combinatorial route: the graph is Cohen-Macaulay and for every edge e
     the subgraph G_e is Cohen-Macaulay with independence number one less.
-    On graphs with at most oracle_cap vertices the answer is re-derived by
+    On graphs with at most ORACLE_CAP vertices the answer is re-derived by
     polarizing the symbolic square and testing its Stanley-Reisner complex.
     The empty graph on zero vertices counts as Cohen-Macaulay.
     """
-    return symbolic_square_cm_by_field(g, (field,), oracle_cap)[field]
+    return symbolic_square_cm_by_field(g, (field,))[field]
 
 
-def symbolic_square_cm_by_field(
-    g: Graph, fields: Sequence[Field], oracle_cap: int = DEFAULT_ORACLE_CAP
-) -> dict[Field, bool]:
+def symbolic_square_cm_by_field(g: Graph, fields: Sequence[Field]) -> dict[Field, bool]:
     """symbolic_square_cm for several fields, with one polarization oracle."""
     combo = _symbolic_square_cm_combinatorial(g, fields)
-    if g.has_edges() and g.vertex_count <= oracle_cap:
+    if g.has_edges() and g.vertex_count <= ORACLE_CAP:
         oracle = _symbolic_square_cm_oracle(g, fields)
         for f in fields:
             _require_agreement(
@@ -260,7 +257,6 @@ def full_report(
     c: Clutter,
     fields: Sequence[Field] = (Field.Q,),
     name: Optional[str] = None,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> InvariantReport:
     """Compute every invariant with all cross-route assertions enabled.
 
@@ -291,7 +287,7 @@ def full_report(
         if not isolated and c.vertex_count >= 2:
             w2 = is_w2(c)
         edge_critical, edge_critical_violation = edge_criticality(c)
-        sscm = symbolic_square_cm_by_field(c, fields, oracle_cap)
+        sscm = symbolic_square_cm_by_field(c, fields)
         if beta0 == 2:
             # at independence number two the complex is at most a graph, so
             # the verdict is field-free and must match the specialization

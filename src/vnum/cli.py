@@ -24,12 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from .catalog import CM36, cm36_vertex_split
-from .classify import (
-    DEFAULT_ORACLE_CAP,
-    CrossRouteError,
-    InvariantReport,
-    full_report,
-)
+from .classify import CrossRouteError, InvariantReport, full_report
 from .clutters import Clutter, ZeroIdealError
 from .complexes import Field
 from .formats import InputDocument, ParseError, parse_edge_list, parse_graph6
@@ -153,7 +148,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     fields = _parse_fields(args.field)
     doc = _load_document(args.file)
     c = _check_size(doc.to_clutter())
-    rep = full_report(c, fields, name=doc.name, oracle_cap=args.oracle_cap)
+    rep = full_report(c, fields, name=doc.name)
     data = _report_dict(rep)
     if args.json:
         print(json.dumps(data, indent=2))
@@ -241,8 +236,8 @@ def _scan_edge_critical(path: str) -> int:
     return EXIT_OK
 
 
-def _batch_worker(task: tuple[int, str, str, str, int]) -> tuple[int, dict]:
-    index, kind, payload, field_spec, oracle_cap = task
+def _batch_worker(task: tuple[int, str, str, str]) -> dict:
+    index, kind, payload, field_spec = task
     fields = _parse_fields(field_spec)
     try:
         if kind == "graph6":
@@ -250,15 +245,15 @@ def _batch_worker(task: tuple[int, str, str, str, int]) -> tuple[int, dict]:
         else:
             doc = _load_document(payload)
         c = _check_size(doc.to_clutter())
-        rep = full_report(c, fields, name=doc.name, oracle_cap=oracle_cap)
-        return index, _report_dict(rep)
+        rep = full_report(c, fields, name=doc.name)
+        return _report_dict(rep)
     except InputTooLargeError as exc:
         error = TOO_LARGE_PREFIX + str(exc)
     except ValueError as exc:
         error = str(exc)
     except CrossRouteError as exc:
         error = CROSS_ROUTE_PREFIX + str(exc)
-    return index, {"schema": SCHEMA, "name": f"line {index + 1}", "error": error}
+    return {"schema": SCHEMA, "name": f"line {index + 1}", "error": error}
 
 
 def _usable_cpus() -> int:
@@ -271,17 +266,14 @@ def _usable_cpus() -> int:
 def cmd_batch(args: argparse.Namespace) -> int:
     lines = [ln.strip() for ln in _read_text(args.file).splitlines() if ln.strip()]
     kind = "graph6" if args.graph6 else "files"
-    tasks = [
-        (i, kind, line, args.field, args.oracle_cap) for i, line in enumerate(lines)
-    ]
+    tasks = [(i, kind, line, args.field) for i, line in enumerate(lines)]
     # the executor starts every worker up front, so never more than can run
     workers = min(args.parallel, len(tasks), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_worker, tasks))
+            rows = list(pool.map(_batch_worker, tasks))
     else:
-        results = [_batch_worker(t) for t in tasks]
-    rows = [row for _, row in sorted(results, key=lambda r: r[0])]
+        rows = [_batch_worker(t) for t in tasks]
     if args.json:
         for row in rows:
             print(json.dumps(row))
@@ -317,9 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = rep.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--tsv", action="store_true")
-    rep.add_argument(
-        "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, dest="oracle_cap"
-    )
     rep.set_defaults(func=cmd_report)
 
     sp = sub.add_parser("symbolic-power", help="minimal generators of I^(k)")
@@ -340,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     bfmt.add_argument("--json", action="store_true")
     bfmt.add_argument("--tsv", action="store_true", help="tab-separated (default)")
     bat.add_argument("--parallel", type=int, default=1)
-    bat.add_argument(
-        "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, dest="oracle_cap"
-    )
     bat.set_defaults(func=cmd_batch)
 
     return parser

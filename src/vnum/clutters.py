@@ -10,11 +10,11 @@ domination numbers) are computed exactly; the intended scale is s <= ~24.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .vertexsets import VertexSet, iter_bits, mask_members, mask_of
+from .vertexsets import VertexSet, iter_bits, mask_members, mask_of, meet, or_all
 
 
 class ZeroIdealError(ValueError):
@@ -85,10 +85,7 @@ class Clutter:
         return tuple(range(1, self.vertex_count + 1))
 
     def isolated_vertices(self) -> tuple[int, ...]:
-        covered = 0
-        for m in self.edge_masks:
-            covered |= m
-        return mask_members(self.full_mask & ~covered)
+        return mask_members(self.full_mask & ~or_all(self.edge_masks))
 
     # -- stability and covers ---------------------------------------------
 
@@ -116,11 +113,10 @@ class Clutter:
 
     # -- enumeration ------------------------------------------------------
 
-    def stable_masks(self, max_size: Optional[int] = None) -> Iterator[int]:
+    def stable_masks(self) -> Iterator[int]:
         """All stable sets as masks, by increasing size then lexicographically."""
         s = self.vertex_count
-        cap = s if max_size is None else min(max_size, s)
-        for k in range(cap + 1):
+        for k in range(s + 1):
             for combo in itertools.combinations(range(s), k):
                 mask = 0
                 for i in combo:
@@ -203,10 +199,7 @@ class Clutter:
         return self.induced_subclutter([u for u in self.vertices() if u != v])
 
     def induced_subclutter(self, keep: Sequence[int]) -> "Clutter":
-        """The edges inside keep, with vertex keep[i] relabelled i + 1.
-
-        A graph yields a graph that records keep as its ``parent_map``.
-        """
+        """The edges inside keep, with vertex keep[i] relabelled i + 1."""
         new_of_old = {u: i + 1 for i, u in enumerate(keep)}
         keep_mask = mask_of(self.vertex_count, keep)
         edges = [
@@ -215,7 +208,7 @@ class Clutter:
             if m & ~keep_mask == 0
         ]
         if isinstance(self, Graph):
-            return Graph.of(len(keep), edges, parent_map=tuple(keep))
+            return Graph.of(len(keep), edges)
         return Clutter.of(len(keep), edges)
 
 
@@ -226,31 +219,14 @@ class Clutter:
 def _minimal_transversals(edge_masks: tuple[int, ...]) -> tuple[int, ...]:
     """All minimal vertex covers, by sequential antichain extension.
 
-    Starts from the empty partial cover and folds in one edge at a time,
-    extending the partials that miss the edge by each of its vertices and
-    pruning non-minimal results after every fold.
+    The covers generate the intersection over edges e of the primes
+    (t_v : v in e), so starting from the unit ideal this meets one prime at
+    a time, smallest edges first.
     """
     partial = [0]
     for e in sorted(edge_masks, key=lambda m: (m.bit_count(), m)):
-        hit = []
-        miss = []
-        for t in partial:
-            (hit if t & e else miss).append(t)
-        candidates = hit
-        for t in miss:
-            for b in iter_bits(e):
-                candidates.append(t | b)
-        partial = _antichain_minima(candidates)
+        partial = meet(partial, list(iter_bits(e)))
     return tuple(sorted(partial, key=_edge_sort_key))
-
-
-def _antichain_minima(masks: list[int]) -> list[int]:
-    uniq = sorted(set(masks), key=int.bit_count)
-    out: list[int] = []
-    for m in uniq:
-        if not any(kept & ~m == 0 for kept in out):
-            out.append(m)
-    return out
 
 
 # -- graphs -------------------------------------------------------------------
@@ -258,16 +234,7 @@ def _antichain_minima(masks: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class Graph(Clutter):
-    """A simple graph: the clutter whose edges all have two vertices.
-
-    Derived graphs remember how their dense new labels map back to the
-    parent via ``parent_map`` (new index 1..k -> old index); the map is
-    ignored by equality and hashing.
-    """
-
-    parent_map: Optional[tuple[int, ...]] = field(
-        default=None, compare=False, repr=False
-    )
+    """A simple graph: the clutter whose edges all have two vertices."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -278,12 +245,7 @@ class Graph(Clutter):
                 )
 
     @classmethod
-    def of(
-        cls,
-        vertex_count: int,
-        edges: Iterable[Iterable[int]],
-        parent_map: Optional[tuple[int, ...]] = None,
-    ) -> "Graph":
+    def of(cls, vertex_count: int, edges: Iterable[Iterable[int]]) -> "Graph":
         pairs = set()
         for e in edges:
             e = tuple(e)
@@ -291,7 +253,7 @@ class Graph(Clutter):
                 raise ValueError(f"not a simple graph edge: {e}")
             pairs.add(mask_of(vertex_count, e))
         masks = tuple(sorted(pairs, key=_edge_sort_key))
-        return cls(vertex_count, masks, parent_map)
+        return cls(vertex_count, masks)
 
     # -- adjacency ----------------------------------------------------------
 

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from .clutters import Clutter, Graph
 from .monomials import MonomialIdeal, clutter_of_squarefree_ideal
-from .vertexsets import iter_bits, mask_members, mask_of
+from .vertexsets import antichain_maxima, iter_bits, mask_members, mask_of, or_all
 
 
 class Field(enum.Enum):
@@ -43,22 +43,6 @@ class Field(enum.Enum):
 
     Q = "Q"
     F2 = "F2"
-
-
-def _antichain_maxima(masks: Iterable[int]) -> tuple[int, ...]:
-    uniq = sorted(set(masks), key=int.bit_count, reverse=True)
-    out: list[int] = []
-    for m in uniq:
-        if not any(m & ~kept == 0 for kept in out):
-            out.append(m)
-    return tuple(sorted(out))
-
-
-def _or_all(masks: Iterable[int]) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
 
 
 def _link(facets: tuple[int, ...], mask: int) -> tuple[int, ...]:
@@ -76,7 +60,7 @@ def _compact(facets: tuple[int, ...]) -> tuple[int, ...]:
     The relabelling keeps the vertex order, so the facets stay in increasing
     order, and isomorphic copies on different vertices share one tuple.
     """
-    used = _or_all(facets)
+    used = or_all(facets)
     gaps = ~used & ((1 << used.bit_length()) - 1)
     if not gaps:
         return facets
@@ -92,7 +76,7 @@ def _compact(facets: tuple[int, ...]) -> tuple[int, ...]:
 
 def _deletion(facets: tuple[int, ...], mask: int) -> tuple[int, ...]:
     """Facets of the complex with the vertices of `mask` deleted."""
-    return _antichain_maxima(f & ~mask for f in facets)
+    return antichain_maxima(f & ~mask for f in facets)
 
 
 def _face_masks(facets: Iterable[int]) -> tuple[int, ...]:
@@ -123,13 +107,13 @@ class SimplicialComplex:
         for f in self.facets:
             if f & ~full:
                 raise ValueError("facet outside the ambient range")
-        if tuple(_antichain_maxima(self.facets)) != self.facets:
+        if antichain_maxima(self.facets) != self.facets:
             raise ValueError("facets not an antichain in canonical order")
 
     @classmethod
     def of(cls, ambient_size: int, faces: Iterable[Iterable[int]]) -> "SimplicialComplex":
         masks = [mask_of(ambient_size, f) for f in faces]
-        return cls(ambient_size, _antichain_maxima(masks))
+        return cls(ambient_size, antichain_maxima(masks))
 
     @classmethod
     def void(cls, ambient_size: int) -> "SimplicialComplex":
@@ -150,7 +134,7 @@ class SimplicialComplex:
         return len({f.bit_count() for f in self.facets}) == 1
 
     def vertex_mask(self) -> int:
-        return _or_all(self.facets)
+        return or_all(self.facets)
 
     def vertices(self) -> tuple[int, ...]:
         return mask_members(self.vertex_mask())
@@ -361,7 +345,7 @@ def regularities(c: Clutter, fields: Sequence[Field]) -> dict[Field, int]:
     the scan alone.
     """
     edges = c.edge_masks
-    bits = list(iter_bits(_or_all(edges)))
+    bits = list(iter_bits(or_all(edges)))
     maximal = c.maximal_stable_masks()
     best = dict.fromkeys(fields, 0)
     for size in range(len(bits), 0, -1):
@@ -459,7 +443,7 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
         return 0
     else:
         level = 1
-    for b in iter_bits(_or_all(facets)):
+    for b in iter_bits(or_all(facets)):
         level = min(level, _cm_level(_link(facets, b)))
         if not level:
             return 0
@@ -491,7 +475,7 @@ def _vd(facets: tuple[int, ...]) -> bool:
     sizes = {f.bit_count() for f in facets}
     if len(sizes) == 1 and _cm_level(facets) < 2:
         return False
-    for b in iter_bits(_or_all(facets)):
+    for b in iter_bits(or_all(facets)):
         del_facets = _deletion(facets, b)
         if any(d not in facets for d in del_facets):
             continue

@@ -6,8 +6,11 @@ Associated primes of an edge ideal are read off the blocker of its clutter,
 which keeps colon ideals, symbolic powers, and the algebraic v-number exact
 without any generic primary decomposition.  The computations run on bit
 masks: the algebraic v-number on the clutter's edge masks, symbolic powers
-and their polarization on unary-layer masks.  Exponent tuples are only the
-output form of symbolic_power and the value type of the ideal classes.
+and their polarization on unary-layer masks.  The colon ideals (I : p),
+intersections of the (I : t_v) over v in p, and the symbolic powers I^(n),
+intersections of the prime powers p^n, are folds of `vertexsets.meet`, as
+are the minimal covers.  Exponent tuples are only the output form of
+symbolic_power and the value type of the ideal classes.
 """
 
 from __future__ import annotations
@@ -16,8 +19,16 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .clutters import Clutter, ZeroIdealError, _antichain_minima
-from .vertexsets import AmbientMismatchError, VertexSet, iter_bits
+from .clutters import Clutter, ZeroIdealError
+from .vertexsets import (
+    AmbientMismatchError,
+    VertexSet,
+    antichain_minima,
+    iter_bits,
+    mask_members,
+    meet,
+    or_all,
+)
 
 
 @dataclass(frozen=True)
@@ -213,36 +224,32 @@ def _symbolic_power_masks(c: Clutter, n: int) -> list[int]:
 
     Bit k*s + i means "the exponent of t_{i+1} is at least k+1", so a
     monomial with exponents at most n is the union of its layers, lcm is |
-    and divisibility is the subset test.  Generators of an intersection of
-    monomial ideals are the lcms of generator pairs, so the intersection of
-    the prime powers p^n, whose generators are the degree-n monomials in the
-    variables of p, is a fold of pairwise unions; no exponent exceeds n.
+    and divisibility is the subset test.  The intersection of the prime
+    powers p^n, one per minimal cover, smallest first, whose generators are
+    the degree-n monomials in the variables of p, is therefore a fold of
+    `meet`; no exponent exceeds n.
     """
     if n < 1:
         raise ValueError("symbolic power needs n >= 1")
+    if not c.has_edges():
+        raise ZeroIdealError("the zero ideal has no associated primes")
     s = c.vertex_count
-    primes = sorted(associated_primes(c), key=lambda p: (len(p.variables), p.members()))
     out = [0]  # the unit ideal
-    for p in primes:
+    for p in sorted(c.minimal_cover_masks(), key=int.bit_count):
         piece = []
-        for combo in itertools.combinations_with_replacement(p.members(), n):
+        for combo in itertools.combinations_with_replacement(mask_members(p), n):
             m, layer, prev = 0, 0, None
             for v in combo:
                 layer = layer + 1 if v == prev else 0
                 m |= 1 << (layer * s + v - 1)
                 prev = v
             piece.append(m)
-        out = _antichain_minima([g | h for g in out for h in piece])
+        out = meet(out, piece)
     return out
 
 
 def symbolic_power(c: Clutter, n: int) -> MonomialIdeal:
-    """Intersection of the n-th powers of the associated primes.
-
-    Folds the intersection over primes in increasing size on unary-layer
-    masks, minimalizing after each fold to keep intermediate generator sets
-    small.
-    """
+    """Intersection of the n-th powers of the associated primes."""
     s = c.vertex_count
     gens = []
     for m in _symbolic_power_masks(c, n):
@@ -261,9 +268,7 @@ def polarized_symbolic_power(c: Clutter, n: int) -> Clutter:
     """
     s = c.vertex_count
     masks = _symbolic_power_masks(c, n)
-    used = 0
-    for m in masks:
-        used |= m
+    used = or_all(masks)
     relabel: dict[int, int] = {}
     for i in range(s):
         for k in range(n):
@@ -283,8 +288,8 @@ def alpha_of_colon_quotient(c: Clutter, p: PrimeCover) -> int:
     the colon ideal: any member is a multiple of some generator, and a
     generator inside I only produces multiples inside I.  Every ideal here
     is squarefree, so generators are vertex masks: (I : t_v) is generated by
-    the edges with v removed, an intersection by the pairwise unions, and a
-    generator lies outside I exactly when its support is stable.
+    the edges with v removed, an intersection is a `meet`, and a generator
+    lies outside I exactly when its support is stable.
     """
     if p.ambient_size != c.vertex_count:
         raise AmbientMismatchError("prime over the wrong ambient")
@@ -296,7 +301,7 @@ def alpha_of_colon_quotient(c: Clutter, p: PrimeCover) -> int:
 def _colon_pieces(c: Clutter, mask: int) -> dict[int, list[int]]:
     """Generators of (I : t_v) for each vertex bit v of mask."""
     return {
-        b: _antichain_minima([e & ~b for e in c.edge_masks]) for b in iter_bits(mask)
+        b: antichain_minima(e & ~b for e in c.edge_masks) for b in iter_bits(mask)
     }
 
 
@@ -304,7 +309,7 @@ def _alpha_of_colon(c: Clutter, prime: int, pieces: dict[int, list[int]]) -> int
     """alpha((I : p)/I) for the prime on the vertex mask `prime`."""
     colon = [0]  # the unit ideal, generated by the empty support
     for b in iter_bits(prime):
-        colon = _antichain_minima([g | h for g in colon for h in pieces[b]])
+        colon = meet(colon, pieces[b])
     return min((g.bit_count() for g in colon if c.is_stable_mask(g)), default=0)
 
 

@@ -4,12 +4,16 @@ Vertices are 1-based everywhere (matching the variable names t_1, ..., t_s
 used in input files and printed output); bit i-1 of the mask encodes
 membership of vertex i.  All set algebra is defined only between sets over
 the same ambient size; mixing ambients raises AmbientMismatchError.
+
+The module also holds the one algebra of mask families that the others
+share: unions, antichain minima and maxima, and `meet`, the intersection of
+two monomial ideals given by mask generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class AmbientMismatchError(ValueError):
@@ -44,6 +48,52 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low
         mask ^= low
+
+
+def or_all(masks: Iterable[int]) -> int:
+    """The union of the masks."""
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def antichain_minima(masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal masks, each once, by increasing size."""
+    out: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if not any(kept & ~m == 0 for kept in out):
+            out.append(m)
+    return out
+
+
+def antichain_maxima(masks: Iterable[int]) -> tuple[int, ...]:
+    """The inclusion-maximal masks, each once, in increasing order as ints.
+
+    Complements inside the union reverse inclusion, so these are the
+    complements of the minima of the complements.
+    """
+    masks = set(masks)
+    full = or_all(masks)
+    return tuple(sorted(full ^ m for m in antichain_minima(full ^ m for m in masks)))
+
+
+def meet(gens: Iterable[int], piece: Sequence[int]) -> list[int]:
+    """Minimal generators of the intersection of two monomial ideals on masks.
+
+    The masks must be monomials whose lcm is | and whose divisibility is the
+    subset test: squarefree masks, or the unary layers of symbolic powers.
+    The intersection is then generated by the unions of generator pairs.  A
+    generator that a member of piece divides lies in both ideals, and its
+    unions are its own multiples, so it is kept alone.
+    """
+    out: list[int] = []
+    for g in gens:
+        if any(h & ~g == 0 for h in piece):
+            out.append(g)
+        else:
+            out.extend(g | h for h in piece)
+    return antichain_minima(out)
 
 
 @dataclass(frozen=True)

@@ -249,10 +249,10 @@ class TestBatch:
 
         real = cli.full_report
 
-        def failing_on_line_2(c, fields, name, oracle_cap):
+        def failing_on_line_2(c, fields, name):
             if name == "line 2":
                 raise CrossRouteError("synthetic disagreement: v 1 vs 2")
-            return real(c, fields, name=name, oracle_cap=oracle_cap)
+            return real(c, fields, name=name)
 
         monkeypatch.setattr(cli, "full_report", failing_on_line_2)
         stream = self._write_stream(tmp_path)

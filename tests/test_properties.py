@@ -30,7 +30,13 @@ from vnum.monomials import (
     symbolic_power,
     v_number_algebraic,
 )
-from vnum.vertexsets import mask_members
+from vnum.vertexsets import (
+    VertexSet,
+    antichain_maxima,
+    antichain_minima,
+    mask_members,
+    meet,
+)
 
 from .oracles import (
     alpha_of_colon_quotient_tuples,
@@ -100,6 +106,21 @@ def ideals(draw, ambient=4, max_gens=4, max_exp=2):
         st.lists(monomials_over(ambient, max_exp), min_size=1, max_size=max_gens)
     )
     return MonomialIdeal.of(ambient, gens)
+
+
+@st.composite
+def mask_ideal_pairs(draw, max_vertices=6):
+    """Generator masks of two squarefree ideals, the first partly inside the second."""
+    n = draw(st.integers(1, max_vertices))
+    mask = st.integers(0, (1 << n) - 1)
+    piece = draw(st.lists(mask, min_size=1, max_size=5))
+    gens = draw(st.lists(mask, min_size=1, max_size=5))
+    gens += [draw(st.sampled_from(piece)) | m for m in draw(st.lists(mask, max_size=3))]
+    return n, gens, piece
+
+
+def squarefree_ideal(n, masks):
+    return MonomialIdeal.of(n, [Monomial.from_support(VertexSet(n, m)) for m in masks])
 
 
 class TestClutterFamilies:
@@ -199,6 +220,26 @@ class TestIdealContracts:
         square = ordinary_power(edge_ideal(g), 2)
         assert sym.contains_ideal(square)
         assert square.contains_ideal(sym) == g.is_triangle_free()
+
+
+class TestMaskAlgebra:
+    @given(mask_ideal_pairs())
+    def test_meet_matches_tuple_intersection(self, case):
+        n, gens, piece = case
+        got = meet(gens, piece)
+        want = intersect(squarefree_ideal(n, gens), squarefree_ideal(n, piece))
+        assert sorted(got) == sorted(g.support().mask for g in want.generators)
+
+    @given(st.lists(st.integers(0, 63), max_size=10))
+    def test_antichain_minima_and_maxima_match_definition(self, masks):
+        uniq = set(masks)
+        below = {m for m in uniq if not any(o != m and o & ~m == 0 for o in uniq)}
+        above = {m for m in uniq if not any(o != m and m & ~o == 0 for o in uniq)}
+        minima = antichain_minima(masks)
+        assert sorted(minima) == sorted(below)
+        sizes = [m.bit_count() for m in minima]
+        assert sizes == sorted(sizes)
+        assert antichain_maxima(masks) == tuple(sorted(above))
 
 
 class TestComplexProperties:

@@ -1,15 +1,19 @@
-"""The package surface: no function or method in `src/vnum` lacks a caller."""
+"""The package surface: no function or method in `src/vnum` lacks a caller,
+and the README's CLI synopsis names every command-line option."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import pathlib
 import re
 from collections import Counter
 
 import vnum
+from vnum.cli import build_parser
 
 SRC = pathlib.Path(vnum.__file__).parent
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # Names that nothing else in src/vnum mentions, kept on purpose.
 KEEP = {
@@ -61,3 +65,24 @@ def caller_less_names() -> set[str]:
 
 def test_every_caller_less_name_is_kept_on_purpose():
     assert caller_less_names() == set(KEEP)
+
+
+def test_readme_synopsis_names_every_option():
+    documented: dict[str, set[str]] = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("vnum "):
+            command = line.split()[1]
+            documented.setdefault(command, set()).update(re.findall(r"--[\w-]+", line))
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    parsed = {
+        command: {
+            opt
+            for action in parser._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"
+        }
+        for command, parser in sub.choices.items()
+    }
+    assert parsed == documented
