@@ -58,9 +58,9 @@ def is_w2(g: Graph) -> bool:
     if g.vertex_count < 2:
         raise ValueError("the W2 class needs at least two vertices")
     route1 = g.v_number() == g.independence_number()
-    route2 = g.is_well_covered() and set(g.maximal_stable_masks()) == {
-        a.mask for a in g.family_a()
-    }
+    route2 = g.is_well_covered() and (
+        set(g.maximal_stable_masks()) == set(g.family_a_masks())
+    )
     _require_agreement("W2", {"v=dim": route1, "families": route2})
     return route1
 
@@ -224,9 +224,15 @@ class InvariantReport:
 
     def __post_init__(self) -> None:
         if self.dim != self.beta0:
-            raise CrossRouteError("Krull dimension must equal beta0")
+            raise CrossRouteError(
+                f"Krull dimension s - alpha0 must equal beta0: dim={self.dim}, "
+                f"beta0={self.beta0}"
+            )
         if not self.v <= self.i_dom <= self.beta0:
-            raise CrossRouteError("v <= i <= beta0 violated")
+            raise CrossRouteError(
+                f"v <= i <= beta0 violated: v={self.v}, i={self.i_dom}, "
+                f"beta0={self.beta0}"
+            )
         for field, reg in self.reg_by_field.items():
             if reg > self.dim:
                 raise CrossRouteError(
@@ -251,6 +257,22 @@ class InvariantReport:
                         f"induced-matching={low}, reg-{field.value}={reg}, "
                         f"matching={high}"
                     )
+        if self.linear_resolution:
+            forced = {"v": self.v}
+            forced.update((f"reg-{f.value}", r) for f, r in self.reg_by_field.items())
+            bad = [f"{k}={val}" for k, val in forced.items() if val != 1]
+            if bad:
+                raise CrossRouteError(
+                    "a chordal complement forces v = reg = 1, got " + ", ".join(bad)
+                )
+        if self.beta0 == 2 and self.edge_critical is not None:
+            # at independence number two the complex is at most a graph, so
+            # the verdict is field-free and edge-criticality decides it
+            sscm = {f.value: cm for f, cm in self.symbolic_square_cm_by_field.items()}
+            _require_agreement(
+                "symbolic-square CM at independence number 2",
+                {"specialization": self.edge_critical, **sscm},
+            )
 
 
 def full_report(
@@ -272,8 +294,6 @@ def full_report(
     beta0 = c.independence_number()
     alpha0 = c.cover_number()
     i_dom = c.independent_domination()
-    if alpha0 + beta0 != c.vertex_count:
-        raise CrossRouteError("alpha0 + beta0 must equal the vertex count")
     reg_by_field = regularities(c, fields)
     complex_ = independence_complex(c)
     cm_by_field = {f: is_cohen_macaulay(complex_, f) for f in fields}
@@ -289,29 +309,9 @@ def full_report(
         edge_critical, edge_critical_violation = edge_criticality(c)
         sscm = symbolic_square_cm_by_field(c, fields)
         if beta0 == 2:
-            # at independence number two the complex is at most a graph, so
-            # the verdict is field-free and must match the specialization
-            beta2 = _beta2_complement_agreement(c, edge_critical)
-            _require_agreement(
-                "symbolic-square CM at independence number 2",
-                {"specialization": beta2, **{f.value: sscm[f] for f in fields}},
-            )
+            _beta2_complement_agreement(c, edge_critical)
         if not isolated and c.has_edges():
             linres = has_linear_resolution(c)
-            if linres:
-                bad = {"v": v} if v != 1 else {}
-                bad.update(
-                    {
-                        f"reg-{f.value}": reg_by_field[f]
-                        for f in fields
-                        if reg_by_field[f] != 1
-                    }
-                )
-                if bad:
-                    raise CrossRouteError(
-                        "a chordal complement forces v = reg = 1, got "
-                        + ", ".join(f"{k}={val}" for k, val in bad.items())
-                    )
     return InvariantReport(
         kind="graph" if is_graph else "clutter",
         name=name,
@@ -322,7 +322,7 @@ def full_report(
         gamma=gamma,
         beta0=beta0,
         alpha0=alpha0,
-        dim=beta0,
+        dim=c.vertex_count - alpha0,
         reg_by_field=dict(reg_by_field),
         well_covered=c.is_well_covered(),
         one_well_covered=c.is_one_well_covered(),

@@ -114,15 +114,21 @@ class Clutter:
     # -- enumeration ------------------------------------------------------
 
     def stable_masks(self) -> Iterator[int]:
-        """All stable sets as masks, by increasing size then lexicographically."""
-        s = self.vertex_count
-        for k in range(s + 1):
-            for combo in itertools.combinations(range(s), k):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                if self.is_stable_mask(mask):
-                    yield mask
+        """All stable sets as masks, by increasing size then lexicographically.
+
+        Stable sets are closed under taking subsets, so layer k + 1 grows
+        from layer k by adding one vertex above the largest member; taking
+        the vertices in increasing order keeps each layer lexicographic.
+        """
+        layer = [0]
+        while layer:
+            yield from layer
+            layer = [
+                grown
+                for mask in layer
+                for i in range(mask.bit_length(), self.vertex_count)
+                if self.is_stable_mask(grown := mask | 1 << i)
+            ]
 
     def minimal_cover_masks(self) -> tuple[int, ...]:
         return _minimal_transversals(self.edge_masks)
@@ -133,15 +139,13 @@ class Clutter:
         masks = [full ^ c for c in self.minimal_cover_masks()]
         return tuple(sorted(masks, key=_edge_sort_key))
 
-    def family_a(self) -> tuple[VertexSet, ...]:
-        """All stable sets whose neighbor set is a minimal vertex cover."""
+    def family_a_masks(self) -> Iterator[int]:
+        """Stable sets with a minimal-cover neighbor set, in stable_masks order."""
         if not self.has_edges():
             raise ZeroIdealError("family undefined for the zero ideal")
-        out = []
         for mask in self.stable_masks():
             if self.is_minimal_cover_mask(self.neighbor_mask(mask)):
-                out.append(VertexSet(self.vertex_count, mask))
-        return tuple(out)
+                yield mask
 
     # -- numeric invariants -------------------------------------------------
 
@@ -178,9 +182,8 @@ class Clutter:
         """
         if not self.has_edges():
             raise ZeroIdealError("v-number undefined for the zero ideal")
-        for mask in self.stable_masks():
-            if self.is_minimal_cover_mask(self.neighbor_mask(mask)):
-                return mask.bit_count(), VertexSet(self.vertex_count, mask)
+        for mask in self.family_a_masks():
+            return mask.bit_count(), VertexSet(self.vertex_count, mask)
         raise AssertionError("unreachable: maximal stable sets always qualify")
 
     # -- derived clutters ---------------------------------------------------
@@ -267,7 +270,7 @@ class Graph(Clutter):
         )
 
     def has_edge(self, u: int, v: int) -> bool:
-        return mask_of(self.vertex_count, (u, v)) in set(self.edge_masks)
+        return mask_of(self.vertex_count, (u, v)) in self.edge_masks
 
     def domination_number(self) -> int:
         """Least size of a set dominating every vertex outside it."""
@@ -333,25 +336,22 @@ class Graph(Clutter):
     # -- derived graphs ------------------------------------------------------
 
     def delete_edge(self, u: int, v: int) -> "Graph":
-        m = mask_of(self.vertex_count, (u, v))
-        if m not in set(self.edge_masks):
+        if not self.has_edge(u, v):
             raise ValueError(f"edge {{{u},{v}}} not present")
-        rest = tuple(e for e in self.edge_masks if e != m)
-        return Graph(self.vertex_count, rest)
+        m = mask_of(self.vertex_count, (u, v))
+        return Graph(self.vertex_count, tuple(e for e in self.edge_masks if e != m))
 
     def delete_closed_neighborhood(self, v: int) -> "Graph":
         """G_v: the induced subgraph on V minus N[v]."""
-        closed = self.closed_neighborhood(v)
-        keep = [u for u in range(1, self.vertex_count + 1) if u not in closed]
-        return self.induced_subclutter(keep)
+        gone = self.closed_neighborhood(v).mask
+        return self.induced_subclutter(mask_members(self.full_mask & ~gone))
 
     def delete_edge_neighborhoods(self, u: int, v: int) -> "Graph":
         """G_e for e = {u, v}: drop N[u] and N[v] and take the induced graph."""
         if not self.has_edge(u, v):
             raise ValueError(f"edge {{{u},{v}}} not present")
-        gone = self.closed_neighborhood(u).union(self.closed_neighborhood(v))
-        keep = [w for w in range(1, self.vertex_count + 1) if w not in gone]
-        return self.induced_subclutter(keep)
+        gone = self.closed_neighborhood(u).mask | self.closed_neighborhood(v).mask
+        return self.induced_subclutter(mask_members(self.full_mask & ~gone))
 
     def complement(self) -> "Graph":
         s = self.vertex_count

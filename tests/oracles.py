@@ -6,9 +6,10 @@ The exceptions are routes the package replaced by faster ones, kept here as
 references for them: the exponent-tuple ideal algebra (monomial products,
 colon ideals, intersections, powers, polarization) behind the algebraic
 v-number and the symbolic powers, which now run on bit masks; the per-field
-Cohen-Macaulay recursion, which one recursion for both fields replaced; and
+Cohen-Macaulay recursion, which one recursion for both fields replaced;
 the per-field regularity scan over every vertex subset, which one pruned
-scan for all fields replaced.
+scan for all fields replaced; and the stability filter over every vertex
+subset, which growing stable sets one vertex at a time replaced.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from vnum.monomials import (
     associated_primes,
     edge_ideal,
 )
-from vnum.vertexsets import AmbientMismatchError, VertexSet, mask_members
+from vnum.vertexsets import AmbientMismatchError, VertexSet, mask_members, mask_of
 
 
 def subsets(universe):
@@ -61,6 +62,15 @@ def is_minimal_cover_naive(c: Clutter, members) -> bool:
     return not any(
         is_cover_naive(c, aset - {v}) for v in aset
     )
+
+
+def stable_masks_naive(c: Clutter) -> list[int]:
+    """Every stable set as a mask, by size then lexicographically."""
+    return [
+        mask_of(c.vertex_count, a)
+        for a in subsets(range(1, c.vertex_count + 1))
+        if is_stable_naive(c, a)
+    ]
 
 
 def maximal_stable_naive(c: Clutter) -> set[frozenset]:

@@ -322,6 +322,29 @@ class TestFullReport:
         rep = full_report(Clutter.of(4, [(1, 2, 3), (3, 4)]))
         assert rep.matching_bounds is None
 
+    def test_dimension_and_v_chain_name_their_values(self):
+        rep = full_report(cycle_graph(5))
+        # dim is s - alpha0, so dim = beta0 is the identity alpha0 + beta0 = s
+        assert rep.dim == rep.vertex_count - rep.alpha0 == rep.beta0 == 2
+        with pytest.raises(CrossRouteError, match="dim=3, beta0=2"):
+            dataclasses.replace(rep, dim=3)
+        with pytest.raises(CrossRouteError, match="v=3, i=2, beta0=2"):
+            dataclasses.replace(rep, v=3)
+
+    def test_linear_resolution_checked_by_the_report(self):
+        rep = full_report(cycle_graph(5), [Field.Q, Field.F2])
+        assert rep.linear_resolution is False
+        with pytest.raises(CrossRouteError, match="got v=2, reg-Q=2, reg-F2=2"):
+            dataclasses.replace(rep, linear_resolution=True)
+
+    def test_beta2_square_checked_by_the_report(self):
+        rep = full_report(cycle_graph(5), [Field.Q, Field.F2])
+        assert rep.beta0 == 2 and rep.edge_critical
+        assert rep.symbolic_square_cm_by_field == {Field.Q: True, Field.F2: True}
+        disagree = {Field.Q: True, Field.F2: False}
+        with pytest.raises(CrossRouteError, match="at independence number 2"):
+            dataclasses.replace(rep, symbolic_square_cm_by_field=disagree)
+
     @pytest.mark.parametrize("g", [cycle_graph(5), complete_graph(3), path_graph(4)])
     def test_one_oracle_for_both_fields(self, monkeypatch, g):
         calls = []

@@ -17,6 +17,7 @@ from .oracles import (
     matching_numbers_naive,
     maximal_stable_naive,
     minimal_covers_naive,
+    stable_masks_naive,
     v_number_naive,
 )
 
@@ -26,7 +27,7 @@ def members(masks):
 
 
 def family(c):
-    return members(a.mask for a in c.family_a())
+    return members(c.family_a_masks())
 
 
 class TestVertexSet:
@@ -81,6 +82,25 @@ class TestStability:
     def test_edge_not_stable(self):
         k2 = complete_graph(2)
         assert not k2.is_stable_mask(mask_of(2, [1, 2]))
+
+    def test_growth_matches_subset_filter(self, small_corpus):
+        # same masks in the same order: by size, then lexicographically
+        for g in small_corpus:
+            assert list(g.stable_masks()) == stable_masks_naive(g)
+
+    def test_one_stability_test_per_extension(self, monkeypatch):
+        # growing tests each stable set once per vertex above its largest
+        # member (5,147 calls here); filtering tests all 2^16 = 65,536 subsets
+        calls = []
+        stable = Clutter.is_stable_mask
+
+        def counted(self, mask):
+            calls.append(mask)
+            return stable(self, mask)
+
+        monkeypatch.setattr(Clutter, "is_stable_mask", counted)
+        list(path_graph(8).whisker().stable_masks())
+        assert len(calls) < 8192
 
 
 class TestNeighborSet:
@@ -170,8 +190,14 @@ class TestFamilyA:
         assert family(complete_graph(2)) == {(1,), (2,)}
 
     def test_discrete_raises(self):
-        with pytest.raises(ZeroIdealError):
-            Clutter.of(2, []).family_a()
+        with pytest.raises(ZeroIdealError, match="family undefined"):
+            list(Clutter.of(2, []).family_a_masks())
+
+    def test_stream_order(self, small_corpus):
+        for g in small_corpus:
+            masks = list(g.family_a_masks())
+            order = sorted(masks, key=lambda m: (m.bit_count(), mask_members(m)))
+            assert masks == order
 
     def test_contains_maximal_stable_sets(self, small_corpus):
         for g in small_corpus:
@@ -263,7 +289,7 @@ class TestVNumber:
         assert c.v_number() == 0
 
     def test_discrete_raises(self):
-        with pytest.raises(ZeroIdealError):
+        with pytest.raises(ZeroIdealError, match="v-number undefined"):
             Clutter.of(2, []).v_number()
 
     def test_witness_is_lex_smallest(self):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vnum.clutters import Clutter, Graph
 from vnum.complexes import (
@@ -41,6 +41,7 @@ from vnum.vertexsets import (
 from .oracles import (
     alpha_of_colon_quotient_tuples,
     euler_characteristic_reduced,
+    family_a_naive,
     colon_by_monomial,
     homology_ranks_naive,
     intersect,
@@ -50,6 +51,7 @@ from .oracles import (
     polarize,
     radical,
     regularity_per_field,
+    stable_masks_naive,
     symbolic_power_tuples,
     times,
 )
@@ -125,10 +127,18 @@ def squarefree_ideal(n, masks):
 
 class TestClutterFamilies:
     @given(clutters())
+    @example(Clutter.of(0, []))
+    @example(Clutter.of(3, []))
+    @example(Clutter.of(4, [(1,), (2, 3), (3, 4)]))
+    def test_stable_growth_matches_subset_filter(self, c):
+        assert list(c.stable_masks()) == stable_masks_naive(c)
+
+    @given(clutters())
     def test_maximal_stable_sets_inside_family(self, c):
         if not c.has_edges():
             return
-        family = {a.mask for a in c.family_a()}
+        family = set(c.family_a_masks())
+        assert {frozenset(mask_members(m)) for m in family} == family_a_naive(c)
         for m in c.maximal_stable_masks():
             assert m in family
 
@@ -137,7 +147,7 @@ class TestClutterFamilies:
         if not c.has_edges():
             return
         v = c.v_number()
-        assert all(len(a) >= v for a in c.family_a())
+        assert all(m.bit_count() >= v for m in c.family_a_masks())
         assert all(m.bit_count() >= v for m in c.maximal_stable_masks())
 
     @given(clutters())
