@@ -21,7 +21,7 @@ from .complexes import (
     regularities,
 )
 from .monomials import polarized_symbolic_power
-from .vertexsets import VertexSet
+from .vertexsets import mask_members
 
 # the largest vertex count on which the polarization oracle re-checks a verdict
 ORACLE_CAP = 7
@@ -38,8 +38,8 @@ def _require_agreement(name: str, routes: dict[str, object]) -> None:
         raise CrossRouteError(f"{name} routes disagree: {detail}")
 
 
-def v_number_checked(c: Clutter) -> tuple[int, VertexSet]:
-    """v-number by stable-set search and by colon ideals, asserted equal."""
+def v_number_checked(c: Clutter) -> tuple[int, int]:
+    """v-number and witness mask by stable-set search, checked by colon ideals."""
     v_comb, witness = c.v_number_with_witness()
     v_alg = monomials.v_number_algebraic(c)
     _require_agreement("v-number", {"combinatorial": v_comb, "algebraic": v_alg})
@@ -333,7 +333,7 @@ def full_report(
         vertex_decomposable=is_vertex_decomposable(complex_),
         linear_resolution=linres,
         has_isolated_vertices=bool(isolated),
-        v_witness=witness.members(),
+        v_witness=mask_members(witness),
         edge_critical_violation=edge_critical_violation,
         matching_bounds=(
             (c.induced_matching_number(), c.matching_number()) if is_graph else None

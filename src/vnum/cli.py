@@ -6,12 +6,12 @@ assertion failure, 4 input refused as too large.  Output is deterministic:
 identical inputs and flags produce byte-identical output at any parallelism
 level.
 
-Every algorithm is exponential in the vertex count, so `report` and `batch`
-refuse an input with more than MAX_VERTICES (24) vertices instead of
-starting a scan that would not finish.  `report` then exits 4; `batch`
-prints the input as an in-band `"error": "too large: ..."` row, keeps every
-other row, and exits 4 unless a cross-route disagreement (exit 2) also
-occurred.
+Every algorithm is exponential in the vertex count, so every command
+refuses an input with more than MAX_VERTICES (24) vertices instead of
+starting a scan that would not finish.  `report`, `symbolic-power` and
+`catalog-verify --edge-critical` then exit 4; `batch` prints the input as an
+in-band `"error": "too large: ..."` row, keeps every other row, and exits 4
+unless a cross-route disagreement (exit 2) also occurred.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ EXIT_CROSS_ROUTE = 2
 EXIT_ASSERTION = 3
 EXIT_TOO_LARGE = 4
 
-# the largest vertex count report and batch accept
+# the largest vertex count any command accepts
 MAX_VERTICES = 24
 
 SCHEMA = "vnum/1"
@@ -164,7 +164,7 @@ def cmd_symbolic_power(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise ParseError("the power must be at least 1")
     doc = _load_document(args.file)
-    c = doc.to_clutter()
+    c = _check_size(doc.to_clutter())
     if not c.has_edges():
         raise ZeroIdealError("symbolic powers of the zero ideal are undefined")
     power = symbolic_power(c, args.k)
@@ -221,7 +221,7 @@ def _scan_edge_critical(path: str) -> int:
         if not line:
             continue
         doc = parse_graph6(line, name=f"line {lineno}")
-        g = doc.to_clutter()
+        g = _check_size(doc.to_clutter())
         total += 1
         if g.vertex_count >= 2 and is_edge_critical(g):
             counts[g.vertex_count] = counts.get(g.vertex_count, 0) + 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .vertexsets import VertexSet, iter_bits, mask_members, mask_of, meet, or_all
+from .vertexsets import iter_bits, mask_members, mask_of, meet, or_all
 
 
 class ZeroIdealError(ValueError):
@@ -173,17 +173,17 @@ class Clutter:
     def v_number(self) -> int:
         return self.v_number_with_witness()[0]
 
-    def v_number_with_witness(self) -> tuple[int, VertexSet]:
+    def v_number_with_witness(self) -> tuple[int, int]:
         """Least size of a stable set with minimal-cover neighbor set.
 
-        Searches stable sets by increasing size, so the witness is the
+        Searches stable sets by increasing size, so the witness mask is the
         lexicographically smallest minimizer.  The empty set qualifies
         exactly when every edge is a singleton (prime edge ideal, v = 0).
         """
         if not self.has_edges():
             raise ZeroIdealError("v-number undefined for the zero ideal")
         for mask in self.family_a_masks():
-            return mask.bit_count(), VertexSet(self.vertex_count, mask)
+            return mask.bit_count(), mask
         raise AssertionError("unreachable: maximal stable sets always qualify")
 
     # -- derived clutters ---------------------------------------------------
@@ -262,12 +262,12 @@ class Graph(Clutter):
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbor mask per vertex, indexed 0..s-1 for vertex 1..s."""
-        return _adjacency(self.vertex_count, self.edge_masks)
-
-    def closed_neighborhood(self, v: int) -> VertexSet:
-        return VertexSet(
-            self.vertex_count, self.adjacency_masks()[v - 1] | 1 << (v - 1)
-        )
+        adj = [0] * self.vertex_count
+        for m in self.edge_masks:
+            a, b = mask_members(m)
+            adj[a - 1] |= 1 << (b - 1)
+            adj[b - 1] |= 1 << (a - 1)
+        return tuple(adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return mask_of(self.vertex_count, (u, v)) in self.edge_masks
@@ -343,14 +343,16 @@ class Graph(Clutter):
 
     def delete_closed_neighborhood(self, v: int) -> "Graph":
         """G_v: the induced subgraph on V minus N[v]."""
-        gone = self.closed_neighborhood(v).mask
+        gone = self.adjacency_masks()[v - 1] | 1 << (v - 1)
         return self.induced_subclutter(mask_members(self.full_mask & ~gone))
 
     def delete_edge_neighborhoods(self, u: int, v: int) -> "Graph":
         """G_e for e = {u, v}: drop N[u] and N[v] and take the induced graph."""
         if not self.has_edge(u, v):
             raise ValueError(f"edge {{{u},{v}}} not present")
-        gone = self.closed_neighborhood(u).mask | self.closed_neighborhood(v).mask
+        # u and v are neighbours, so each lies in the other's neighbour mask
+        adj = self.adjacency_masks()
+        gone = adj[u - 1] | adj[v - 1]
         return self.induced_subclutter(mask_members(self.full_mask & ~gone))
 
     def complement(self) -> "Graph":
@@ -433,16 +435,6 @@ class Graph(Clutter):
             if not adj[u] & adj[v]:
                 return False
         return True
-
-
-@lru_cache(maxsize=None)
-def _adjacency(vertex_count: int, edge_masks: tuple[int, ...]) -> tuple[int, ...]:
-    adj = [0] * vertex_count
-    for m in edge_masks:
-        a, b = mask_members(m)
-        adj[a - 1] |= 1 << (b - 1)
-        adj[b - 1] |= 1 << (a - 1)
-    return tuple(adj)
 
 
 def _bfs(adj: Sequence[int], src: int) -> tuple[int, int]:

@@ -115,10 +115,6 @@ class SimplicialComplex:
         masks = [mask_of(ambient_size, f) for f in faces]
         return cls(ambient_size, antichain_maxima(masks))
 
-    @classmethod
-    def void(cls, ambient_size: int) -> "SimplicialComplex":
-        return cls(ambient_size, ())
-
     def is_void(self) -> bool:
         return not self.facets
 

@@ -9,8 +9,10 @@ masks: the algebraic v-number on the clutter's edge masks, symbolic powers
 and their polarization on unary-layer masks.  The colon ideals (I : p),
 intersections of the (I : t_v) over v in p, and the symbolic powers I^(n),
 intersections of the prime powers p^n, are folds of `vertexsets.meet`, as
-are the minimal covers.  Exponent tuples are only the output form of
-symbolic_power and the value type of the ideal classes.
+are the minimal covers.  An associated prime is the vertex mask of its
+minimal cover, and a monomial's support is a vertex mask too.  Exponent
+tuples are only the output form of symbolic_power and the value type of the
+ideal classes.
 """
 
 from __future__ import annotations
@@ -20,15 +22,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .clutters import Clutter, ZeroIdealError
-from .vertexsets import (
-    AmbientMismatchError,
-    VertexSet,
-    antichain_minima,
-    iter_bits,
-    mask_members,
-    meet,
-    or_all,
-)
+from .vertexsets import antichain_minima, iter_bits, mask_members, meet, or_all
+
+
+class AmbientMismatchError(ValueError):
+    """Operands disagree on the ambient vertex count."""
 
 
 @dataclass(frozen=True)
@@ -49,10 +47,6 @@ class Monomial:
         return cls(ambient_size, tuple(exponents))
 
     @classmethod
-    def one(cls, ambient_size: int) -> "Monomial":
-        return cls(ambient_size, (0,) * ambient_size)
-
-    @classmethod
     def variable(cls, ambient_size: int, v: int) -> "Monomial":
         if not 1 <= v <= ambient_size:
             raise ValueError(f"variable t_{v} outside ambient")
@@ -62,12 +56,11 @@ class Monomial:
         )
 
     @classmethod
-    def from_support(cls, a: VertexSet) -> "Monomial":
-        members = set(a.members())
-        return cls(
-            a.ambient_size,
-            tuple(1 if i + 1 in members else 0 for i in range(a.ambient_size)),
-        )
+    def from_support(cls, ambient_size: int, mask: int) -> "Monomial":
+        """The squarefree monomial on the variables of the vertex mask."""
+        if mask < 0 or mask >> ambient_size:
+            raise ValueError("support has vertices outside the ambient range")
+        return cls(ambient_size, tuple(mask >> i & 1 for i in range(ambient_size)))
 
     def degree(self) -> int:
         return sum(self.exponents)
@@ -78,11 +71,9 @@ class Monomial:
     def is_one(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def support(self) -> VertexSet:
-        return VertexSet.of(
-            self.ambient_size,
-            [i + 1 for i, e in enumerate(self.exponents) if e > 0],
-        )
+    def support(self) -> int:
+        """The vertex mask of the variables with a positive exponent."""
+        return sum(1 << i for i, e in enumerate(self.exponents) if e > 0)
 
     def _check(self, other: "Monomial") -> None:
         if self.ambient_size != other.ambient_size:
@@ -106,24 +97,6 @@ class Monomial:
 
 
 @dataclass(frozen=True)
-class PrimeCover:
-    """The monomial prime generated by the variables of a vertex set."""
-
-    variables: VertexSet
-
-    def __post_init__(self) -> None:
-        if len(self.variables) == 0:
-            raise ValueError("a monomial prime needs at least one variable")
-
-    @property
-    def ambient_size(self) -> int:
-        return self.variables.ambient_size
-
-    def members(self) -> tuple[int, ...]:
-        return self.variables.members()
-
-
-@dataclass(frozen=True)
 class MonomialIdeal:
     """A finitely generated monomial ideal, stored by minimal generators.
 
@@ -144,14 +117,6 @@ class MonomialIdeal:
     @classmethod
     def of(cls, ambient_size: int, generators: Iterable[Monomial]) -> "MonomialIdeal":
         return cls(ambient_size, tuple(generators))
-
-    @classmethod
-    def zero(cls, ambient_size: int) -> "MonomialIdeal":
-        return cls(ambient_size, ())
-
-    @classmethod
-    def unit(cls, ambient_size: int) -> "MonomialIdeal":
-        return cls(ambient_size, (Monomial.one(ambient_size),))
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -185,9 +150,7 @@ def _minimalize(gens: Sequence[Monomial]) -> list[Monomial]:
 
 def edge_ideal(c: Clutter) -> MonomialIdeal:
     """Squarefree ideal generated by one monomial t_e per edge e."""
-    gens = [
-        Monomial.from_support(VertexSet(c.vertex_count, m)) for m in c.edge_masks
-    ]
+    gens = [Monomial.from_support(c.vertex_count, m) for m in c.edge_masks]
     return MonomialIdeal.of(c.vertex_count, gens)
 
 
@@ -203,20 +166,18 @@ def clutter_of_squarefree_ideal(i: MonomialIdeal) -> Clutter:
     if not i.is_squarefree():
         raise ValueError("ideal is not squarefree")
     return Clutter.of(
-        i.ambient_size, [g.support().members() for g in i.generators]
+        i.ambient_size, [mask_members(g.support()) for g in i.generators]
     )
 
 
 # -- associated primes and symbolic powers ------------------------------------
 
 
-def associated_primes(c: Clutter) -> tuple[PrimeCover, ...]:
-    """The primes of an edge ideal: one per minimal vertex cover."""
+def associated_primes(c: Clutter) -> tuple[int, ...]:
+    """The primes of an edge ideal: the vertex mask of each minimal cover."""
     if not c.has_edges():
         raise ZeroIdealError("the zero ideal has no associated primes")
-    return tuple(
-        PrimeCover(VertexSet(c.vertex_count, m)) for m in c.minimal_cover_masks()
-    )
+    return c.minimal_cover_masks()
 
 
 def _symbolic_power_masks(c: Clutter, n: int) -> list[int]:
@@ -281,7 +242,7 @@ def polarized_symbolic_power(c: Clutter, n: int) -> Clutter:
 # -- the algebraic v-number route ---------------------------------------------
 
 
-def alpha_of_colon_quotient(c: Clutter, p: PrimeCover) -> int:
+def alpha_of_colon_quotient(c: Clutter, prime: int) -> int:
     """Least degree of a monomial in (I : p) outside I, or 0 if none exists.
 
     The minimum over monomials of the quotient is attained at a generator of
@@ -289,13 +250,12 @@ def alpha_of_colon_quotient(c: Clutter, p: PrimeCover) -> int:
     generator inside I only produces multiples inside I.  Every ideal here
     is squarefree, so generators are vertex masks: (I : t_v) is generated by
     the edges with v removed, an intersection is a `meet`, and a generator
-    lies outside I exactly when its support is stable.
+    lies outside I exactly when its support is stable.  The prime is given
+    by the vertex mask of its variables.
     """
-    if p.ambient_size != c.vertex_count:
-        raise AmbientMismatchError("prime over the wrong ambient")
-    if p.variables.mask not in set(c.minimal_cover_masks()):
+    if prime not in c.minimal_cover_masks():
         raise ValueError("prime is not associated to the edge ideal")
-    return _alpha_of_colon(c, p.variables.mask, _colon_pieces(c, p.variables.mask))
+    return _alpha_of_colon(c, prime, _colon_pieces(c, prime))
 
 
 def _colon_pieces(c: Clutter, mask: int) -> dict[int, list[int]]:

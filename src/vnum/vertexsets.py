@@ -1,9 +1,10 @@
-"""Vertex subsets of a fixed ambient {1, ..., s}, stored as bit masks.
+"""Mask helpers: vertex subsets of {1, ..., s} as plain int bit masks.
 
 Vertices are 1-based everywhere (matching the variable names t_1, ..., t_s
 used in input files and printed output); bit i-1 of the mask encodes
-membership of vertex i.  All set algebra is defined only between sets over
-the same ambient size; mixing ambients raises AmbientMismatchError.
+membership of vertex i.  Every vertex set in the package is such a mask:
+stable sets, covers, v-number witnesses, associated primes and monomial
+supports alike.
 
 The module also holds the one algebra of mask families that the others
 share: unions, antichain minima and maxima, and `meet`, the intersection of
@@ -12,12 +13,7 @@ two monomial ideals given by mask generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-
-class AmbientMismatchError(ValueError):
-    """Operands disagree on the ambient vertex count."""
 
 
 def mask_of(ambient_size: int, members: Iterable[int]) -> int:
@@ -94,46 +90,3 @@ def meet(gens: Iterable[int], piece: Sequence[int]) -> list[int]:
         else:
             out.extend(g | h for h in piece)
     return antichain_minima(out)
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """A subset of the ambient vertices {1, ..., ambient_size}."""
-
-    ambient_size: int
-    mask: int
-
-    def __post_init__(self) -> None:
-        if self.ambient_size < 0:
-            raise ValueError("ambient size must be nonnegative")
-        if self.mask < 0 or self.mask >> self.ambient_size:
-            raise ValueError("mask has members outside the ambient range")
-
-    @classmethod
-    def of(cls, ambient_size: int, members: Iterable[int] = ()) -> "VertexSet":
-        return cls(ambient_size, mask_of(ambient_size, members))
-
-    def members(self) -> tuple[int, ...]:
-        return mask_members(self.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members())
-
-    def __contains__(self, v: int) -> bool:
-        return 1 <= v <= self.ambient_size and bool(self.mask >> (v - 1) & 1)
-
-    def _check(self, other: "VertexSet") -> None:
-        if self.ambient_size != other.ambient_size:
-            raise AmbientMismatchError(
-                f"ambient {self.ambient_size} vs {other.ambient_size}"
-            )
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.ambient_size, self.mask | other.mask)
-
-    def __repr__(self) -> str:
-        return f"VertexSet({self.ambient_size}, {{{', '.join(map(str, self.members()))}}})"

@@ -21,13 +21,13 @@ from itertools import combinations, combinations_with_replacement, product
 from vnum.clutters import Clutter, Graph
 from vnum.complexes import Field, SimplicialComplex, reduced_homology_ranks
 from vnum.monomials import (
+    AmbientMismatchError,
     Monomial,
     MonomialIdeal,
-    PrimeCover,
     associated_primes,
     edge_ideal,
 )
-from vnum.vertexsets import AmbientMismatchError, VertexSet, mask_members, mask_of
+from vnum.vertexsets import mask_members, mask_of
 
 
 def subsets(universe):
@@ -201,12 +201,12 @@ def intersect(i1: MonomialIdeal, i2: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.of(i1.ambient_size, gens)
 
 
-def add_variables(i: MonomialIdeal, vs: VertexSet) -> MonomialIdeal:
-    """(i, t_v : v in vs)."""
-    if vs.ambient_size != i.ambient_size:
+def add_variables(i: MonomialIdeal, vs: int) -> MonomialIdeal:
+    """(i, t_v : v in the vertex mask vs)."""
+    if vs >> i.ambient_size:
         raise AmbientMismatchError("variables over the wrong ambient")
     gens = list(i.generators)
-    gens += [Monomial.variable(i.ambient_size, v) for v in vs.members()]
+    gens += [Monomial.variable(i.ambient_size, v) for v in mask_members(vs)]
     return MonomialIdeal.of(i.ambient_size, gens)
 
 
@@ -232,13 +232,12 @@ def ordinary_power(i: MonomialIdeal, n: int) -> MonomialIdeal:
     return MonomialIdeal.of(i.ambient_size, gens)
 
 
-def prime_power(p: PrimeCover, n: int) -> MonomialIdeal:
-    """p^n: all degree-n monomials in the variables of p."""
+def prime_power(s: int, p: int, n: int) -> MonomialIdeal:
+    """p^n: all degree-n monomials in the variables of the vertex mask p."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    s = p.ambient_size
     gens = []
-    for combo in combinations_with_replacement(p.members(), n):
+    for combo in combinations_with_replacement(mask_members(p), n):
         exps = [0] * s
         for v in combo:
             exps[v - 1] += 1
@@ -248,7 +247,7 @@ def prime_power(p: PrimeCover, n: int) -> MonomialIdeal:
 
 def radical(i: MonomialIdeal) -> MonomialIdeal:
     """Support-wise radical: replace each generator by its squarefree part."""
-    gens = [Monomial.from_support(g.support()) for g in i.generators]
+    gens = [Monomial.from_support(i.ambient_size, g.support()) for g in i.generators]
     return MonomialIdeal.of(i.ambient_size, gens)
 
 
@@ -258,7 +257,7 @@ def symbolic_power_tuples(c: Clutter, n: int) -> MonomialIdeal:
         raise ValueError("symbolic power needs n >= 1")
     out = None
     for p in associated_primes(c):
-        piece = prime_power(p, n)
+        piece = prime_power(c.vertex_count, p, n)
         out = piece if out is None else intersect(out, piece)
     return out
 
@@ -296,19 +295,24 @@ def polarize(i: MonomialIdeal) -> tuple[MonomialIdeal, tuple[tuple[int, int], ..
 # -- the exponent-tuple route of the algebraic v-number --------------------------
 
 
-def colon_by_ideal(i: MonomialIdeal, p: PrimeCover) -> MonomialIdeal:
-    """(i : p) as the intersection of (i : x) over the variables x of p."""
+def colon_by_ideal(i: MonomialIdeal, p: int) -> MonomialIdeal:
+    """(i : p) as the intersection of (i : x) over the variables x of p.
+
+    The prime p is given by the vertex mask of its variables.
+    """
+    if not p:
+        raise ValueError("a monomial prime needs at least one variable")
     out = None
-    for v in p.members():
+    for v in mask_members(p):
         piece = colon_by_monomial(i, Monomial.variable(i.ambient_size, v))
         out = piece if out is None else intersect(out, piece)
     return out
 
 
-def alpha_of_colon_quotient_tuples(c: Clutter, p: PrimeCover) -> int:
+def alpha_of_colon_quotient_tuples(c: Clutter, p: int) -> int:
     """alpha((I : p)/I) from the colon ideal's exponent-tuple generators."""
     i = edge_ideal(c)
-    if p.variables.mask not in set(c.minimal_cover_masks()):
+    if p not in c.minimal_cover_masks():
         raise ValueError("prime is not associated to the edge ideal")
     colon = colon_by_ideal(i, p)
     outside = [g.degree() for g in colon.generators if not i.contains(g)]

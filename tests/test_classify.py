@@ -197,7 +197,7 @@ class TestVNumberChecked:
     def test_routes_agree_on_corpus(self, small_corpus):
         for g in small_corpus:
             v, witness = v_number_checked(g)
-            assert v == len(witness)
+            assert v == witness.bit_count()
 
 
 class TestWhiskerBounds:

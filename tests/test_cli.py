@@ -284,6 +284,32 @@ class TestTooLarge:
         assert code == 4 and out == ""
         assert "25 vertices exceed the limit of 24" in err
 
+    @staticmethod
+    def _never(*args, **kwargs):
+        raise AssertionError("a too-large input reached the computation")
+
+    def test_symbolic_power_refused(self, capsys, tmp_path, monkeypatch):
+        import vnum.cli as cli
+
+        monkeypatch.setattr(cli, "symbolic_power", self._never)
+        path = tmp_path / "big.g6"
+        path.write_text(self.BIG + "\n")
+        code, out, err = run_cli(capsys, "symbolic-power", str(path), "2")
+        assert code == 4 and out == ""
+        assert "25 vertices exceed the limit of 24" in err
+
+    def test_edge_critical_scan_refused(self, capsys, tmp_path, monkeypatch):
+        import vnum.classify as classify
+
+        monkeypatch.setattr(classify, "is_edge_critical", self._never)
+        stream = tmp_path / "s.g6"
+        stream.write_text(f"{self.BIG}\nA_\n")
+        code, out, err = run_cli(
+            capsys, "catalog-verify", "--edge-critical", str(stream)
+        )
+        assert code == 4 and out == ""
+        assert "25 vertices exceed the limit of 24" in err
+
     def test_batch_row_in_band(self, capsys, tmp_path):
         # one worker, so everything runs in this process
         stream = tmp_path / "s.g6"
@@ -333,6 +359,32 @@ class TestGoldenOutput:
         assert code == 0
         with open(os.path.join(data, "golden.jsonl"), "rb") as fh:
             assert out.encode("utf-8") == fh.read()
+
+
+class TestGoldenCommands:
+    """`symbolic-power` and `report` output is frozen byte for byte too.
+
+    tests/data holds the inputs example-graph3.txt and c5.txt and, for each
+    command below, its recorded output.
+    """
+
+    def test_commands_match_golden(self, capsys):
+        data = os.path.join(os.path.dirname(__file__), "data")
+        graph3 = os.path.join(data, "example-graph3.txt")
+        runs = [
+            (["symbolic-power", os.path.join(data, f"{g}.txt"), str(k)],
+             f"{g}.power{k}.out")
+            for g in ("example-graph3", "c5")
+            for k in (1, 2, 3)
+        ]
+        runs.append(
+            (["report", graph3, "--field", "both", "--json"], "example-graph3.report.json")
+        )
+        for argv, golden in runs:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, golden
+            with open(os.path.join(data, golden), "rb") as fh:
+                assert out.encode("utf-8") == fh.read(), golden
 
 
 class TestCrossRouteExit:

@@ -10,9 +10,9 @@ import pytest
 from vnum.catalog import EXAMPLE_GRAPH3, complete_graph, cycle_graph, path_graph
 from vnum.clutters import Clutter, ZeroIdealError
 from vnum.monomials import (
+    AmbientMismatchError,
     Monomial,
     MonomialIdeal,
-    PrimeCover,
     alpha_of_colon_quotient,
     associated_primes,
     clutter_of_squarefree_ideal,
@@ -22,7 +22,7 @@ from vnum.monomials import (
     symbolic_power,
     v_number_algebraic,
 )
-from vnum.vertexsets import VertexSet
+from vnum.vertexsets import mask_members, mask_of
 
 from .oracles import (
     add_variables,
@@ -55,12 +55,22 @@ class TestMonomial:
         m = Monomial.of(3, (2, 0, 1))
         assert m.degree() == 3
         assert not m.is_squarefree()
-        assert m.support().members() == (1, 3)
+        assert m.support() == 0b101
         assert str(m) == "t1^2*t3"
 
     def test_divides(self):
         assert Monomial.of(2, (1, 1)).divides(Monomial.of(2, (2, 1)))
         assert not Monomial.of(2, (1, 1)).divides(Monomial.of(2, (0, 5)))
+
+    def test_ambient_mismatch(self):
+        with pytest.raises(AmbientMismatchError):
+            Monomial.of(2, (1, 0)).divides(Monomial.of(3, (1, 0, 0)))
+
+    def test_support_roundtrip(self):
+        m = Monomial.from_support(4, 0b1010)
+        assert m.exponents == (0, 1, 0, 1) and m.support() == 0b1010
+        with pytest.raises(ValueError):
+            Monomial.from_support(3, 0b1000)
 
 
 class TestIdealBasics:
@@ -74,8 +84,8 @@ class TestIdealBasics:
         assert not ideal(3, (1, 1, 0), (0, 1, 1)).contains(Monomial.of(3, (1, 0, 1)))
 
     def test_zero_and_unit(self):
-        assert MonomialIdeal.zero(2).is_zero()
-        assert MonomialIdeal.unit(2).is_unit()
+        assert MonomialIdeal.of(2, ()).is_zero()
+        assert MonomialIdeal.of(2, [Monomial.of(2, (0,) * 2)]).is_unit()
 
 
 class TestEdgeIdeal:
@@ -149,7 +159,7 @@ class TestIntersect:
 
     def test_with_unit(self):
         i = ideal(2, (1, 1))
-        assert intersect(i, MonomialIdeal.unit(2)) == i
+        assert intersect(i, MonomialIdeal.of(2, [Monomial.of(2, (0,) * 2)])) == i
 
     def test_membership_contract(self):
         rng = random.Random(11)
@@ -164,32 +174,30 @@ class TestIntersect:
 class TestColonByIdeal:
     def test_p3_center(self):
         p3 = path_graph(3)
-        p = PrimeCover(VertexSet.of(3, [2]))
-        got = colon_by_ideal(edge_ideal(p3), p)
+        got = colon_by_ideal(edge_ideal(p3), mask_of(3, [2]))
         assert gens_as_exponents(got) == {(1, 0, 0), (0, 0, 1)}
 
     def test_k2_full_prime(self):
         k2 = complete_graph(2)
-        p = PrimeCover(VertexSet.of(2, [1, 2]))
-        got = colon_by_ideal(edge_ideal(k2), p)
+        got = colon_by_ideal(edge_ideal(k2), mask_of(2, [1, 2]))
         assert gens_as_exponents(got) == {(1, 1)}
 
     def test_empty_prime_rejected(self):
         with pytest.raises(ValueError):
-            PrimeCover(VertexSet.of(2, []))
+            colon_by_ideal(edge_ideal(complete_graph(2)), 0)
 
 
 class TestAssociatedPrimes:
     def test_k2(self):
-        got = {p.members() for p in associated_primes(complete_graph(2))}
+        got = {mask_members(p) for p in associated_primes(complete_graph(2))}
         assert got == {(1,), (2,)}
 
     def test_p3(self):
-        got = {p.members() for p in associated_primes(path_graph(3))}
+        got = {mask_members(p) for p in associated_primes(path_graph(3))}
         assert got == {(2,), (1, 3)}
 
     def test_c4(self):
-        got = {p.members() for p in associated_primes(cycle_graph(4))}
+        got = {mask_members(p) for p in associated_primes(cycle_graph(4))}
         assert got == {(1, 3), (2, 4)}
 
     def test_zero_raises(self):
@@ -200,20 +208,18 @@ class TestAssociatedPrimes:
 class TestAlpha:
     def test_p3_center_prime(self):
         p3 = path_graph(3)
-        assert alpha_of_colon_quotient(p3, PrimeCover(VertexSet.of(3, [2]))) == 1
+        assert alpha_of_colon_quotient(p3, mask_of(3, [2])) == 1
 
     def test_k2(self):
-        assert alpha_of_colon_quotient(
-            complete_graph(2), PrimeCover(VertexSet.of(2, [1]))
-        ) == 1
+        assert alpha_of_colon_quotient(complete_graph(2), mask_of(2, [1])) == 1
 
     def test_prime_ideal_gives_zero(self):
         c = Clutter.of(2, [(1,), (2,)])
-        assert alpha_of_colon_quotient(c, PrimeCover(VertexSet.of(2, [1, 2]))) == 0
+        assert alpha_of_colon_quotient(c, mask_of(2, [1, 2])) == 0
 
     def test_non_associated_rejected(self):
         with pytest.raises(ValueError):
-            alpha_of_colon_quotient(path_graph(3), PrimeCover(VertexSet.of(3, [1])))
+            alpha_of_colon_quotient(path_graph(3), mask_of(3, [1]))
 
     def test_mask_route_matches_tuple_oracle(self, corpus, cm36_graphs):
         graphs = corpus + [g for _, g in cm36_graphs] + [EXAMPLE_GRAPH3.graph()]
@@ -222,7 +228,7 @@ class TestAlpha:
             for p in associated_primes(g):
                 alphas.append(alpha_of_colon_quotient_tuples(g, p))
                 assert alpha_of_colon_quotient(g, p) == alphas[-1], (
-                    g.edge_lists(), p.members()
+                    g.edge_lists(), mask_members(p)
                 )
             # v_number_algebraic shares one colon piece per vertex
             assert v_number_algebraic(g) == min(alphas)
@@ -259,8 +265,7 @@ class TestPowers:
         assert gens_as_exponents(got) == {(2, 2)}
 
     def test_prime_power_generators(self):
-        p = PrimeCover(VertexSet.of(3, [1, 2]))
-        got = prime_power(p, 2)
+        got = prime_power(3, mask_of(3, [1, 2]), 2)
         assert gens_as_exponents(got) == {(2, 0, 0), (1, 1, 0), (0, 2, 0)}
 
     def test_extend_ambient(self):
@@ -406,10 +411,10 @@ class TestPolarize:
 class TestAddVariables:
     def test_appends_generators(self):
         i = ideal(3, (1, 1, 0))
-        got = add_variables(i, VertexSet.of(3, [3]))
+        got = add_variables(i, mask_of(3, [3]))
         assert gens_as_exponents(got) == {(1, 1, 0), (0, 0, 1)}
 
     def test_absorbs_multiples(self):
         i = ideal(3, (1, 0, 1))
-        got = add_variables(i, VertexSet.of(3, [1]))
+        got = add_variables(i, mask_of(3, [1]))
         assert gens_as_exponents(got) == {(1, 0, 0)}
