@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from .catalog import CM36, cm36_vertex_split
@@ -270,6 +269,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
     # the executor starts every worker up front, so never more than can run
     workers = min(args.parallel, len(tasks), _usable_cpus())
     if workers > 1:
+        # imported here: the pool costs a quarter of the start-up of a run
+        # that never uses it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_batch_worker, tasks))
     else:

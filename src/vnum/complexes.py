@@ -23,6 +23,18 @@ each link.  Its memo keys are compacted (used vertices relabelled to the low
 bits in order), since the level does not depend on labels.  Vertex
 decomposability recurses on plain facet tuples through `_link` and
 `_deletion` and prunes with the Cohen-Macaulay memo.
+
+Both exponential callers prune with strong collapses (Barmak-Minian): a
+vertex whose link is a cone can be deleted without changing the homotopy
+type, so reduced homology stays the same over every field.  The scan skips
+a graph's subset A when N_A(u) is inside N_A(w) for some u != w in A
+(Engstrom's fold lemma, the case where w's link is a cone with apex u),
+tested on adjacency masks before any face is built.  The Cohen-Macaulay
+test takes the homology of each complex on its core (`_core`: dominated
+vertices deleted until none is left) and skips the kernel when the core is
+a single vertex; its links still come from the whole complex.  The
+reference paths without these prunes (`reduced_homology_ranks` here, and
+the per-field oracles of the tests) stay as they were.
 """
 
 from __future__ import annotations
@@ -77,6 +89,38 @@ def _compact(facets: tuple[int, ...]) -> tuple[int, ...]:
 def _deletion(facets: tuple[int, ...], mask: int) -> tuple[int, ...]:
     """Facets of the complex with the vertices of `mask` deleted."""
     return antichain_maxima(f & ~mask for f in facets)
+
+
+def _dominated(facets: tuple[int, ...]) -> int:
+    """A vertex bit b whose link is a cone, or 0 if there is none.
+
+    Every facet through b then also holds some other vertex, the apex.
+    Deleting b is a strong collapse (Barmak-Minian): the deletion is a
+    deformation retract of the complex, so reduced homology stays the same
+    over every field.
+    """
+    common: dict[int, int] = {}
+    for f in facets:
+        rest = f
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            common[b] = common.get(b, f) & f
+    for b, shared in common.items():
+        if shared != b:
+            return b
+    return 0
+
+
+def _core(facets: tuple[int, ...]) -> tuple[int, ...]:
+    """Facets left once dominated vertices are deleted until none remains.
+
+    The core has the reduced homology of the complex; a complex that
+    collapses strongly to a point has a single vertex as its core.
+    """
+    while b := _dominated(facets):
+        facets = _deletion(facets, b)
+    return facets
 
 
 def _face_masks(facets: Iterable[int]) -> tuple[int, ...]:
@@ -324,25 +368,54 @@ def reduced_homology_ranks(
 # -- regularity via induced subcomplexes -----------------------------------------
 
 
+def _folds(edges: Sequence[int]) -> list[tuple[int, int]]:
+    """The fold test of a graph as (mask, pair) checks on vertex subsets.
+
+    For non-adjacent vertices u != w, pair is u | w and mask adds the
+    neighbours of u that are not neighbours of w, so A & mask == pair
+    exactly when u and w lie in A and N_A(u) is inside N_A(w).  Checks with
+    fewer such neighbours come first: they hold for more subsets.
+    """
+    adj: dict[int, int] = {}
+    for e in edges:
+        for b in iter_bits(e):
+            adj[b] = adj.get(b, 0) | e ^ b
+    checks = [
+        (adj[u] & ~adj[w] | u | w, u | w)
+        for u in adj
+        for w in adj
+        if u != w and not adj[u] & w
+    ]
+    return sorted(checks, key=lambda check: check[0].bit_count())
+
+
 def regularities(c: Clutter, fields: Sequence[Field]) -> dict[Field, int]:
     """reg(S/I) over each field from one scan of induced subcomplexes.
 
     By Hochster's formula the regularity is the largest d + 1 with
     nonvanishing d-homology of some induced subcomplex Delta_A, and Delta_A
     is generated by the maximal stable sets cut down to A.  Subsets are
-    scanned from the largest down.  A subset is skipped when some member
-    lies in no edge inside A, because Delta_A is then a cone with that
-    member as apex and all its reduced homology vanishes (so only vertices
-    that lie in some edge are scanned at all); and when
-    dim Delta_A + 1 is at most the smallest best so far, because then no
-    field can improve.  Homology is computed only in dimensions at or
-    above that best.  Over Q, elimination runs only where mod-2 homology
-    survives in a dimension at or above the Q best.  The bests come from
-    the scan alone.
+    scanned from the largest down, and only vertices that lie in some edge
+    are scanned at all.  A subset A is skipped when its Delta_A has the
+    homology of a smaller subset's, which the scan visits later or prunes:
+    - for a graph, when N_A(u) is inside N_A(w) for some u != w in A.  Then
+      w's link in Delta_A is a cone with apex u, so deleting w is a strong
+      collapse (Engstrom's fold lemma) and Delta_A has the homology of
+      Delta_{A - w};
+    - for any other clutter, when some member lies in no edge inside A, so
+      that Delta_A is a cone with that member as apex and has no reduced
+      homology.  For a graph this is the fold with N_A(u) empty.
+    A subset is also skipped when dim Delta_A + 1 is at most the smallest
+    best so far, because then no field can improve.  Homology is computed
+    only in dimensions at or above that best.  Over Q, elimination runs
+    only where mod-2 homology survives in a dimension at or above the Q
+    best.  The bests come from the scan alone.
     """
     edges = c.edge_masks
     bits = list(iter_bits(or_all(edges)))
     maximal = c.maximal_stable_masks()
+    graph = all(e.bit_count() == 2 for e in edges)
+    folds = _folds(edges) if graph else []
     best = dict.fromkeys(fields, 0)
     for size in range(len(bits), 0, -1):
         low = min(best.values(), default=size)
@@ -350,12 +423,16 @@ def regularities(c: Clutter, fields: Sequence[Field]) -> dict[Field, int]:
             break
         for combo in itertools.combinations(bits, size):
             amask = sum(combo)
-            covered = 0
-            for e in edges:
-                if e & ~amask == 0:
-                    covered |= e
-            if covered != amask:
-                continue
+            if graph:
+                if any(amask & m == pair for m, pair in folds):
+                    continue
+            else:
+                covered = 0
+                for e in edges:
+                    if e & ~amask == 0:
+                        covered |= e
+                if covered != amask:
+                    continue
             faces = {f & amask for f in maximal}
             top = max(f.bit_count() for f in faces) - 1
             if top + 1 <= low:
@@ -432,13 +509,19 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
     if len(sizes) > 1:
         return 0
     dim = next(iter(sizes)) - 1
-    chains = _top_down(facets, 0)
-    if not any(chains.betti2(d) for d in range(dim)):
-        level = 2
-    elif any(chains.betti_q(d) for d in range(dim)):
-        return 0
-    else:
-        level = 1
+    # Only the homology below the dimension matters (a 0-dimensional
+    # complex has none).  It comes from the core, which has the same
+    # homology and often is a single vertex; the links below need every
+    # face, so they are taken in the whole complex.
+    core = _core(facets)
+    level = 2
+    if dim and len(core) > 1:
+        chains = _top_down(core, 0)
+        below = range(min(dim, chains.top + 1))
+        if any(chains.betti2(d) for d in below):
+            if any(chains.betti_q(d) for d in below):
+                return 0
+            level = 1
     for b in iter_bits(or_all(facets)):
         level = min(level, _cm_level(_link(facets, b)))
         if not level:

@@ -12,7 +12,9 @@ intersections of the prime powers p^n, are folds of `vertexsets.meet`, as
 are the minimal covers.  An associated prime is the vertex mask of its
 minimal cover, and a monomial's support is a vertex mask too.  Exponent
 tuples are only the output form of symbolic_power and the value type of the
-ideal classes.
+ideal classes.  The algebraic v-number bounds each prime's colon fold by its
+own best over the primes before it: a meet only grows supports, so the
+generators that reach the bound are dropped as soon as they appear.
 """
 
 from __future__ import annotations
@@ -243,7 +245,7 @@ def polarized_symbolic_power(c: Clutter, n: int) -> Clutter:
 
 
 def alpha_of_colon_quotient(c: Clutter, prime: int) -> int:
-    """Least degree of a monomial in (I : p) outside I, or 0 if none exists.
+    """Least degree of a monomial in (I : p) outside I.
 
     The minimum over monomials of the quotient is attained at a generator of
     the colon ideal: any member is a multiple of some generator, and a
@@ -251,11 +253,13 @@ def alpha_of_colon_quotient(c: Clutter, prime: int) -> int:
     is squarefree, so generators are vertex masks: (I : t_v) is generated by
     the edges with v removed, an intersection is a `meet`, and a generator
     lies outside I exactly when its support is stable.  The prime is given
-    by the vertex mask of its variables.
+    by the vertex mask of its variables; since it is associated, (I : p) is
+    larger than I and the minimum exists.
     """
     if prime not in c.minimal_cover_masks():
         raise ValueError("prime is not associated to the edge ideal")
-    return _alpha_of_colon(c, prime, _colon_pieces(c, prime))
+    # no support has more than s vertices, so this bound drops nothing
+    return _alpha_of_colon(c, prime, _colon_pieces(c, prime), c.vertex_count + 1)
 
 
 def _colon_pieces(c: Clutter, mask: int) -> dict[int, list[int]]:
@@ -265,21 +269,36 @@ def _colon_pieces(c: Clutter, mask: int) -> dict[int, list[int]]:
     }
 
 
-def _alpha_of_colon(c: Clutter, prime: int, pieces: dict[int, list[int]]) -> int:
-    """alpha((I : p)/I) for the prime on the vertex mask `prime`."""
+def _alpha_of_colon(
+    c: Clutter, prime: int, pieces: dict[int, list[int]], bound: int
+) -> int:
+    """min(alpha((I : p)/I), bound) for the prime on the vertex mask `prime`.
+
+    After every `meet` the generators whose degree reaches the bound are
+    dropped: a meet only joins supports, so none of their descendants can
+    fall below it, and the generators below the bound at the end are those
+    of the whole fold.
+    """
     colon = [0]  # the unit ideal, generated by the empty support
     for b in iter_bits(prime):
-        colon = meet(colon, pieces[b])
-    return min((g.bit_count() for g in colon if c.is_stable_mask(g)), default=0)
+        colon = [g for g in meet(colon, pieces[b]) if g.bit_count() < bound]
+        if not colon:
+            return bound
+    return min((g.bit_count() for g in colon if c.is_stable_mask(g)), default=bound)
 
 
 def v_number_algebraic(c: Clutter) -> int:
     """min over associated primes p of alpha((I : p)/I).
 
     The colon piece (I : t_v) of each vertex is built once and shared by
-    every prime that contains v.
+    every prime that contains v.  Each prime's fold is bounded by this
+    route's own best over the primes before it, which starts above every
+    possible degree.
     """
     if not c.has_edges():
         raise ZeroIdealError("v-number undefined for the zero ideal")
     pieces = _colon_pieces(c, c.full_mask)
-    return min(_alpha_of_colon(c, p, pieces) for p in c.minimal_cover_masks())
+    best = c.vertex_count + 1
+    for p in c.minimal_cover_masks():
+        best = _alpha_of_colon(c, p, pieces, best)
+    return best

@@ -49,6 +49,20 @@ def _sampled_connected_graphs(n: int, count: int, seed: int) -> list[Graph]:
     return out
 
 
+def seeded_gnp(n: int, p: float) -> Graph:
+    """G(n, p): the first connected draw from random.Random(n*100 + int(10*p)).
+
+    Each draw keeps every vertex pair, in lexicographic order, with
+    probability p.
+    """
+    rng = random.Random(n * 100 + int(10 * p))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    while True:
+        g = Graph.of(n, [e for e in pairs if rng.random() < p])
+        if g.is_connected():
+            return g
+
+
 def build_corpus() -> list[Graph]:
     """At least 500 distinct connected graphs on 2..7 vertices.
 
@@ -96,3 +110,9 @@ def named_graphs():
 @pytest.fixture(scope="session")
 def cm36_graphs():
     return [(fix.label, fix.graph()) for fix in CM36]
+
+
+@pytest.fixture(scope="session")
+def gnp():
+    """The seeded G(n, p) draw, as a function of n and p."""
+    return seeded_gnp

@@ -206,6 +206,8 @@ class TestBatch:
 
     def test_workers_clamped(self, capsys, tmp_path, monkeypatch):
         # the executor is replaced, so no worker process is ever started
+        import concurrent.futures
+
         import vnum.cli as cli
 
         asked = []
@@ -223,7 +225,7 @@ class TestBatch:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         stream = self._write_stream(tmp_path)
         _, serial, _ = run_cli(capsys, "batch", stream, "--graph6", "--json")
@@ -385,6 +387,34 @@ class TestGoldenCommands:
             assert code == 0, golden
             with open(os.path.join(data, golden), "rb") as fh:
                 assert out.encode("utf-8") == fh.read(), golden
+
+
+class TestGoldenReportsAtScale:
+    """`report --field both --json` on seeded graphs of 16 and 20 vertices.
+
+    tests/data/gnp16-0.3.txt and gnp20-0.25.txt are the seeded G(16, 0.3)
+    and G(20, 0.25) draws (see the `gnp` fixture), and each .report.json
+    is the output recorded before the fold and strong-collapse prunes.  The
+    16-vertex report runs here; CI runs the 20-vertex one through the
+    console script under a time limit.
+    """
+
+    def test_inputs_are_the_seeded_draws(self, gnp):
+        from vnum.formats import parse_edge_list
+
+        data = os.path.join(os.path.dirname(__file__), "data")
+        for name, n, p in (("gnp16-0.3.txt", 16, 0.3), ("gnp20-0.25.txt", 20, 0.25)):
+            with open(os.path.join(data, name)) as fh:
+                doc = parse_edge_list(fh.read())
+            assert doc.to_clutter() == gnp(n, p), name
+
+    def test_report_on_16_vertices_matches_golden(self, capsys):
+        data = os.path.join(os.path.dirname(__file__), "data")
+        graph = os.path.join(data, "gnp16-0.3.txt")
+        code, out, _ = run_cli(capsys, "report", graph, "--field", "both", "--json")
+        assert code == 0
+        with open(os.path.join(data, "gnp16-0.3.report.json"), "rb") as fh:
+            assert out.encode("utf-8") == fh.read()
 
 
 class TestCrossRouteExit:

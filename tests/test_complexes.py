@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import vnum.complexes as complexes
 from vnum.catalog import (
     CM36,
     EXAMPLE_GRAPH3,
@@ -13,13 +14,16 @@ from vnum.catalog import (
     cycle_graph,
     path_graph,
 )
+from vnum.classify import ORACLE_CAP
 from vnum.clutters import Clutter
 from vnum.complexes import (
     Field,
     SimplicialComplex,
     _cm_level,
     _compact,
+    _core,
     _deletion,
+    _dominated,
     _link,
     _top_down,
     independence_complex,
@@ -517,6 +521,95 @@ class TestOneRecursionForBothFields:
         assert self.levels(cone) == (True, False)
         with_point = SimplicialComplex.of(7, list(RP2_FACETS) + [(7,)])
         assert self.levels(with_point) == (False, False)
+
+
+def betti_numbers(facets):
+    """Nonzero reduced Betti numbers over Q and GF(2), by dimension.
+
+    They come from `reduced_homology_ranks`, the kernel without any prune.
+    """
+    complex_ = SimplicialComplex(max(f.bit_length() for f in facets), facets)
+    return {f: profile_dict(reduced_homology_ranks(complex_, f)) for f in BOTH}
+
+
+class TestStrongCollapses:
+    """Dominated vertices and the core the Cohen-Macaulay recursion reads."""
+
+    def test_cone_and_simplex_collapse_to_a_point(self):
+        cone = SimplicialComplex.of(7, [f + (7,) for f in RP2_FACETS])
+        assert len(_core(cone.facets)) == 1
+        simplex = SimplicialComplex.of(4, [(1, 2, 3, 4)])
+        assert _core(simplex.facets) in ((1,), (2,), (4,), (8,))
+
+    def test_minimal_complexes_have_no_dominated_vertex(self):
+        for facets in (
+            SimplicialComplex.of(6, RP2_FACETS).facets,
+            independence_complex(cycle_graph(5)).facets,
+            SimplicialComplex.of(3, [(1,), (2,), (3,)]).facets,
+            SimplicialComplex.of(3, [(1, 2), (1, 3), (2, 3)]).facets,
+        ):
+            assert _dominated(facets) == 0
+            assert _core(facets) == facets
+
+    def test_dominated_vertex_has_a_cone_link(self):
+        # a path 1-2-3: the ends lie only in one edge each, the middle in two
+        path = SimplicialComplex.of(3, [(1, 2), (2, 3)])
+        assert _dominated(path.facets) in (0b001, 0b100)
+        # two triangles on the edge {1, 2}: every vertex has an apex
+        bowtie = SimplicialComplex.of(4, [(1, 2, 3), (1, 2, 4)])
+        for facets in (path.facets, bowtie.facets):
+            b = _dominated(facets)
+            link = _link(facets, b)
+            assert len(link) == 1 or link[0] & link[1]
+            assert len(_core(facets)) == 1
+
+    def test_core_keeps_betti_numbers(self, small_corpus):
+        for g in small_corpus:
+            for facets in (
+                independence_complex(g).facets,
+                independence_complex(polarized_symbolic_power(g, 2)).facets,
+            ):
+                core = _core(facets)
+                assert _dominated(core) == 0
+                assert betti_numbers(core) == betti_numbers(facets), facets
+
+
+class TestWorkCounts:
+    """Kernel calls are deterministic, unlike time, so they guard the prunes."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        real = complexes._top_down
+
+        def counting(facets, stop):
+            calls.append(stop)
+            return real(facets, stop)
+
+        monkeypatch.setattr(complexes, "_top_down", counting)
+        return calls
+
+    def test_fold_skip_in_the_scan(self, monkeypatch, gnp):
+        # 6,595 and 34,650 kernel calls with the cone skip alone
+        calls = self.counted(monkeypatch)
+        regularities(gnp(14, 0.3), BOTH)
+        assert len(calls) <= 100
+        calls.clear()
+        regularities(gnp(16, 0.3), BOTH)
+        assert len(calls) <= 1000
+
+    def test_cored_cohen_macaulay_recursion(self, monkeypatch):
+        # the polarization oracle's complexes over the catalog: 4,558
+        # kernel calls without the core, 883 cores that are not a point
+        oracle = [
+            independence_complex(polarized_symbolic_power(fix.graph(), 2))
+            for fix in CM36
+            if fix.vertex_count <= ORACLE_CAP
+        ]
+        complexes._cm_recursive.cache_clear()
+        calls = self.counted(monkeypatch)
+        assert all(_cm_level(k.facets) == 2 for k in oracle)
+        assert len(calls) <= 900
 
 
 class TestVertexDecomposable:

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import vnum.monomials as monomials
 from vnum.catalog import EXAMPLE_GRAPH3, complete_graph, cycle_graph, path_graph
 from vnum.clutters import Clutter, ZeroIdealError
 from vnum.monomials import (
@@ -22,7 +23,7 @@ from vnum.monomials import (
     symbolic_power,
     v_number_algebraic,
 )
-from vnum.vertexsets import mask_members, mask_of
+from vnum.vertexsets import mask_members, mask_of, meet
 
 from .oracles import (
     add_variables,
@@ -232,6 +233,57 @@ class TestAlpha:
                 )
             # v_number_algebraic shares one colon piece per vertex
             assert v_number_algebraic(g) == min(alphas)
+
+
+class TestBoundedColonFold:
+    """Each prime's fold, bounded by the algebraic route's best so far."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        carried = []
+
+        def recording(gens, piece):
+            gens = list(gens)
+            carried.append(gens)
+            return meet(gens, piece)
+
+        monkeypatch.setattr(monomials, "meet", recording)
+        return carried
+
+    def test_value_is_alpha_capped_by_the_bound(self, corpus):
+        for g in corpus[::3]:
+            pieces = monomials._colon_pieces(g, g.full_mask)
+            for p in associated_primes(g):
+                alpha = alpha_of_colon_quotient(g, p)
+                for bound in range(alpha + 3):
+                    got = monomials._alpha_of_colon(g, p, pieces, bound)
+                    assert got == min(alpha, bound), (g.edge_lists(), p, bound)
+
+    def test_no_generator_reaching_the_bound_is_carried(self, corpus, monkeypatch):
+        carried = self.recorded(monkeypatch)
+        dropped = False
+        for g in corpus:
+            pieces = monomials._colon_pieces(g, g.full_mask)
+            for p in associated_primes(g):
+                bound = alpha_of_colon_quotient(g, p)
+                carried.clear()
+                monomials._alpha_of_colon(g, p, pieces, bound)
+                # the first meet starts from the unit ideal
+                for gens in carried[1:]:
+                    assert all(m.bit_count() < bound for m in gens), (g.edge_lists(), p)
+                dropped |= len(carried) < p.bit_count()
+        # some folds end early, once every generator has reached the bound
+        assert dropped
+
+    def test_v_number_folds_fewer_generators(self, monkeypatch):
+        g = EXAMPLE_GRAPH3.graph()
+        carried = self.recorded(monkeypatch)
+        for p in associated_primes(g):
+            alpha_of_colon_quotient(g, p)
+        unbounded = sum(map(len, carried))
+        carried.clear()
+        assert v_number_algebraic(g) == 3
+        assert sum(map(len, carried)) < unbounded
 
 
 class TestVNumberAlgebraic:

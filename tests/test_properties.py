@@ -10,6 +10,9 @@ from vnum.clutters import Clutter, Graph
 from vnum.complexes import (
     Field,
     SimplicialComplex,
+    _core,
+    _dominated,
+    _folds,
     _top_down,
     independence_complex,
     is_cohen_macaulay,
@@ -33,6 +36,7 @@ from vnum.monomials import (
 from vnum.vertexsets import (
     antichain_maxima,
     antichain_minima,
+    iter_bits,
     mask_members,
     meet,
 )
@@ -173,6 +177,15 @@ class TestClutterFamilies:
         for p in associated_primes(c):
             assert alpha_of_colon_quotient(c, p) == alpha_of_colon_quotient_tuples(c, p)
 
+    @given(clutters())
+    def test_bounded_fold_is_the_least_unbounded_alpha(self, c):
+        if not c.has_edges():
+            return
+        primes = associated_primes(c)
+        want = min(alpha_of_colon_quotient(c, p) for p in primes)
+        assert v_number_algebraic(c) == want
+        assert want == min(alpha_of_colon_quotient_tuples(c, p) for p in primes)
+
 
 class TestGraphProperties:
     @given(graphs(min_vertices=2))
@@ -311,3 +324,60 @@ class TestComplexProperties:
             want = homology_ranks_naive(facets, field.value)
             for d in range(stop, chains.top + 1):
                 assert betti(d) == want.get(d, 0)
+
+
+def naive_betti(facets) -> dict:
+    """Nonzero reduced Betti numbers over GF(2) and Q from scratch."""
+    sets = [frozenset(mask_members(f)) for f in facets]
+    return {
+        field: {d: r for d, r in homology_ranks_naive(sets, field.value).items() if r}
+        for field in (Field.Q, Field.F2)
+    }
+
+
+def induced_facets(g: Graph, amask: int) -> tuple[int, ...]:
+    """Facets of Delta_A, the independence complex of G[A]."""
+    return antichain_maxima(f & amask for f in g.maximal_stable_masks())
+
+
+class TestStrongCollapses:
+    @given(complexes())
+    @settings(deadline=None, max_examples=150)
+    def test_core_keeps_betti_numbers(self, c):
+        core = _core(c.facets)
+        assert _dominated(core) == 0
+        assert naive_betti(core) == naive_betti(c.facets)
+
+    @given(graphs(min_vertices=2, max_vertices=6))
+    @settings(deadline=None, max_examples=60)
+    def test_fold_lemma(self, g):
+        # Engstrom: N_A(u) inside N_A(w) for u != w in A makes Delta_A and
+        # Delta_{A - w} homotopy equivalent
+        adj = g.adjacency_masks()
+        for amask in range(1, 1 << g.vertex_count):
+            members = list(iter_bits(amask))
+            for u in members:
+                for w in members:
+                    nu = adj[u.bit_length() - 1] & amask
+                    nw = adj[w.bit_length() - 1] & amask
+                    if u != w and nu & ~nw == 0:
+                        assert naive_betti(induced_facets(g, amask)) == naive_betti(
+                            induced_facets(g, amask ^ w)
+                        ), (g.edge_lists(), amask, u, w)
+
+    @given(graphs(min_vertices=1, max_vertices=7))
+    def test_fold_checks_match_open_neighbourhoods(self, g):
+        adj = g.adjacency_masks()
+        checks = _folds(g.edge_masks)
+        scanned = g.full_mask ^ sum(1 << (v - 1) for v in g.isolated_vertices())
+        for amask in range(1 << g.vertex_count):
+            if amask & ~scanned:
+                continue
+            members = list(iter_bits(amask))
+            folds = any(
+                u != w
+                and adj[u.bit_length() - 1] & amask & ~adj[w.bit_length() - 1] == 0
+                for u in members
+                for w in members
+            )
+            assert any(amask & m == pair for m, pair in checks) == folds, amask
