@@ -11,48 +11,26 @@ from .classify import (
     is_edge_critical,
     is_w2,
     symbolic_square_cm,
-    symbolic_square_cm_beta2,
 )
 from .complexes import (
     Field,
-    HomologyProfile,
     SimplicialComplex,
     independence_complex,
     is_cohen_macaulay,
     is_vertex_decomposable,
-    one_dim_diameter,
-    reduced_homology_ranks,
     regularity,
-    regularity_of_ideal,
-    stanley_reisner_complex,
 )
-from .monomials import (
-    AmbientMismatchError,
-    Monomial,
-    MonomialIdeal,
-    associated_primes,
-    cover_ideal,
-    edge_ideal,
-    symbolic_power,
-    v_number_algebraic,
-)
+from .monomials import symbolic_power, v_number_algebraic
 
 __all__ = [
-    "AmbientMismatchError",
     "Clutter",
     "CrossRouteError",
     "Field",
     "Graph",
-    "HomologyProfile",
     "InvariantReport",
-    "Monomial",
-    "MonomialIdeal",
     "SimplicialComplex",
     "ZeroIdealError",
-    "associated_primes",
-    "cover_ideal",
     "edge_criticality",
-    "edge_ideal",
     "full_report",
     "has_linear_resolution",
     "independence_complex",
@@ -61,13 +39,8 @@ __all__ = [
     "is_edge_critical",
     "is_vertex_decomposable",
     "is_w2",
-    "one_dim_diameter",
-    "reduced_homology_ranks",
     "regularity",
-    "regularity_of_ideal",
-    "stanley_reisner_complex",
     "symbolic_power",
     "symbolic_square_cm",
-    "symbolic_square_cm_beta2",
     "v_number_algebraic",
 ]

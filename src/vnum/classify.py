@@ -155,19 +155,6 @@ def _symbolic_square_cm_oracle(g: Graph, fields: Sequence[Field]) -> dict[Field,
     return {f: is_cohen_macaulay(complex_, f) for f in fields}
 
 
-def symbolic_square_cm_beta2(g: Graph) -> bool:
-    """The independence-number-two case, where edge-criticality decides.
-
-    Also asserts the equivalent complement readings: the complement must be
-    maximal triangle-free, and when it is connected on at least three
-    vertices its diameter must be at most two exactly in the positive case.
-    """
-    if g.independence_number() != 2:
-        raise ValueError("this specialization needs independence number 2")
-    verdict, _ = edge_criticality(g)
-    return _beta2_complement_agreement(g, verdict)
-
-
 def _beta2_complement_agreement(g: Graph, verdict: bool) -> bool:
     """Assert the complement readings of the edge-criticality verdict."""
     comp = g.complement()

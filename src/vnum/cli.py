@@ -159,6 +159,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _monomial_text(exponents: Sequence[int]) -> str:
+    """The monomial t^a as text: t1^2*t3 for (2, 0, 1), and 1 for zeros."""
+    parts = [f"t{i}" if e == 1 else f"t{i}^{e}" for i, e in enumerate(exponents, 1) if e]
+    return "*".join(parts) or "1"
+
+
 def cmd_symbolic_power(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise ParseError("the power must be at least 1")
@@ -166,9 +172,8 @@ def cmd_symbolic_power(args: argparse.Namespace) -> int:
     c = _check_size(doc.to_clutter())
     if not c.has_edges():
         raise ZeroIdealError("symbolic powers of the zero ideal are undefined")
-    power = symbolic_power(c, args.k)
-    for g in power.generators:
-        print(g)
+    for exponents in symbolic_power(c, args.k):
+        print(_monomial_text(exponents))
     return EXIT_OK
 
 

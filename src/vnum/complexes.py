@@ -1,4 +1,4 @@
-"""Stanley-Reisner complexes and exact homological invariants.
+"""Simplicial complexes and exact homological invariants.
 
 Complexes are stored by facets (an antichain of bit masks over a fixed
 ambient, in increasing order of the masks as integers); the void complex
@@ -13,16 +13,16 @@ come from fraction-free (Bareiss) elimination on the same face lists, and
 only where mod-2 homology survives: a rational rank is at least the rank
 mod 2, so rational homology vanishes wherever mod-2 homology does.
 
-Three callers use the kernel: `reduced_homology_ranks`; `regularities`,
-one Hochster scan of induced subcomplexes for every requested field at
-once, which prunes subsets that cannot beat the best found so far and asks
-the kernel only for dimensions at or above it; and the Cohen-Macaulay
-test.  That test runs one memoized recursion for both fields: it finds the
-level (not over Q, over Q only, over Q and GF(2)) from the mod-2 ranks of
-each link.  Its memo keys are compacted (used vertices relabelled to the low
-bits in order), since the level does not depend on labels.  Vertex
-decomposability recurses on plain facet tuples through `_link` and
-`_deletion` and prunes with the Cohen-Macaulay memo.
+Two callers use the kernel: `regularities`, one Hochster scan of induced
+subcomplexes for every requested field at once, which prunes subsets that
+cannot beat the best found so far and asks the kernel only for dimensions
+at or above it; and the Cohen-Macaulay test.  That test runs one memoized
+recursion for both fields: it finds the level (not over Q, over Q only,
+over Q and GF(2)) from the mod-2 ranks of each link.  Its memo keys are
+compacted (used vertices relabelled to the low bits in order), since the
+level does not depend on labels.  Vertex decomposability recurses on plain
+facet tuples through `_link` and `_deletion` and prunes with the
+Cohen-Macaulay memo.
 
 Both exponential callers prune with strong collapses (Barmak-Minian): a
 vertex whose link is a cone can be deleted without changing the homotopy
@@ -30,11 +30,11 @@ type, so reduced homology stays the same over every field.  The scan skips
 a graph's subset A when N_A(u) is inside N_A(w) for some u != w in A
 (Engstrom's fold lemma, the case where w's link is a cone with apex u),
 tested on adjacency masks before any face is built.  The Cohen-Macaulay
-test takes the homology of each complex on its core (`_core`: dominated
-vertices deleted until none is left) and skips the kernel when the core is
-a single vertex; its links still come from the whole complex.  The
-reference paths without these prunes (`reduced_homology_ranks` here, and
-the per-field oracles of the tests) stay as they were.
+test takes the homology of each complex on its core (`_core`: every
+dominated vertex deleted in one pass, and passes repeated until none is
+left) and skips the kernel when the core is a single vertex; its links
+still come from the whole complex.  The reference paths without these
+prunes live with the tests, as oracles.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .clutters import Clutter, Graph
-from .monomials import MonomialIdeal, clutter_of_squarefree_ideal
+from .clutters import Clutter
 from .vertexsets import antichain_maxima, iter_bits, mask_members, mask_of, or_all
 
 
@@ -92,12 +91,15 @@ def _deletion(facets: tuple[int, ...], mask: int) -> tuple[int, ...]:
 
 
 def _dominated(facets: tuple[int, ...]) -> int:
-    """A vertex bit b whose link is a cone, or 0 if there is none.
+    """The mask of vertices deleted by one pass of strong collapses.
 
-    Every facet through b then also holds some other vertex, the apex.
-    Deleting b is a strong collapse (Barmak-Minian): the deletion is a
-    deformation retract of the complex, so reduced homology stays the same
-    over every field.
+    Vertex bits are tried in increasing order, and bit b is taken when every
+    facet through b also holds some vertex that is not taken, its apex.
+    Then b's link in the deletion of the bits taken before it is a cone
+    over the apex, so deleting the taken bits one after another is a chain
+    of strong collapses (Barmak-Minian): each deletion is a deformation
+    retract, and reduced homology stays the same over every field.  The
+    apex of the last bit taken is never taken, so a vertex is always left.
     """
     common: dict[int, int] = {}
     for f in facets:
@@ -106,20 +108,22 @@ def _dominated(facets: tuple[int, ...]) -> int:
             b = rest & -rest
             rest ^= b
             common[b] = common.get(b, f) & f
-    for b, shared in common.items():
-        if shared != b:
-            return b
-    return 0
+    taken = 0
+    for b in sorted(common):
+        if common[b] & ~taken != b:
+            taken |= b
+    return taken
 
 
 def _core(facets: tuple[int, ...]) -> tuple[int, ...]:
     """Facets left once dominated vertices are deleted until none remains.
 
-    The core has the reduced homology of the complex; a complex that
-    collapses strongly to a point has a single vertex as its core.
+    Each pass deletes every vertex that `_dominated` takes.  The core has
+    the reduced homology of the complex; a complex that collapses strongly
+    to a point has a single vertex as its core.
     """
-    while b := _dominated(facets):
-        facets = _deletion(facets, b)
+    while taken := _dominated(facets):
+        facets = _deletion(facets, taken)
     return facets
 
 
@@ -187,21 +191,6 @@ class SimplicialComplex:
 def independence_complex(c: Clutter) -> SimplicialComplex:
     """Faces are the stable sets; facets the maximal stable sets."""
     return SimplicialComplex(c.vertex_count, tuple(sorted(c.maximal_stable_masks())))
-
-
-def stanley_reisner_complex(i: MonomialIdeal) -> SimplicialComplex:
-    """The complex whose non-faces generate the given squarefree ideal.
-
-    Variables appearing as degree-one generators become non-faces, so the
-    resulting complex may omit some ambient vertices.
-    """
-    if i.is_unit():
-        raise ValueError("the unit ideal has no Stanley-Reisner complex")
-    if not i.is_squarefree():
-        raise ValueError("Stanley-Reisner complexes need squarefree ideals")
-    if i.is_zero():
-        return SimplicialComplex(i.ambient_size, ((1 << i.ambient_size) - 1,))
-    return independence_complex(clutter_of_squarefree_ideal(i))
 
 
 # -- exact rank computations ----------------------------------------------------
@@ -342,29 +331,6 @@ def _top_down(facets: Iterable[int], stop: int) -> _Chains:
     return _Chains(top, levels, rank2)
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
-    """Ranks of reduced homology, indexed from dimension -1 upward."""
-
-    ranks: tuple[int, ...]
-
-    def rank(self, i: int) -> int:
-        if i < -1 or i + 1 >= len(self.ranks):
-            return 0
-        return self.ranks[i + 1]
-
-
-def reduced_homology_ranks(
-    complex_: SimplicialComplex, field: Field
-) -> HomologyProfile:
-    """Exact reduced homology ranks of a complex over the chosen field."""
-    if complex_.is_void():
-        return HomologyProfile(())
-    chains = _top_down(complex_.facets, -1)
-    betti = chains.betti2 if field is Field.F2 else chains.betti_q
-    return HomologyProfile(tuple(betti(d) for d in range(-1, chains.top + 1)))
-
-
 # -- regularity via induced subcomplexes -----------------------------------------
 
 
@@ -451,13 +417,6 @@ def regularities(c: Clutter, fields: Sequence[Field]) -> dict[Field, int]:
 def regularity(c: Clutter, field: Field) -> int:
     """reg(S/I) over one field; see `regularities`."""
     return regularities(c, (field,))[field]
-
-
-def regularity_of_ideal(i: MonomialIdeal, field: Field) -> int:
-    """Regularity of the quotient by a squarefree ideal."""
-    if i.is_zero():
-        return 0
-    return regularity(clutter_of_squarefree_ideal(i), field)
 
 
 # -- Cohen-Macaulayness -----------------------------------------------------------
@@ -562,15 +521,3 @@ def _vd(facets: tuple[int, ...]) -> bool:
             return True
     return False
 
-
-# -- one-dimensional complexes -----------------------------------------------------
-
-
-def one_dim_diameter(complex_: SimplicialComplex) -> float:
-    """Graph diameter of a pure 1-dimensional complex; inf when disconnected."""
-    if complex_.is_void() or complex_.dim() != 1 or not complex_.is_pure():
-        raise ValueError("diameter needs a pure 1-dimensional complex")
-    verts = complex_.vertices()
-    label = {v: i + 1 for i, v in enumerate(verts)}
-    edges = [[label[v] for v in mask_members(f)] for f in complex_.facets]
-    return Graph.of(len(verts), edges).diameter()

@@ -1,185 +1,30 @@
-"""Exact monomial and monomial-ideal arithmetic.
+"""Exact monomial-ideal arithmetic on bit masks.
 
-Monomials are exponent tuples over t_1, ..., t_s; ideals always store their
-unique minimal generating set, so equality of ideals is equality of values.
-Associated primes of an edge ideal are read off the blocker of its clutter,
-which keeps colon ideals, symbolic powers, and the algebraic v-number exact
-without any generic primary decomposition.  The computations run on bit
-masks: the algebraic v-number on the clutter's edge masks, symbolic powers
-and their polarization on unary-layer masks.  The colon ideals (I : p),
-intersections of the (I : t_v) over v in p, and the symbolic powers I^(n),
-intersections of the prime powers p^n, are folds of `vertexsets.meet`, as
-are the minimal covers.  An associated prime is the vertex mask of its
-minimal cover, and a monomial's support is a vertex mask too.  Exponent
-tuples are only the output form of symbolic_power and the value type of the
-ideal classes.  The algebraic v-number bounds each prime's colon fold by its
-own best over the primes before it: a meet only grows supports, so the
-generators that reach the bound are dropped as soon as they appear.
+A squarefree monomial ideal is a clutter: its minimal generators are the
+edge masks.  Associated primes of an edge ideal are read off the blocker of
+its clutter, which keeps colon ideals, symbolic powers, and the algebraic
+v-number exact without any generic primary decomposition.  The algebraic
+v-number runs on the clutter's edge masks, symbolic powers and their
+polarization on unary-layer masks.  The colon ideals (I : p), intersections
+of the (I : t_v) over v in p, and the symbolic powers I^(n), intersections
+of the prime powers p^n, are folds of `vertexsets.meet`, as are the minimal
+covers.  An associated prime is the vertex mask of its minimal cover, and a
+monomial's support is a vertex mask too.  Exponent tuples are only the
+output form of symbolic_power.  The algebraic v-number bounds each prime's
+colon fold by its own best over the primes before it: a meet only grows
+supports, so the generators that reach the bound are dropped as soon as
+they appear.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .clutters import Clutter, ZeroIdealError
 from .vertexsets import antichain_minima, iter_bits, mask_members, meet, or_all
 
 
-class AmbientMismatchError(ValueError):
-    """Operands disagree on the ambient vertex count."""
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """t^a = t_1^{a_1} ... t_s^{a_s}, stored as the exponent tuple a."""
-
-    ambient_size: int
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.exponents) != self.ambient_size:
-            raise ValueError("exponent tuple length must equal ambient size")
-        if any(e < 0 for e in self.exponents):
-            raise ValueError("exponents must be nonnegative")
-
-    @classmethod
-    def of(cls, ambient_size: int, exponents: Iterable[int]) -> "Monomial":
-        return cls(ambient_size, tuple(exponents))
-
-    @classmethod
-    def variable(cls, ambient_size: int, v: int) -> "Monomial":
-        if not 1 <= v <= ambient_size:
-            raise ValueError(f"variable t_{v} outside ambient")
-        return cls(
-            ambient_size,
-            tuple(1 if i == v - 1 else 0 for i in range(ambient_size)),
-        )
-
-    @classmethod
-    def from_support(cls, ambient_size: int, mask: int) -> "Monomial":
-        """The squarefree monomial on the variables of the vertex mask."""
-        if mask < 0 or mask >> ambient_size:
-            raise ValueError("support has vertices outside the ambient range")
-        return cls(ambient_size, tuple(mask >> i & 1 for i in range(ambient_size)))
-
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
-
-    def is_one(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    def support(self) -> int:
-        """The vertex mask of the variables with a positive exponent."""
-        return sum(1 << i for i, e in enumerate(self.exponents) if e > 0)
-
-    def _check(self, other: "Monomial") -> None:
-        if self.ambient_size != other.ambient_size:
-            raise AmbientMismatchError("monomials over different ambients")
-
-    def divides(self, other: "Monomial") -> bool:
-        self._check(other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def sort_key(self) -> tuple:
-        return (self.degree(), self.exponents)
-
-    def __str__(self) -> str:
-        parts = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append(f"t{i + 1}")
-            elif e > 1:
-                parts.append(f"t{i + 1}^{e}")
-        return "*".join(parts) if parts else "1"
-
-
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """A finitely generated monomial ideal, stored by minimal generators.
-
-    The zero ideal has no generators; the unit ideal is generated by 1 and
-    is allowed here (colon ideals can be unit) but rejected by the edge
-    ideal constructors.
-    """
-
-    ambient_size: int
-    generators: tuple[Monomial, ...]
-
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            if g.ambient_size != self.ambient_size:
-                raise AmbientMismatchError("generator over the wrong ambient")
-        object.__setattr__(self, "generators", tuple(_minimalize(self.generators)))
-
-    @classmethod
-    def of(cls, ambient_size: int, generators: Iterable[Monomial]) -> "MonomialIdeal":
-        return cls(ambient_size, tuple(generators))
-
-    def is_zero(self) -> bool:
-        return not self.generators
-
-    def is_unit(self) -> bool:
-        return any(g.is_one() for g in self.generators)
-
-    def is_squarefree(self) -> bool:
-        return all(g.is_squarefree() for g in self.generators)
-
-    def contains(self, m: Monomial) -> bool:
-        if m.ambient_size != self.ambient_size:
-            raise AmbientMismatchError("monomial over the wrong ambient")
-        return any(g.divides(m) for g in self.generators)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains(g) for g in other.generators)
-
-
-def _minimalize(gens: Sequence[Monomial]) -> list[Monomial]:
-    uniq = sorted(set(gens), key=Monomial.sort_key)
-    out: list[Monomial] = []
-    for g in uniq:
-        if not any(kept.divides(g) for kept in out):
-            out.append(g)
-    return out
-
-
-# -- edge and cover ideals ----------------------------------------------------
-
-
-def edge_ideal(c: Clutter) -> MonomialIdeal:
-    """Squarefree ideal generated by one monomial t_e per edge e."""
-    gens = [Monomial.from_support(c.vertex_count, m) for m in c.edge_masks]
-    return MonomialIdeal.of(c.vertex_count, gens)
-
-
-def cover_ideal(c: Clutter) -> MonomialIdeal:
-    """Edge ideal of the blocker (the ideal of covers)."""
-    return edge_ideal(c.blocker())
-
-
-def clutter_of_squarefree_ideal(i: MonomialIdeal) -> Clutter:
-    """The clutter whose edges are the supports of the minimal generators."""
-    if i.is_unit():
-        raise ValueError("the unit ideal is not an edge ideal")
-    if not i.is_squarefree():
-        raise ValueError("ideal is not squarefree")
-    return Clutter.of(
-        i.ambient_size, [mask_members(g.support()) for g in i.generators]
-    )
-
-
-# -- associated primes and symbolic powers ------------------------------------
-
-
-def associated_primes(c: Clutter) -> tuple[int, ...]:
-    """The primes of an edge ideal: the vertex mask of each minimal cover."""
-    if not c.has_edges():
-        raise ZeroIdealError("the zero ideal has no associated primes")
-    return c.minimal_cover_masks()
+# -- symbolic powers -----------------------------------------------------------
 
 
 def _symbolic_power_masks(c: Clutter, n: int) -> list[int]:
@@ -211,14 +56,15 @@ def _symbolic_power_masks(c: Clutter, n: int) -> list[int]:
     return out
 
 
-def symbolic_power(c: Clutter, n: int) -> MonomialIdeal:
-    """Intersection of the n-th powers of the associated primes."""
+def symbolic_power(c: Clutter, n: int) -> list[tuple[int, ...]]:
+    """Minimal generators of I^(n), the intersection of the n-th powers of
+    the associated primes, as exponent tuples sorted by degree, then tuple."""
     s = c.vertex_count
-    gens = []
-    for m in _symbolic_power_masks(c, n):
-        exps = tuple(sum(m >> (k * s + i) & 1 for k in range(n)) for i in range(s))
-        gens.append(Monomial(s, exps))
-    return MonomialIdeal.of(s, gens)
+    gens = [
+        tuple(sum(m >> (k * s + i) & 1 for k in range(n)) for i in range(s))
+        for m in _symbolic_power_masks(c, n)
+    ]
+    return sorted(gens, key=lambda e: (sum(e), e))
 
 
 def polarized_symbolic_power(c: Clutter, n: int) -> Clutter:

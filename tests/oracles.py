@@ -3,30 +3,33 @@
 Everything here scans full subset or monomial spaces with no pruning and no
 shared code paths with the package internals, so agreement is meaningful.
 The exceptions are routes the package replaced by faster ones, kept here as
-references for them: the exponent-tuple ideal algebra (monomial products,
-colon ideals, intersections, powers, polarization) behind the algebraic
-v-number and the symbolic powers, which now run on bit masks; the per-field
-Cohen-Macaulay recursion, which one recursion for both fields replaced;
-the per-field regularity scan over every vertex subset, which one pruned
-scan for all fields replaced; and the stability filter over every vertex
-subset, which growing stable sets one vertex at a time replaced.
+references for them: the exponent-tuple ideal algebra behind the algebraic
+v-number and the symbolic powers, which now run on bit masks; the unpruned
+homology of a whole complex; the per-field Cohen-Macaulay recursion, which
+one recursion for both fields replaced; the per-field regularity scan over
+every vertex subset, which one pruned scan for all fields replaced; and
+the stability filter over every vertex subset, which growing stable sets
+one vertex at a time replaced.
+
+This module owns the exponent-tuple value types, `Monomial` and
+`MonomialIdeal`, which the package no longer has: monomial products, colon
+ideals, intersections, powers, radicals and polarization run on them here.
+`symbolic_power` wraps the package's exponent tuples in a `MonomialIdeal`,
+so the comparisons check the package's route, not this module's.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
+from typing import Iterable, Sequence
 
+from vnum import monomials
+from vnum.classify import _beta2_complement_agreement, edge_criticality
 from vnum.clutters import Clutter, Graph
-from vnum.complexes import Field, SimplicialComplex, reduced_homology_ranks
-from vnum.monomials import (
-    AmbientMismatchError,
-    Monomial,
-    MonomialIdeal,
-    associated_primes,
-    edge_ideal,
-)
+from vnum.complexes import Field, SimplicialComplex, _top_down
 from vnum.vertexsets import mask_members, mask_of
 
 
@@ -162,6 +165,139 @@ def minimal_exponents(members: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
     }
 
 
+# -- exponent-tuple monomials and ideals -----------------------------------------
+
+
+class AmbientMismatchError(ValueError):
+    """Operands disagree on the ambient vertex count."""
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """t^a = t_1^{a_1} ... t_s^{a_s}, stored as the exponent tuple a."""
+
+    ambient_size: int
+    exponents: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.exponents) != self.ambient_size:
+            raise ValueError("exponent tuple length must equal ambient size")
+        if any(e < 0 for e in self.exponents):
+            raise ValueError("exponents must be nonnegative")
+
+    @classmethod
+    def of(cls, ambient_size: int, exponents: Iterable[int]) -> "Monomial":
+        return cls(ambient_size, tuple(exponents))
+
+    @classmethod
+    def variable(cls, ambient_size: int, v: int) -> "Monomial":
+        if not 1 <= v <= ambient_size:
+            raise ValueError(f"variable t_{v} outside ambient")
+        return cls(
+            ambient_size,
+            tuple(1 if i == v - 1 else 0 for i in range(ambient_size)),
+        )
+
+    @classmethod
+    def from_support(cls, ambient_size: int, mask: int) -> "Monomial":
+        """The squarefree monomial on the variables of the vertex mask."""
+        if mask < 0 or mask >> ambient_size:
+            raise ValueError("support has vertices outside the ambient range")
+        return cls(ambient_size, tuple(mask >> i & 1 for i in range(ambient_size)))
+
+    def degree(self) -> int:
+        return sum(self.exponents)
+
+    def is_squarefree(self) -> bool:
+        return all(e <= 1 for e in self.exponents)
+
+    def is_one(self) -> bool:
+        return all(e == 0 for e in self.exponents)
+
+    def support(self) -> int:
+        """The vertex mask of the variables with a positive exponent."""
+        return sum(1 << i for i, e in enumerate(self.exponents) if e > 0)
+
+    def divides(self, other: "Monomial") -> bool:
+        if self.ambient_size != other.ambient_size:
+            raise AmbientMismatchError("monomials over different ambients")
+        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+
+    def sort_key(self) -> tuple:
+        return (self.degree(), self.exponents)
+
+
+@dataclass(frozen=True)
+class MonomialIdeal:
+    """A finitely generated monomial ideal, stored by minimal generators.
+
+    The generators are kept sorted by degree, then exponent tuple, so
+    equality of ideals is equality of values.  The zero ideal has no
+    generators; the unit ideal is generated by 1 (colon ideals can be unit).
+    """
+
+    ambient_size: int
+    generators: tuple[Monomial, ...]
+
+    def __post_init__(self) -> None:
+        for g in self.generators:
+            if g.ambient_size != self.ambient_size:
+                raise AmbientMismatchError("generator over the wrong ambient")
+        object.__setattr__(self, "generators", _minimalize(self.generators))
+
+    @classmethod
+    def of(cls, ambient_size: int, generators: Iterable[Monomial]) -> "MonomialIdeal":
+        return cls(ambient_size, tuple(generators))
+
+    def is_zero(self) -> bool:
+        return not self.generators
+
+    def is_unit(self) -> bool:
+        return any(g.is_one() for g in self.generators)
+
+    def is_squarefree(self) -> bool:
+        return all(g.is_squarefree() for g in self.generators)
+
+    def contains(self, m: Monomial) -> bool:
+        if m.ambient_size != self.ambient_size:
+            raise AmbientMismatchError("monomial over the wrong ambient")
+        return any(g.divides(m) for g in self.generators)
+
+    def contains_ideal(self, other: "MonomialIdeal") -> bool:
+        return all(self.contains(g) for g in other.generators)
+
+
+def _minimalize(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
+    out: list[Monomial] = []
+    for g in sorted(set(gens), key=Monomial.sort_key):
+        if not any(kept.divides(g) for kept in out):
+            out.append(g)
+    return tuple(out)
+
+
+def edge_ideal(c: Clutter) -> MonomialIdeal:
+    """Squarefree ideal generated by one monomial t_e per edge e."""
+    gens = [Monomial.from_support(c.vertex_count, m) for m in c.edge_masks]
+    return MonomialIdeal.of(c.vertex_count, gens)
+
+
+def clutter_of_squarefree_ideal(i: MonomialIdeal) -> Clutter:
+    """The clutter whose edges are the supports of the minimal generators."""
+    if i.is_unit():
+        raise ValueError("the unit ideal is not an edge ideal")
+    if not i.is_squarefree():
+        raise ValueError("ideal is not squarefree")
+    return Clutter.of(
+        i.ambient_size, [mask_members(g.support()) for g in i.generators]
+    )
+
+
+def symbolic_power(c: Clutter, n: int) -> MonomialIdeal:
+    """The package's I^(n), its exponent tuples wrapped in an ideal."""
+    s = c.vertex_count
+    return MonomialIdeal.of(s, [Monomial(s, e) for e in monomials.symbolic_power(c, n)])
+
+
 # -- exponent-tuple ideal algebra -------------------------------------------------
 
 
@@ -256,7 +392,7 @@ def symbolic_power_tuples(c: Clutter, n: int) -> MonomialIdeal:
     if n < 1:
         raise ValueError("symbolic power needs n >= 1")
     out = None
-    for p in associated_primes(c):
+    for p in c.minimal_cover_masks():
         piece = prime_power(c.vertex_count, p, n)
         out = piece if out is None else intersect(out, piece)
     return out
@@ -375,6 +511,20 @@ def euler_characteristic_reduced(complex_: SimplicialComplex) -> int:
     return sum(1 if m.bit_count() % 2 else -1 for m in complex_.face_masks())
 
 
+def reduced_homology_ranks(complex_: SimplicialComplex, field: Field) -> tuple[int, ...]:
+    """Reduced homology ranks from dimension -1 up, by the unpruned kernel.
+
+    The whole complex goes through `_top_down` down to the empty face, with
+    no core and no collapse; entry d + 1 is the rank in dimension d, and the
+    void complex has no entries.
+    """
+    if complex_.is_void():
+        return ()
+    chains = _top_down(complex_.facets, -1)
+    betti = chains.betti2 if field is Field.F2 else chains.betti_q
+    return tuple(betti(d) for d in range(-1, chains.top + 1))
+
+
 def homology_ranks_naive(facet_sets: list[frozenset], field: str) -> dict[int, int]:
     """Reduced homology ranks from scratch: all faces, dense matrices."""
     faces = set()
@@ -462,6 +612,23 @@ def matching_numbers_naive(g: Graph) -> tuple[int, int]:
     return induced, plain
 
 
+# -- the independence-number-two specialization ----------------------------------
+
+
+def symbolic_square_cm_beta2(g: Graph) -> bool:
+    """Symbolic-square Cohen-Macaulayness at independence number two.
+
+    There edge-criticality decides.  The report's own check asserts the
+    equivalent complement readings: the complement must be maximal
+    triangle-free, and when it is connected on at least three vertices its
+    diameter must be at most two exactly in the positive case.
+    """
+    if g.independence_number() != 2:
+        raise ValueError("this specialization needs independence number 2")
+    verdict, _ = edge_criticality(g)
+    return _beta2_complement_agreement(g, verdict)
+
+
 # -- Cohen-Macaulay references ------------------------------------------------------
 
 
@@ -481,8 +648,7 @@ def is_cohen_macaulay_all_faces(complex_: SimplicialComplex, field: Field) -> bo
     for fmask in complex_.face_masks():
         link = link_naive(complex_, fmask)
         d = link.dim()
-        profile = reduced_homology_ranks(link, field)
-        if any(profile.rank(i) for i in range(-1, d)):
+        if any(reduced_homology_ranks(link, field)[: d + 1]):
             return False
     return True
 
@@ -507,8 +673,7 @@ def _cm_per_field(facets: tuple[int, ...], field: Field) -> bool:
         return False
     dim = next(iter(sizes)) - 1
     complex_ = SimplicialComplex(max(f.bit_length() for f in facets), facets)
-    profile = reduced_homology_ranks(complex_, field)
-    if any(profile.rank(i) for i in range(-1, dim)):
+    if any(reduced_homology_ranks(complex_, field)[: dim + 1]):
         return False
     vmask = complex_.vertex_mask()
     for v in range(1, vmask.bit_length() + 1):

@@ -19,7 +19,6 @@ from vnum.classify import (
     is_edge_critical,
     is_w2,
     symbolic_square_cm,
-    symbolic_square_cm_beta2,
     v_number_checked,
 )
 from vnum.clutters import Clutter, Graph
@@ -30,16 +29,18 @@ from vnum.complexes import (
     regularity,
 )
 from vnum.formats import parse_graph6
-from vnum.monomials import (
+from vnum.monomials import v_number_algebraic
+
+from .oracles import (
     Monomial,
     MonomialIdeal,
     clutter_of_squarefree_ideal,
+    colon_by_monomial,
     edge_ideal,
+    ordinary_power,
     symbolic_power,
-    v_number_algebraic,
+    symbolic_square_cm_beta2,
 )
-
-from .oracles import colon_by_monomial, ordinary_power
 
 BOTH = (Field.Q, Field.F2)
 

@@ -11,7 +11,8 @@ from vnum.catalog import (
     cm36_vertex_split,
     fixture_by_label,
 )
-from vnum.monomials import edge_ideal
+
+from .oracles import edge_ideal
 
 
 EXPECTED_VERTEX_COUNTS = (

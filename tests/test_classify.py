@@ -27,11 +27,12 @@ from vnum.classify import (
     is_edge_critical,
     is_w2,
     symbolic_square_cm,
-    symbolic_square_cm_beta2,
     v_number_checked,
 )
 from vnum.clutters import Clutter, Graph
 from vnum.complexes import Field
+
+from .oracles import symbolic_square_cm_beta2
 
 
 class TestW2:

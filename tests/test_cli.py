@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from vnum.cli import main
+from vnum.cli import _monomial_text, main
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +108,11 @@ class TestReport:
 
 
 class TestSymbolicPower:
+    def test_monomial_text(self):
+        assert _monomial_text((2, 0, 1)) == "t1^2*t3"
+        assert _monomial_text((0, 1, 0, 1)) == "t2*t4"
+        assert _monomial_text((0, 0, 0)) == "1"
+
     def test_k2_square(self, capsys, k2_file):
         code, out, _ = run_cli(capsys, "symbolic-power", k2_file, "2")
         assert code == 0
