@@ -9,7 +9,7 @@ bundles every invariant and flag for a graph or clutter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import monomials
 from .clutters import Clutter, Graph
@@ -70,11 +70,16 @@ def is_edge_critical(g: Graph) -> bool:
     return edge_criticality(g)[0]
 
 
-def edge_criticality(g: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
+def edge_criticality(
+    g: Graph, walked: Optional[list[tuple[Graph, int]]] = None
+) -> tuple[bool, Optional[tuple[int, int]]]:
     """Edge-criticality verdict plus the first violating edge, if any.
 
     Route 1 removes each edge; route 2 checks that the independence number
-    drops by one after deleting both endpoint neighborhoods.
+    drops by one after deleting both endpoint neighborhoods.  Route 2
+    appends each G_e it builds, with its independence number, to `walked`
+    when a list is given, so that a report's symbolic-square walk can read
+    them instead of building them again.
     """
     beta0 = g.independence_number() if g.has_edges() else None
     witness1 = None
@@ -84,11 +89,11 @@ def edge_criticality(g: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
             break
     route1 = witness1 is None
     witness2 = None
-    for u, v in g.edge_lists():
-        sub = g.delete_edge_neighborhoods(u, v)
-        b = sub.independence_number() if sub.vertex_count else 0
+    for edge, (sub, b) in zip(g.edge_lists(), _edge_subgraphs(g)):
+        if walked is not None:
+            walked.append((sub, b))
         if b != beta0 - 1:
-            witness2 = (u, v)
+            witness2 = edge
             break
     route2 = witness2 is None
     _require_agreement(
@@ -114,9 +119,18 @@ def symbolic_square_cm(g: Graph, field: Field) -> bool:
     return symbolic_square_cm_by_field(g, (field,))[field]
 
 
-def symbolic_square_cm_by_field(g: Graph, fields: Sequence[Field]) -> dict[Field, bool]:
-    """symbolic_square_cm for several fields, with one polarization oracle."""
-    combo = _symbolic_square_cm_combinatorial(g, fields)
+def symbolic_square_cm_by_field(
+    g: Graph,
+    fields: Sequence[Field],
+    walked: Optional[Iterable[tuple[Graph, int]]] = None,
+) -> dict[Field, bool]:
+    """symbolic_square_cm for several fields, with one polarization oracle.
+
+    `walked` holds the (G_e, beta0(G_e)) pairs of route 2 of
+    `edge_criticality`; without it each G_e is built as the walk reaches it.
+    """
+    subgraphs = _edge_subgraphs(g) if walked is None else walked
+    combo = _symbolic_square_cm_combinatorial(g, fields, subgraphs)
     if g.has_edges() and g.vertex_count <= ORACLE_CAP:
         oracle = _symbolic_square_cm_oracle(g, fields)
         for f in fields:
@@ -127,25 +141,33 @@ def symbolic_square_cm_by_field(g: Graph, fields: Sequence[Field]) -> dict[Field
     return combo
 
 
+def _edge_subgraphs(g: Graph) -> Iterator[tuple[Graph, int]]:
+    """G_e and its independence number for each edge e, in edge order."""
+    for u, v in g.edge_lists():
+        sub = g.delete_edge_neighborhoods(u, v)
+        yield sub, sub.independence_number() if sub.vertex_count else 0
+
+
 def _symbolic_square_cm_combinatorial(
-    g: Graph, fields: Sequence[Field]
+    g: Graph, fields: Sequence[Field], subgraphs: Iterable[tuple[Graph, int]]
 ) -> dict[Field, bool]:
     """The combinatorial route for every field from one walk over the edges.
 
-    Each G_e is built once and tested for the fields that are still alive;
-    the walk stops as soon as none is.
+    `subgraphs` yields (G_e, beta0(G_e)) in edge order, up to the first
+    edge where beta0 does not drop by one.  Each G_e is tested for the
+    fields that are still alive; the walk stops as soon as none is.
     """
     alive = [f for f in fields if is_cm_graph(g, f)]
+    if not alive:
+        return dict.fromkeys(fields, False)
     beta0 = g.independence_number()
-    for u, v in g.edge_lists():
-        if not alive:
-            break
-        sub = g.delete_edge_neighborhoods(u, v)
-        b = sub.independence_number() if sub.vertex_count else 0
+    for sub, b in subgraphs:
         if b != beta0 - 1:
             alive = []
         elif sub.vertex_count:
             alive = [f for f in alive if is_cm_graph(sub, f)]
+        if not alive:
+            break
     return {f: f in alive for f in fields}
 
 
@@ -293,8 +315,9 @@ def full_report(
     if is_graph:
         if not isolated and c.vertex_count >= 2:
             w2 = is_w2(c)
-        edge_critical, edge_critical_violation = edge_criticality(c)
-        sscm = symbolic_square_cm_by_field(c, fields)
+        walked: list[tuple[Graph, int]] = []
+        edge_critical, edge_critical_violation = edge_criticality(c, walked)
+        sscm = symbolic_square_cm_by_field(c, fields, walked)
         if beta0 == 2:
             _beta2_complement_agreement(c, edge_critical)
         if not isolated and c.has_edges():

@@ -18,11 +18,15 @@ subcomplexes for every requested field at once, which prunes subsets that
 cannot beat the best found so far and asks the kernel only for dimensions
 at or above it; and the Cohen-Macaulay test.  That test runs one memoized
 recursion for both fields: it finds the level (not over Q, over Q only,
-over Q and GF(2)) from the mod-2 ranks of each link.  Its memo keys are
-compacted (used vertices relabelled to the low bits in order), since the
-level does not depend on labels.  Vertex decomposability recurses on plain
-facet tuples through `_link` and `_deletion` and prunes with the
-Cohen-Macaulay memo.
+over Q and GF(2)) from the mod-2 ranks of each link.  The level does not
+depend on labels, so its memo has two layers.  The outer one is keyed by
+compacted facets (used vertices relabelled to the low bits in order); it
+settles simplices and impure complexes and strips the cone points of
+cones.  On a miss there a pure complex goes to the inner one, keyed by
+`_relabel`, which renumbers vertices by an isomorphism-invariant signature
+so that most isomorphic links share one entry.  Vertex decomposability
+recurses on compacted facet tuples through `_link` and `_deletion` and
+prunes with the Cohen-Macaulay memo.
 
 Both exponential callers prune with strong collapses (Barmak-Minian): a
 vertex whose link is a cone can be deleted without changing the homotopy
@@ -69,7 +73,8 @@ def _compact(facets: tuple[int, ...]) -> tuple[int, ...]:
     """The same facets with their used vertices relabelled to the low bits.
 
     The relabelling keeps the vertex order, so the facets stay in increasing
-    order, and isomorphic copies on different vertices share one tuple.
+    order.  Copies that differ by an order-preserving relabelling share one
+    tuple; other isomorphic copies do not (see `_relabel`).
     """
     used = or_all(facets)
     gaps = ~used & ((1 << used.bit_length()) - 1)
@@ -435,8 +440,8 @@ def is_cohen_macaulay(complex_: SimplicialComplex, field: Field) -> bool:
     reduced homology of the link of F vanishes below the link's dimension.
     Runs recursively: purity, then homology of the whole complex, then the
     links of vertices (links of larger faces are links of vertices inside
-    links).  One memoized recursion, keyed by compacted facet tuples,
-    serves both fields.
+    links).  One memoized recursion serves both fields; its memo is keyed
+    up to most vertex relabellings (see `_cm_level`).
     """
     if complex_.is_void():
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
@@ -444,16 +449,17 @@ def is_cohen_macaulay(complex_: SimplicialComplex, field: Field) -> bool:
 
 
 def _cm_level(facets: tuple[int, ...]) -> int:
-    """Cohen-Macaulay level of a nonvoid complex, from the compacted memo."""
-    return _cm_recursive(_compact(facets))
+    """Cohen-Macaulay level of a nonvoid complex, from the two-layer memo."""
+    return _cm_compacted(_compact(facets))
 
 
 @lru_cache(maxsize=None)
-def _cm_recursive(facets: tuple[int, ...]) -> int:
-    """Cohen-Macaulay level of a nonvoid complex; stops once Q fails.
+def _cm_compacted(facets: tuple[int, ...]) -> int:
+    """Cohen-Macaulay level of compacted facets: the outer memo layer.
 
-    Keyed by compacted facet tuples (see `_compact`): call it through
-    `_cm_level`, which compacts, so relabelled copies share one entry.
+    The cases that need no homology are settled here; only a pure complex
+    with no cone point and at least two facets pays for `_relabel`, whose
+    result keys the inner layer, `_cm_recursive`.
     """
     if len(facets) == 1:
         return 2
@@ -464,10 +470,62 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
         # The complex is a cone over the faces avoiding the common vertices,
         # and coning preserves Cohen-Macaulayness in both directions.
         return _cm_level(tuple(f & ~common for f in facets))
-    sizes = {f.bit_count() for f in facets}
-    if len(sizes) > 1:
+    if len({f.bit_count() for f in facets}) > 1:
         return 0
-    dim = next(iter(sizes)) - 1
+    return _cm_recursive(_relabel(facets))
+
+
+def _relabel(facets: tuple[int, ...]) -> tuple[int, ...]:
+    """Compacted facets renumbered by an isomorphism-invariant signature.
+
+    A vertex's signature is its degree (the number of facets through it)
+    and the sum, over the facets through it, of their degree sums.
+    Vertices are renumbered by signature, ties kept in their compacted
+    order, and the facets are sorted again.  Copies that differ by a vertex
+    bijection often, though not always, get the same tuple; the
+    Cohen-Macaulay level is invariant under every vertex bijection, so it
+    is exact either way.
+
+    The facets are packed into one integer, facet i in the w-bit field at
+    bit i * w, so that the column of vertex v (a 1 in the field of each
+    facet through v) is a shift and a mask, the degree sums of all facets
+    are one weighted sum of columns, and renumbering moves whole columns.
+    """
+    n = or_all(facets).bit_length()
+    count = len(facets)
+    # a field holds a facet, and a sum of count sums of n degrees each
+    w = max(n, n.bit_length() + 2 * count.bit_length())
+    low = (1 << w) - 1
+    packed = 0
+    for i, f in enumerate(facets):
+        packed |= f << i * w
+    ones = ((1 << count * w) - 1) // low
+    columns = [packed >> v & ones for v in range(n)]
+    degree = [c.bit_count() for c in columns]
+    sums = 0
+    for d, c in zip(degree, columns):
+        sums += d * c
+    # times `ones`, the top field adds up every field: no field carries
+    top = (count - 1) * w
+    signature = [
+        (d, (sums & c * low) * ones >> top & low) for d, c in zip(degree, columns)
+    ]
+    renamed = 0
+    for i, v in enumerate(sorted(range(n), key=signature.__getitem__)):
+        renamed |= columns[v] << i
+    return tuple(sorted(renamed >> i * w & low for i in range(count)))
+
+
+@lru_cache(maxsize=None)
+def _cm_recursive(facets: tuple[int, ...]) -> int:
+    """Cohen-Macaulay level of a pure complex; stops once Q fails.
+
+    The complex has at least two facets and no cone point (`_cm_compacted`
+    settles the others).  Keyed by relabelled facet tuples (see `_relabel`):
+    call it through `_cm_level`, so that isomorphic copies mostly share one
+    entry.
+    """
+    dim = facets[0].bit_count() - 1
     # Only the homology below the dimension matters (a 0-dimensional
     # complex has none).  It comes from the core, which has the same
     # homology and often is a single vertex; the links below need every
@@ -501,13 +559,15 @@ def is_vertex_decomposable(complex_: SimplicialComplex) -> bool:
     implies shellable implies Cohen-Macaulay over every field), which prunes
     the expensive negative searches; that test shares its memo with
     `is_cohen_macaulay`, since both go through `_cm_level`.  The
-    shedding search itself is memoized on the uncompacted facet tuples.
+    shedding search itself is memoized on compacted facet tuples, since
+    decomposability does not depend on labels either.
     """
-    return _vd(complex_.facets)
+    return _vd(_compact(complex_.facets))
 
 
 @lru_cache(maxsize=None)
 def _vd(facets: tuple[int, ...]) -> bool:
+    """Vertex decomposability of compacted facets (see `_compact`)."""
     if len(facets) <= 1:
         return True
     sizes = {f.bit_count() for f in facets}
@@ -517,7 +577,7 @@ def _vd(facets: tuple[int, ...]) -> bool:
         del_facets = _deletion(facets, b)
         if any(d not in facets for d in del_facets):
             continue
-        if _vd(_link(facets, b)) and _vd(del_facets):
+        if _vd(_compact(_link(facets, b))) and _vd(_compact(del_facets)):
             return True
     return False
 

@@ -9,6 +9,7 @@ import pytest
 import vnum.classify as classify
 
 from vnum.catalog import (
+    CM36,
     EXAMPLE_GRAPH3,
     EXAMPLE_GRAPH4,
     complete_graph,
@@ -383,3 +384,22 @@ class TestFullReport:
         got = classify.symbolic_square_cm_by_field(g, (Field.Q, Field.F2))
         assert len(calls) == walked
         assert got == {f: classify.symbolic_square_cm(g, f) for f in got}
+
+    def test_each_edge_subgraph_built_once_per_report(self, monkeypatch):
+        # route 2 of edge_criticality hands its G_e to the symbolic-square
+        # walk; every catalog graph is edge-critical, so route 2 builds all
+        # of them and the walk, which reaches every edge too, builds none
+        calls = []
+        build = Graph.delete_edge_neighborhoods
+
+        def counted(graph, u, v):
+            calls.append((u, v))
+            return build(graph, u, v)
+
+        monkeypatch.setattr(Graph, "delete_edge_neighborhoods", counted)
+        for fix in CM36:
+            g = fix.graph()
+            calls.clear()
+            rep = full_report(g, (Field.Q, Field.F2))
+            assert rep.symbolic_square_cm_by_field[Field.Q]
+            assert len(calls) == len(g.edge_masks), fix.label

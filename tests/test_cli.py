@@ -355,17 +355,27 @@ class TestGoldenOutput:
     tests/data/golden.g6 holds every 10th conftest corpus graph, the CM36
     catalog and example-graph3; golden.jsonl is its recorded output.  A
     change that moves any value, key order or formatting fails here.
+    cm36-seed2.g6 holds the same catalog graphs and example-graph3 with
+    their vertices shuffled (`python3 bench/workloads.py cm36 --seed 2`),
+    so that a fault seen only under some labellings fails too.
     """
 
-    def test_batch_matches_golden(self, capsys):
+    @staticmethod
+    def assert_batch_matches(capsys, name):
         data = os.path.join(os.path.dirname(__file__), "data")
         code, out, _ = run_cli(
-            capsys, "batch", os.path.join(data, "golden.g6"),
+            capsys, "batch", os.path.join(data, f"{name}.g6"),
             "--graph6", "--json", "--field", "both",
         )
         assert code == 0
-        with open(os.path.join(data, "golden.jsonl"), "rb") as fh:
+        with open(os.path.join(data, f"{name}.jsonl"), "rb") as fh:
             assert out.encode("utf-8") == fh.read()
+
+    def test_batch_matches_golden(self, capsys):
+        self.assert_batch_matches(capsys, "golden")
+
+    def test_relabelled_catalog_matches_golden(self, capsys):
+        self.assert_batch_matches(capsys, "cm36-seed2")
 
 
 class TestGoldenCommands:

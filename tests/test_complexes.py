@@ -25,6 +25,7 @@ from vnum.complexes import (
     _deletion,
     _dominated,
     _link,
+    _relabel,
     _top_down,
     independence_complex,
     is_cohen_macaulay,
@@ -35,7 +36,7 @@ from vnum.complexes import (
     regularity,
 )
 from vnum.monomials import polarized_symbolic_power
-from vnum.vertexsets import iter_bits, mask_members, or_all
+from vnum.vertexsets import antichain_maxima, iter_bits, mask_members, or_all
 
 from .oracles import (
     Monomial,
@@ -418,6 +419,83 @@ class TestCompaction:
         assert _compact((0,)) == (0,)
 
 
+def permuted(complex_, rng):
+    """A copy of the complex under a random bijection of its ambient."""
+    perm = list(range(1, complex_.ambient_size + 1))
+    rng.shuffle(perm)
+    return SimplicialComplex.of(
+        complex_.ambient_size,
+        [[perm[v - 1] for v in mask_members(f)] for f in complex_.facets],
+    )
+
+
+def f_vector(facets):
+    sizes = [f.bit_count() for f in complexes._face_masks(facets)]
+    return [sizes.count(k) for k in range(max(sizes) + 1)]
+
+
+def clear_cm_memo():
+    """Empty both layers of the Cohen-Macaulay memo."""
+    complexes._cm_compacted.cache_clear()
+    complexes._cm_recursive.cache_clear()
+
+
+def random_complex(rng, n):
+    faces = [
+        rng.sample(range(1, n + 1), rng.randrange(1, n + 1))
+        for _ in range(rng.randrange(1, 7))
+    ]
+    return SimplicialComplex.of(n, faces)
+
+
+class TestIsomorphismMemo:
+    """The inner Cohen-Macaulay memo is keyed by `_relabel` of compacted facets."""
+
+    def test_relabel_is_a_vertex_bijection(self, small_corpus):
+        rng = random.Random(47)
+        cases = [random_complex(rng, rng.randrange(1, 9)) for _ in range(200)]
+        cases += [
+            independence_complex(polarized_symbolic_power(g, 2))
+            for g in small_corpus[:40]
+        ]
+        for c in cases:
+            key = _compact(c.facets)
+            got = _relabel(key)
+            assert got == antichain_maxima(got)
+            assert len(got) == len(key)
+            assert or_all(got) == or_all(key)
+            assert f_vector(got) == f_vector(key)
+
+    def test_relabel_examples(self):
+        assert _relabel((0,)) == (0,)
+        # the path 1-2-3: the middle vertex, of degree 2, moves to the top
+        assert _relabel((0b011, 0b110)) == (0b101, 0b110)
+        # a triangle {1, 2, 3} and an edge {1, 4}: the end 4 of the edge
+        # (degree 1, in one facet of degree sum 3) comes first, the shared
+        # vertex 1 last; the same shape on other labels gives the same tuple
+        assert _relabel((0b0111, 0b1001)) == (0b1001, 0b1110)
+        assert _relabel((0b0111, 0b1100)) == (0b1001, 0b1110)
+
+    def test_level_is_label_free(self, small_corpus):
+        rng = random.Random(53)
+        cases = [random_complex(rng, rng.randrange(2, 8)) for _ in range(60)]
+        cases.append(SimplicialComplex.of(6, RP2_FACETS))
+        cases += [independence_complex(g) for g in small_corpus[::9]]
+        cases += [
+            independence_complex(polarized_symbolic_power(g, 2))
+            for g in small_corpus[:40:4]
+        ]
+        seen = set()
+        for c in cases:
+            want = tuple(is_cohen_macaulay_per_field(c, f) for f in BOTH)
+            seen.add(want)
+            for copy in [c] + [permuted(c, rng) for _ in range(3)]:
+                clear_cm_memo()
+                level = _cm_level(copy.facets)
+                assert (level >= 1, level >= 2) == want, copy.facets
+        assert seen == {(False, False), (True, False), (True, True)}
+
+
 class TestCohenMacaulay:
     def test_c5_is_cm(self):
         c = independence_complex(cycle_graph(5))
@@ -603,19 +681,22 @@ class TestWorkCounts:
 
     def test_cored_cohen_macaulay_recursion(self, monkeypatch):
         # the polarization oracle's complexes over the catalog: 4,558
-        # kernel calls without the core, 883 cores that are not a point;
-        # 35,376 `_dominated` calls when each pass deleted a single vertex,
-        # 12,124 when it deletes every vertex it can
+        # kernel calls without the core, 883 cores that are not a point
+        # and 5,501 memo entries keyed by compacted facets alone; 35,376
+        # `_dominated` calls when each pass deleted a single vertex, 12,124
+        # when it deletes every vertex it can.  Keyed by `_relabel`, the
+        # recursion runs on 1,041 complexes and 242 cores (2,675 passes).
         oracle = [
             independence_complex(polarized_symbolic_power(fix.graph(), 2))
             for fix in CM36
             if fix.vertex_count <= ORACLE_CAP
         ]
-        complexes._cm_recursive.cache_clear()
+        clear_cm_memo()
         calls = self.counted(monkeypatch)
         passes = self.counted(monkeypatch, "_dominated")
         assert all(_cm_level(k.facets) == 2 for k in oracle)
-        assert len(calls) <= 900
+        assert len(calls) <= 300
+        assert complexes._cm_recursive.cache_info().misses <= 1200
         assert len(passes) <= 13000
 
 

@@ -10,9 +10,14 @@ from vnum.clutters import Clutter, Graph
 from vnum.complexes import (
     Field,
     SimplicialComplex,
+    _cm_compacted,
+    _cm_level,
+    _cm_recursive,
+    _compact,
     _core,
     _dominated,
     _folds,
+    _relabel,
     _top_down,
     independence_complex,
     is_cohen_macaulay,
@@ -273,6 +278,28 @@ class TestComplexProperties:
     def test_one_cm_recursion_matches_per_field(self, c):
         for field in (Field.Q, Field.F2):
             assert is_cohen_macaulay(c, field) == is_cohen_macaulay_per_field(c, field)
+
+    @given(complexes(), st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_cm_level_is_label_free(self, c, data):
+        # every copy starts from cold memos, so each is computed on its own key
+        n = c.ambient_size
+        perm = data.draw(st.permutations(range(1, n + 1)))
+        copy = SimplicialComplex.of(
+            n, [[perm[v - 1] for v in mask_members(f)] for f in c.facets]
+        )
+        want = tuple(is_cohen_macaulay_per_field(c, f) for f in (Field.Q, Field.F2))
+        for k in (c, copy):
+            key = _compact(k.facets)
+            relabelled = _relabel(key)
+            assert relabelled == antichain_maxima(relabelled)
+            assert sorted(f.bit_count() for f in relabelled) == sorted(
+                f.bit_count() for f in key
+            )
+            _cm_compacted.cache_clear()
+            _cm_recursive.cache_clear()
+            level = _cm_level(k.facets)
+            assert (level >= 1, level >= 2) == want
 
     @given(complexes())
     @settings(deadline=None, max_examples=200)
