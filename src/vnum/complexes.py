@@ -18,15 +18,14 @@ subcomplexes for every requested field at once, which prunes subsets that
 cannot beat the best found so far and asks the kernel only for dimensions
 at or above it; and the Cohen-Macaulay test.  That test runs one memoized
 recursion for both fields: it finds the level (not over Q, over Q only,
-over Q and GF(2)) from the mod-2 ranks of each link.  The level does not
-depend on labels, so its memo has two layers.  The outer one is keyed by
-compacted facets (used vertices relabelled to the low bits in order); it
-settles simplices and impure complexes and strips the cone points of
-cones.  On a miss there a pure complex goes to the inner one, keyed by
-`_relabel`, which renumbers vertices by an isomorphism-invariant signature
-so that most isomorphic links share one entry.  Vertex decomposability
-recurses on compacted facet tuples through `_link` and `_deletion` and
-prunes with the Cohen-Macaulay memo.
+over Q and GF(2)) from the mod-2 ranks of each link.  Simplices and
+impure complexes are settled without a lookup, and cone points are
+stripped.  Neither the level nor vertex decomposability depends on labels,
+so one canonical form, `_relabel`, keys both memos: it renumbers the used
+vertices to the low bits by an isomorphism-invariant signature, so that
+most isomorphic links share one entry.  Vertex decomposability recurses
+through `_link` and `_deletion` and prunes with the Cohen-Macaulay memo,
+which then mostly answers from complexes that recursion has seen.
 
 Both exponential callers prune with strong collapses (Barmak-Minian): a
 vertex whose link is a cone can be deleted without changing the homotopy
@@ -67,27 +66,6 @@ def _link(facets: tuple[int, ...], mask: int) -> tuple[int, ...]:
     vertices from facets that all contain them keeps both inclusion and order.
     """
     return tuple(f & ~mask for f in facets if mask & ~f == 0)
-
-
-def _compact(facets: tuple[int, ...]) -> tuple[int, ...]:
-    """The same facets with their used vertices relabelled to the low bits.
-
-    The relabelling keeps the vertex order, so the facets stay in increasing
-    order.  Copies that differ by an order-preserving relabelling share one
-    tuple; other isomorphic copies do not (see `_relabel`).
-    """
-    used = or_all(facets)
-    gaps = ~used & ((1 << used.bit_length()) - 1)
-    if not gaps:
-        return facets
-    out = list(facets)
-    while gaps:
-        # squeeze out the highest unused position: the bits above it move down
-        h = gaps.bit_length() - 1
-        gaps ^= 1 << h
-        low = (1 << h) - 1
-        out = [(f & low) | (f >> 1 & ~low) for f in out]
-    return tuple(out)
 
 
 def _deletion(facets: tuple[int, ...], mask: int) -> tuple[int, ...]:
@@ -449,17 +427,11 @@ def is_cohen_macaulay(complex_: SimplicialComplex, field: Field) -> bool:
 
 
 def _cm_level(facets: tuple[int, ...]) -> int:
-    """Cohen-Macaulay level of a nonvoid complex, from the two-layer memo."""
-    return _cm_compacted(_compact(facets))
-
-
-@lru_cache(maxsize=None)
-def _cm_compacted(facets: tuple[int, ...]) -> int:
-    """Cohen-Macaulay level of compacted facets: the outer memo layer.
+    """Cohen-Macaulay level of a nonvoid complex.
 
     The cases that need no homology are settled here; only a pure complex
-    with no cone point and at least two facets pays for `_relabel`, whose
-    result keys the inner layer, `_cm_recursive`.
+    with no cone point and at least two facets goes to the memo,
+    `_cm_recursive`, keyed by `_relabel`.
     """
     if len(facets) == 1:
         return 2
@@ -469,38 +441,43 @@ def _cm_compacted(facets: tuple[int, ...]) -> int:
     if common:
         # The complex is a cone over the faces avoiding the common vertices,
         # and coning preserves Cohen-Macaulayness in both directions.
-        return _cm_level(tuple(f & ~common for f in facets))
+        facets = tuple(f & ~common for f in facets)
     if len({f.bit_count() for f in facets}) > 1:
         return 0
     return _cm_recursive(_relabel(facets))
 
 
 def _relabel(facets: tuple[int, ...]) -> tuple[int, ...]:
-    """Compacted facets renumbered by an isomorphism-invariant signature.
+    """The facets with their used vertices renumbered to the low bits.
 
+    This is the one canonical form of a complex: both memos, of the
+    Cohen-Macaulay level and of vertex decomposability, are keyed by it.
     A vertex's signature is its degree (the number of facets through it)
-    and the sum, over the facets through it, of their degree sums.
-    Vertices are renumbered by signature, ties kept in their compacted
-    order, and the facets are sorted again.  Copies that differ by a vertex
-    bijection often, though not always, get the same tuple; the
-    Cohen-Macaulay level is invariant under every vertex bijection, so it
-    is exact either way.
+    and the sum, over the facets through it, of their degree sums.  The
+    used vertices are renumbered 1, 2, ... by signature, ties kept in
+    their order, and the facets are sorted again; the void complex stays
+    void.  Copies that differ by a vertex bijection often, though not
+    always, get the same tuple; both verdicts are invariant under every
+    vertex bijection, so they are exact either way.
 
     The facets are packed into one integer, facet i in the w-bit field at
     bit i * w, so that the column of vertex v (a 1 in the field of each
     facet through v) is a shift and a mask, the degree sums of all facets
     are one weighted sum of columns, and renumbering moves whole columns.
     """
-    n = or_all(facets).bit_length()
+    if not facets:
+        return facets
+    used = or_all(facets)
+    n = used.bit_count()
     count = len(facets)
     # a field holds a facet, and a sum of count sums of n degrees each
-    w = max(n, n.bit_length() + 2 * count.bit_length())
+    w = max(used.bit_length(), n.bit_length() + 2 * count.bit_length())
     low = (1 << w) - 1
     packed = 0
     for i, f in enumerate(facets):
         packed |= f << i * w
     ones = ((1 << count * w) - 1) // low
-    columns = [packed >> v & ones for v in range(n)]
+    columns = [packed >> v & ones for v in range(used.bit_length()) if used >> v & 1]
     degree = [c.bit_count() for c in columns]
     sums = 0
     for d, c in zip(degree, columns):
@@ -520,7 +497,7 @@ def _relabel(facets: tuple[int, ...]) -> tuple[int, ...]:
 def _cm_recursive(facets: tuple[int, ...]) -> int:
     """Cohen-Macaulay level of a pure complex; stops once Q fails.
 
-    The complex has at least two facets and no cone point (`_cm_compacted`
+    The complex has at least two facets and no cone point (`_cm_level`
     settles the others).  Keyed by relabelled facet tuples (see `_relabel`):
     call it through `_cm_level`, so that isomorphic copies mostly share one
     entry.
@@ -558,16 +535,17 @@ def is_vertex_decomposable(complex_: SimplicialComplex) -> bool:
     is not Cohen-Macaulay over GF(2) cannot be decomposable (decomposable
     implies shellable implies Cohen-Macaulay over every field), which prunes
     the expensive negative searches; that test shares its memo with
-    `is_cohen_macaulay`, since both go through `_cm_level`.  The
-    shedding search itself is memoized on compacted facet tuples, since
-    decomposability does not depend on labels either.
+    `is_cohen_macaulay`, since both go through `_cm_level`.  The shedding
+    search is memoized on the same key, `_relabel`, since decomposability
+    does not depend on labels either; so the prune mostly asks about
+    complexes the Cohen-Macaulay recursion has already seen.
     """
-    return _vd(_compact(complex_.facets))
+    return _vd(_relabel(complex_.facets))
 
 
 @lru_cache(maxsize=None)
 def _vd(facets: tuple[int, ...]) -> bool:
-    """Vertex decomposability of compacted facets (see `_compact`)."""
+    """Vertex decomposability of relabelled facets (see `_relabel`)."""
     if len(facets) <= 1:
         return True
     sizes = {f.bit_count() for f in facets}
@@ -577,7 +555,7 @@ def _vd(facets: tuple[int, ...]) -> bool:
         del_facets = _deletion(facets, b)
         if any(d not in facets for d in del_facets):
             continue
-        if _vd(_compact(_link(facets, b))) and _vd(_compact(del_facets)):
+        if _vd(_relabel(_link(facets, b))) and _vd(_relabel(del_facets)):
             return True
     return False
 

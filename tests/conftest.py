@@ -49,13 +49,13 @@ def _sampled_connected_graphs(n: int, count: int, seed: int) -> list[Graph]:
     return out
 
 
-def seeded_gnp(n: int, p: float) -> Graph:
-    """G(n, p): the first connected draw from random.Random(n*100 + int(10*p)).
+def seeded_gnp(n: int, p: float, seed: int | None = None) -> Graph:
+    """G(n, p): the first connected draw from random.Random(seed).
 
-    Each draw keeps every vertex pair, in lexicographic order, with
-    probability p.
+    The seed defaults to n*100 + int(10*p).  Each draw keeps every vertex
+    pair, in lexicographic order, with probability p.
     """
-    rng = random.Random(n * 100 + int(10 * p))
+    rng = random.Random(n * 100 + int(10 * p) if seed is None else seed)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     while True:
         g = Graph.of(n, [e for e in pairs if rng.random() < p])

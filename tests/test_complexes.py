@@ -20,7 +20,6 @@ from vnum.complexes import (
     Field,
     SimplicialComplex,
     _cm_level,
-    _compact,
     _core,
     _deletion,
     _dominated,
@@ -390,35 +389,6 @@ class TestTopDownKernel:
             assert whole.betti2(d) == redundant.betti2(d)
 
 
-def compact_reference(facets):
-    """Relabel the used vertices 0, 1, ... in increasing order."""
-    used = sorted({v for f in facets for v in range(f.bit_length()) if f >> v & 1})
-    new = {v: i for i, v in enumerate(used)}
-    return tuple(
-        sum(1 << new[v] for v in range(f.bit_length()) if f >> v & 1) for f in facets
-    )
-
-
-class TestCompaction:
-    def test_matches_order_preserving_relabel(self):
-        rng = random.Random(43)
-        for _ in range(200):
-            n = rng.randrange(1, 12)
-            faces = [
-                rng.sample(range(1, n + 1), rng.randrange(0, n + 1))
-                for _ in range(rng.randrange(1, 6))
-            ]
-            facets = SimplicialComplex.of(n, faces).facets
-            got = _compact(facets)
-            assert got == compact_reference(facets)
-            assert got == tuple(sorted(got))
-
-    def test_examples(self):
-        assert _compact((0b1010, 0b1100)) == (0b101, 0b110)
-        assert _compact((0b111,)) == (0b111,)
-        assert _compact((0,)) == (0,)
-
-
 def permuted(complex_, rng):
     """A copy of the complex under a random bijection of its ambient."""
     perm = list(range(1, complex_.ambient_size + 1))
@@ -435,8 +405,7 @@ def f_vector(facets):
 
 
 def clear_cm_memo():
-    """Empty both layers of the Cohen-Macaulay memo."""
-    complexes._cm_compacted.cache_clear()
+    """Empty the Cohen-Macaulay memo."""
     complexes._cm_recursive.cache_clear()
 
 
@@ -449,7 +418,7 @@ def random_complex(rng, n):
 
 
 class TestIsomorphismMemo:
-    """The inner Cohen-Macaulay memo is keyed by `_relabel` of compacted facets."""
+    """The Cohen-Macaulay memo is keyed by `_relabel` of the facets."""
 
     def test_relabel_is_a_vertex_bijection(self, small_corpus):
         rng = random.Random(47)
@@ -459,15 +428,17 @@ class TestIsomorphismMemo:
             for g in small_corpus[:40]
         ]
         for c in cases:
-            key = _compact(c.facets)
-            got = _relabel(key)
+            got = _relabel(c.facets)
             assert got == antichain_maxima(got)
-            assert len(got) == len(key)
-            assert or_all(got) == or_all(key)
-            assert f_vector(got) == f_vector(key)
+            assert len(got) == len(c.facets)
+            assert or_all(got) == (1 << or_all(c.facets).bit_count()) - 1
+            assert f_vector(got) == f_vector(c.facets)
 
     def test_relabel_examples(self):
         assert _relabel((0,)) == (0,)
+        assert _relabel(()) == ()
+        # unused vertices are squeezed out: the path 2-4-3
+        assert _relabel((0b1010, 0b1100)) == (0b101, 0b110)
         # the path 1-2-3: the middle vertex, of degree 2, moves to the top
         assert _relabel((0b011, 0b110)) == (0b101, 0b110)
         # a triangle {1, 2, 3} and an edge {1, 4}: the end 4 of the edge
@@ -562,7 +533,7 @@ class TestOneRecursionForBothFields:
             is_cohen_macaulay_per_field(c, f) for f in (Field.Q, Field.F2)
         )
         assert merged == per_field
-        # the memo is keyed by compacted facets; the level is label-free
+        # the memo is keyed by relabelled facets; the level is label-free
         level = _cm_level(c.facets)
         assert (level >= 1, level >= 2) == per_field
         return merged
@@ -698,6 +669,25 @@ class TestWorkCounts:
         assert len(calls) <= 300
         assert complexes._cm_recursive.cache_info().misses <= 1200
         assert len(passes) <= 13000
+
+
+    def test_decomposability_reuses_the_cohen_macaulay_memo(self, monkeypatch, gnp):
+        # the decomposability prune asks the memo that the Cohen-Macaulay
+        # test filled; keyed by compacted facets, it made 65 new misses and
+        # 3 kernel calls here
+        whiskered = [
+            independence_complex(gnp(8, 0.4, seed=k).whisker()) for k in range(10)
+        ]
+        clear_cm_memo()
+        complexes._vd.cache_clear()
+        for c in whiskered:
+            for field in BOTH:
+                assert is_cohen_macaulay(c, field)
+        misses = complexes._cm_recursive.cache_info().misses
+        calls = self.counted(monkeypatch)
+        assert all(is_vertex_decomposable(c) for c in whiskered)
+        assert complexes._cm_recursive.cache_info().misses == misses
+        assert not calls
 
 
 class TestVertexDecomposable:
