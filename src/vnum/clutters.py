@@ -220,11 +220,14 @@ class Clutter:
 
 @lru_cache(maxsize=None)
 def _minimal_transversals(edge_masks: tuple[int, ...]) -> tuple[int, ...]:
-    """All minimal vertex covers, by sequential antichain extension.
+    """All minimal vertex covers, by Berge's sequential transversal algorithm.
 
     The covers generate the intersection over edges e of the primes
     (t_v : v in e), so starting from the unit ideal this meets one prime at
-    a time, smallest edges first.
+    a time, smallest edges first.  Each step is Berge's: the covers that
+    meet e stay, and each other cover gains one vertex of e, kept unless
+    it then holds a cover that stayed; `meet` needs no re-minimization
+    for single-vertex pieces.
     """
     partial = [0]
     for e in sorted(edge_masks, key=lambda m: (m.bit_count(), m)):

@@ -8,7 +8,13 @@ supports alike.
 
 The module also holds the one algebra of mask families that the others
 share: unions, antichain minima and maxima, and `meet`, the intersection of
-two monomial ideals given by mask generators.
+two monomial ideals given by mask generators.  `meet` takes both ideals by
+their minimal generators, antichains of masks, and does only the
+containment tests that can succeed: a generator that the other ideal
+already contains stays minimal, and the unions with a single-vertex
+generator need no re-minimization (the step of Berge's sequential
+transversal algorithm), so only unions with wider generators are minimized
+among themselves.
 """
 
 from __future__ import annotations
@@ -79,14 +85,36 @@ def meet(gens: Iterable[int], piece: Sequence[int]) -> list[int]:
 
     The masks must be monomials whose lcm is | and whose divisibility is the
     subset test: squarefree masks, or the unary layers of symbolic powers.
-    The intersection is then generated by the unions of generator pairs.  A
-    generator that a member of piece divides lies in both ideals, and its
-    unions are its own multiples, so it is kept alone.
+    Both arguments must be antichains, the minimal generators of their
+    ideals.  The intersection is then generated by the unions g | h of a
+    generator of each.
+
+    A generator g that a member of piece divides lies in both ideals and is
+    kept as it is.  Kept generators stay minimal: a union strictly inside
+    one would hold a generator strictly inside it.  Every other g misses
+    each single-vertex member b of piece.  A union g' | h' of another such
+    generator inside g | b would put g' inside g, so g' = g, and h' would
+    hold b, so h' = b; and no union with a wider member holds b.  So the
+    unions with single vertices are minimal among the new unions, and the
+    unions with wider members are minimized only among themselves.  A new
+    union g | h is dropped when it holds a kept k, that is when the
+    difference k & ~g, never empty, lies inside h: for h a single vertex b,
+    a set lookup of b among the differences.
     """
-    out: list[int] = []
+    singles = [h for h in piece if h.bit_count() == 1]
+    wide = [h for h in piece if h.bit_count() != 1]
+    union = or_all(singles)
+    kept: list[int] = []
+    rest: list[int] = []
     for g in gens:
-        if any(h & ~g == 0 for h in piece):
-            out.append(g)
+        if g & union or wide and any(h & ~g == 0 for h in wide):
+            kept.append(g)
         else:
-            out.extend(g | h for h in piece)
-    return antichain_minima(out)
+            rest.append(g)
+    out, above = kept[:], []
+    for g in rest:
+        diffs = {k & ~g for k in kept}
+        out.extend(g | b for b in singles if b not in diffs)
+        if wide:
+            above.extend(g | h for h in wide if not any(d & ~h == 0 for d in diffs))
+    return out + antichain_minima(above) if above else out

@@ -7,9 +7,10 @@ references for them: the exponent-tuple ideal algebra behind the algebraic
 v-number and the symbolic powers, which now run on bit masks; the unpruned
 homology of a whole complex; the per-field Cohen-Macaulay recursion, which
 one recursion for both fields replaced; the per-field regularity scan over
-every vertex subset, which one pruned scan for all fields replaced; and
-the stability filter over every vertex subset, which growing stable sets
-one vertex at a time replaced.
+every vertex subset, which one pruned scan for all fields replaced; the
+stability filter over every vertex subset, which growing stable sets one
+vertex at a time replaced; and the mask intersection that re-minimizes
+every union, which `vertexsets.meet` replaced.
 
 This module owns the exponent-tuple value types, `Monomial` and
 `MonomialIdeal`, which the package no longer has: monomial products, colon
@@ -30,7 +31,7 @@ from vnum import monomials
 from vnum.classify import _beta2_complement_agreement, edge_criticality
 from vnum.clutters import Clutter, Graph
 from vnum.complexes import Field, SimplicialComplex, _top_down
-from vnum.vertexsets import mask_members, mask_of
+from vnum.vertexsets import antichain_minima, mask_members, mask_of
 
 
 def subsets(universe):
@@ -273,6 +274,23 @@ def _minimalize(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
         if not any(kept.divides(g) for kept in out):
             out.append(g)
     return tuple(out)
+
+
+def meet_quadratic(gens: Iterable[int], piece: Sequence[int]) -> list[int]:
+    """The intersection of two mask ideals, re-minimizing every union.
+
+    The reference for `vertexsets.meet`: a generator that a member of piece
+    divides is kept alone, every other one contributes all its unions, and
+    the whole family is minimized again.  It takes any mask families, not
+    only antichains.
+    """
+    out: list[int] = []
+    for g in gens:
+        if any(h & ~g == 0 for h in piece):
+            out.append(g)
+        else:
+            out.extend(g | h for h in piece)
+    return antichain_minima(out)
 
 
 def edge_ideal(c: Clutter) -> MonomialIdeal:

@@ -24,6 +24,7 @@ from vnum.complexes import (
     regularity,
 )
 from vnum.monomials import (
+    _colon_pieces,
     alpha_of_colon_quotient,
     polarized_symbolic_power,
     v_number_algebraic,
@@ -50,6 +51,7 @@ from .oracles import (
     intersect,
     is_cohen_macaulay_per_field,
     is_vertex_decomposable_naive,
+    meet_quadratic,
     ordinary_power,
     polarize,
     radical,
@@ -124,6 +126,57 @@ def mask_ideal_pairs(draw, max_vertices=6):
     gens = draw(st.lists(mask, min_size=1, max_size=5))
     gens += [draw(st.sampled_from(piece)) | m for m in draw(st.lists(mask, max_size=3))]
     return n, gens, piece
+
+
+def antichains(bits, max_size=6):
+    """Antichains of masks on the given number of bits."""
+    return st.lists(st.integers(0, (1 << bits) - 1), max_size=max_size).map(
+        antichain_minima
+    )
+
+
+def layer_mask(s, exponents):
+    """The unary-layer mask of a monomial: bit k*s + i for k below e_{i+1}."""
+    return or_all(1 << (k * s + i) for i, e in enumerate(exponents) for k in range(e))
+
+
+@st.composite
+def meet_pairs(draw):
+    """Antichain pairs (gens, piece) in each shape that `meet` receives.
+
+    Pieces are single vertices (an edge of the minimal-cover fold), colon
+    pieces (I : t_v) of a clutter, which mix single vertices and wider
+    generators, the degree-n monomials of a prime on unary layers for
+    n = 1, 2, 3 (a symbolic-power fold), the unit piece [0] (the colon of a
+    singleton edge), or any antichain.  Sometimes every member of the piece
+    divides every generator.
+    """
+    kind = draw(st.sampled_from(["single", "colon", "layers", "unit", "any"]))
+    if kind == "colon":
+        c = draw(clutters().filter(Clutter.has_edges))
+        b = 1 << draw(st.integers(0, c.vertex_count - 1))
+        gens, piece = draw(antichains(c.vertex_count)), _colon_pieces(c, b)[b]
+    elif kind == "layers":
+        s, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        exponents = st.lists(st.integers(0, n), min_size=s, max_size=s)
+        gens = antichain_minima(layer_mask(s, e) for e in draw(st.lists(exponents, max_size=6)))
+        prime = sorted(draw(st.sets(st.integers(0, s - 1), min_size=1)))
+        piece = [
+            layer_mask(s, [combo.count(i) for i in range(s)])
+            for combo in itertools.combinations_with_replacement(prime, n)
+        ]
+    else:
+        n = draw(st.integers(1, 6))
+        gens = draw(antichains(n))
+        if kind == "single":
+            piece = list(iter_bits(draw(st.integers(1, (1 << n) - 1))))
+        elif kind == "unit":
+            piece = [0]
+        else:
+            piece = draw(antichains(n).filter(bool))
+    if draw(st.booleans()):
+        gens = antichain_minima(g | or_all(piece) for g in gens)
+    return gens, piece
 
 
 def squarefree_ideal(n, masks):
@@ -249,10 +302,22 @@ class TestIdealContracts:
 class TestMaskAlgebra:
     @given(mask_ideal_pairs())
     def test_meet_matches_tuple_intersection(self, case):
+        # meet takes minimal generators; these generate the same two ideals
         n, gens, piece = case
+        gens, piece = antichain_minima(gens), antichain_minima(piece)
         got = meet(gens, piece)
         want = intersect(squarefree_ideal(n, gens), squarefree_ideal(n, piece))
         assert sorted(got) == sorted(g.support() for g in want.generators)
+
+    @given(meet_pairs())
+    @settings(max_examples=300)
+    @example(([0], [0]))
+    @example(([], [1, 2]))
+    def test_meet_matches_quadratic_reference(self, case):
+        gens, piece = case
+        got = meet(gens, piece)
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(meet_quadratic(gens, piece))
 
     @given(st.lists(st.integers(0, 63), max_size=10))
     def test_antichain_minima_and_maxima_match_definition(self, masks):
