@@ -75,15 +75,16 @@ def edge_criticality(
 ) -> tuple[bool, Optional[tuple[int, int]]]:
     """Edge-criticality verdict plus the first violating edge, if any.
 
-    Route 1 removes each edge; route 2 checks that the independence number
-    drops by one after deleting both endpoint neighborhoods.  Route 2
-    appends each G_e it builds, with its independence number, to `walked`
-    when a list is given, so that a report's symbolic-square walk can read
-    them instead of building them again.
+    The violating edge is the first in vertex-list order.  Route 1 removes
+    each edge; route 2 checks that the independence number drops by one
+    after deleting both endpoint neighborhoods.  Route 2 appends each G_e
+    it builds, with its independence number, to `walked` when a list is
+    given, so that a report's symbolic-square walk can read them instead of
+    building them again.
     """
     beta0 = g.independence_number() if g.has_edges() else None
     witness1 = None
-    for u, v in g.edge_lists():
+    for u, v in sorted(g.edge_lists()):
         if g.delete_edge(u, v).independence_number() != beta0 + 1:
             witness1 = (u, v)
             break

@@ -1,10 +1,13 @@
 """Clutters and graphs with exact combinatorial invariants.
 
 A clutter is an antichain of nonempty edges over vertices {1, ..., s}; a
-graph is the 2-uniform case.  Edges are stored internally as bit masks in a
-canonical sorted order, so equal clutters compare equal and every operation
-is deterministic.  All invariants (stable sets, covers, the v-number, the
-domination numbers) are computed exactly; the intended scale is s <= ~24.
+graph is the 2-uniform case and nothing more: `Graph.of` is `Clutter.of`,
+and the graph only adds its adjacency invariants.  Edges are bit masks in
+increasing order as integers, the order of complex facets too, and so are
+the minimal covers, the maximal stable sets and the blocker's edges; equal
+clutters compare equal and every operation is deterministic.  All
+invariants (stable sets, covers, the v-number, the domination numbers) are
+computed exactly; the intended scale is s <= ~24.
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ from .vertexsets import iter_bits, mask_members, mask_of, meet, or_all
 
 class ZeroIdealError(ValueError):
     """Operation undefined for a discrete clutter (its edge ideal is zero)."""
-
-
-def _edge_sort_key(mask: int) -> tuple[int, ...]:
-    return mask_members(mask)
 
 
 def _antichain_violation(masks: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -59,15 +58,14 @@ class Clutter:
                 f"not an antichain: edge {mask_members(bad[0])} is contained "
                 f"in edge {mask_members(bad[1])}"
             )
-        if list(self.edge_masks) != sorted(self.edge_masks, key=_edge_sort_key):
-            raise ValueError("edges not in canonical order; use Clutter.of")
+        if list(self.edge_masks) != sorted(self.edge_masks):
+            raise ValueError("edges not in increasing order; use Clutter.of")
 
     @classmethod
     def of(cls, vertex_count: int, edges: Iterable[Iterable[int]]) -> "Clutter":
-        masks = sorted(
-            {mask_of(vertex_count, e) for e in edges}, key=_edge_sort_key
-        )
-        return cls(vertex_count, tuple(masks))
+        """The clutter, or for `Graph.of` the graph, with the given edges."""
+        masks = {mask_of(vertex_count, e) for e in edges}
+        return cls(vertex_count, tuple(sorted(masks)))
 
     # -- basic views ------------------------------------------------------
 
@@ -134,10 +132,10 @@ class Clutter:
         return _minimal_transversals(self.edge_masks)
 
     def maximal_stable_masks(self) -> tuple[int, ...]:
-        # Maximal stable sets are exactly complements of minimal covers.
+        # Maximal stable sets are exactly complements of minimal covers, and
+        # taking complements reverses the increasing order.
         full = self.full_mask
-        masks = [full ^ c for c in self.minimal_cover_masks()]
-        return tuple(sorted(masks, key=_edge_sort_key))
+        return tuple(full ^ c for c in reversed(self.minimal_cover_masks()))
 
     def family_a_masks(self) -> Iterator[int]:
         """Stable sets with a minimal-cover neighbor set, in stable_masks order."""
@@ -192,8 +190,7 @@ class Clutter:
         """The clutter of minimal vertex covers, on the same vertex set."""
         if not self.has_edges():
             raise ZeroIdealError("blocker undefined for the zero ideal")
-        masks = sorted(self.minimal_cover_masks(), key=_edge_sort_key)
-        return Clutter(self.vertex_count, tuple(masks))
+        return Clutter(self.vertex_count, self.minimal_cover_masks())
 
     def delete_vertex(self, v: int) -> "Clutter":
         """Remove v and every edge through it, reindexing densely."""
@@ -210,9 +207,7 @@ class Clutter:
             for m in self.edge_masks
             if m & ~keep_mask == 0
         ]
-        if isinstance(self, Graph):
-            return Graph.of(len(keep), edges)
-        return Clutter.of(len(keep), edges)
+        return type(self).of(len(keep), edges)
 
 
 # -- hypergraph transversals -------------------------------------------------
@@ -232,7 +227,7 @@ def _minimal_transversals(edge_masks: tuple[int, ...]) -> tuple[int, ...]:
     partial = [0]
     for e in sorted(edge_masks, key=lambda m: (m.bit_count(), m)):
         partial = meet(partial, list(iter_bits(e)))
-    return tuple(sorted(partial, key=_edge_sort_key))
+    return tuple(sorted(partial))
 
 
 # -- graphs -------------------------------------------------------------------
@@ -249,17 +244,6 @@ class Graph(Clutter):
                 raise ValueError(
                     f"graph edge must have exactly 2 vertices, got {mask_members(m)}"
                 )
-
-    @classmethod
-    def of(cls, vertex_count: int, edges: Iterable[Iterable[int]]) -> "Graph":
-        pairs = set()
-        for e in edges:
-            e = tuple(e)
-            if len(e) != 2 or e[0] == e[1]:
-                raise ValueError(f"not a simple graph edge: {e}")
-            pairs.add(mask_of(vertex_count, e))
-        masks = tuple(sorted(pairs, key=_edge_sort_key))
-        return cls(vertex_count, masks)
 
     # -- adjacency ----------------------------------------------------------
 

@@ -30,14 +30,14 @@ which then mostly answers from complexes that recursion has seen.
 Both exponential callers prune with strong collapses (Barmak-Minian): a
 vertex whose link is a cone can be deleted without changing the homotopy
 type, so reduced homology stays the same over every field.  The scan skips
-a graph's subset A when N_A(u) is inside N_A(w) for some u != w in A
-(Engstrom's fold lemma, the case where w's link is a cone with apex u),
-tested on adjacency masks before any face is built.  The Cohen-Macaulay
-test takes the homology of each complex on its core (`_core`: every
-dominated vertex deleted in one pass, and passes repeated until none is
-left) and skips the kernel when the core is a single vertex; its links
-still come from the whole complex.  The reference paths without these
-prunes live with the tests, as oracles.
+a subset A of any clutter when, for some u != w in A, the link of w in
+Delta_A is a cone with apex u (for a graph, N_A(u) inside N_A(w):
+Engstrom's fold lemma), tested on edge masks before any face is built.
+The Cohen-Macaulay test takes the homology of each complex on its core
+(`_core`: every dominated vertex deleted in one pass, and passes repeated
+until none is left) and skips the kernel when the core is a single
+vertex; its links still come from the whole complex.  The reference paths
+without these prunes live with the tests, as oracles.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ class SimplicialComplex:
 
 def independence_complex(c: Clutter) -> SimplicialComplex:
     """Faces are the stable sets; facets the maximal stable sets."""
-    return SimplicialComplex(c.vertex_count, tuple(sorted(c.maximal_stable_masks())))
+    return SimplicialComplex(c.vertex_count, c.maximal_stable_masks())
 
 
 # -- exact rank computations ----------------------------------------------------
@@ -317,24 +317,53 @@ def _top_down(facets: Iterable[int], stop: int) -> _Chains:
 # -- regularity via induced subcomplexes -----------------------------------------
 
 
-def _folds(edges: Sequence[int]) -> list[tuple[int, int]]:
-    """The fold test of a graph as (mask, pair) checks on vertex subsets.
+def _folds(edges: Sequence[int]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The strong-collapse test of a clutter as (mask, pair, wide) checks.
 
-    For non-adjacent vertices u != w, pair is u | w and mask adds the
-    neighbours of u that are not neighbours of w, so A & mask == pair
-    exactly when u and w lie in A and N_A(u) is inside N_A(w).  Checks with
-    fewer such neighbours come first: they hold for more subsets.
+    For u != w in A, the link of w in Delta_A is a cone with apex u exactly
+    when every edge e inside A through u has some edge inside (e - u) | w.
+    Such an edge holds w, so whether e passes does not depend on A.  Each
+    ordered pair gets one check, with pair = u | w.  A failing e whose rest
+    e - u - w is empty lies inside every A and drops the pair; a rest of one
+    vertex joins mask, and a wider rest joins wide.  The check fires on A
+    when A & mask == pair and no member of wide lies inside A.
+
+    A 2-edge {u, x} passes when {x, w} is an edge or x or w is a singleton
+    edge, so one mask expression settles the 2-edges through u and only the
+    other edges are looped over.  On a graph, wide is empty and mask adds
+    the neighbours of u that are not neighbours of w.  Checks with smaller
+    masks come first: they hold for more subsets.
     """
-    adj: dict[int, int] = {}
+    every = or_all(edges)
+    vertices = list(iter_bits(every))
+    adj = dict.fromkeys(vertices, 0)
+    other: dict[int, list[int]] = {u: [] for u in vertices}
+    singles = or_all(e for e in edges if e.bit_count() == 1)
     for e in edges:
         for b in iter_bits(e):
-            adj[b] = adj.get(b, 0) | e ^ b
-    checks = [
-        (adj[u] & ~adj[w] | u | w, u | w)
-        for u in adj
-        for w in adj
-        if u != w and not adj[u] & w
-    ]
+            if e.bit_count() == 2:
+                adj[b] |= e ^ b
+            else:
+                other[b].append(e)
+    checks = []
+    for u in vertices:
+        for w in vertices:
+            fail = adj[u] & ~(every if w & singles else adj[w] | singles)
+            if w == u or fail & w:
+                continue
+            wide: tuple[int, ...] = ()
+            for e in other[u]:
+                rest = e & ~(u | w)
+                if any(f & ~(rest | w) == 0 for f in edges):
+                    continue
+                if not rest:
+                    break
+                if rest & rest - 1:
+                    wide += (rest,)
+                else:
+                    fail |= rest
+            else:
+                checks.append((fail | u | w, u | w, wide))
     return sorted(checks, key=lambda check: check[0].bit_count())
 
 
@@ -347,13 +376,11 @@ def regularities(c: Clutter, fields: Sequence[Field]) -> dict[Field, int]:
     scanned from the largest down, and only vertices that lie in some edge
     are scanned at all.  A subset A is skipped when its Delta_A has the
     homology of a smaller subset's, which the scan visits later or prunes:
-    - for a graph, when N_A(u) is inside N_A(w) for some u != w in A.  Then
-      w's link in Delta_A is a cone with apex u, so deleting w is a strong
-      collapse (Engstrom's fold lemma) and Delta_A has the homology of
-      Delta_{A - w};
-    - for any other clutter, when some member lies in no edge inside A, so
-      that Delta_A is a cone with that member as apex and has no reduced
-      homology.  For a graph this is the fold with N_A(u) empty.
+    when for some u != w in A the link of w in Delta_A is a cone with apex
+    u, so that deleting w is a strong collapse and Delta_A has the homology
+    of Delta_{A - w}.  For a graph this is Engstrom's fold lemma, N_A(u)
+    inside N_A(w); when u lies in no edge inside A, Delta_A is itself a
+    cone.  `_folds` turns the rule into checks on the mask of A.
     A subset is also skipped when dim Delta_A + 1 is at most the smallest
     best so far, because then no field can improve.  Homology is computed
     only in dimensions at or above that best.  Over Q, elimination runs
@@ -363,8 +390,7 @@ def regularities(c: Clutter, fields: Sequence[Field]) -> dict[Field, int]:
     edges = c.edge_masks
     bits = list(iter_bits(or_all(edges)))
     maximal = c.maximal_stable_masks()
-    graph = all(e.bit_count() == 2 for e in edges)
-    folds = _folds(edges) if graph else []
+    folds = _folds(edges)
     best = dict.fromkeys(fields, 0)
     for size in range(len(bits), 0, -1):
         low = min(best.values(), default=size)
@@ -372,16 +398,13 @@ def regularities(c: Clutter, fields: Sequence[Field]) -> dict[Field, int]:
             break
         for combo in itertools.combinations(bits, size):
             amask = sum(combo)
-            if graph:
-                if any(amask & m == pair for m, pair in folds):
-                    continue
-            else:
-                covered = 0
-                for e in edges:
-                    if e & ~amask == 0:
-                        covered |= e
-                if covered != amask:
-                    continue
+            # `not wide` spares a graph's checks, which have no wide rests,
+            # a generator per subset
+            if any(
+                amask & m == pair and (not wide or all(r & ~amask for r in wide))
+                for m, pair, wide in folds
+            ):
+                continue
             faces = {f & amask for f in maximal}
             top = max(f.bit_count() for f in faces) - 1
             if top + 1 <= low:

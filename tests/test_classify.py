@@ -70,6 +70,12 @@ class TestEdgeCritical:
         ok, witness = edge_criticality(cycle_graph(4))
         assert not ok and witness == (1, 2)
 
+    def test_first_violating_edge_in_vertex_list_order(self):
+        # the path 1-4-2-3-5 keeps beta0 = 3 without {1, 4} or {2, 3}; as
+        # masks {2, 3} comes first, as vertex lists {1, 4}
+        g = Graph.of(5, [(1, 4), (2, 3), (2, 4), (3, 5)])
+        assert edge_criticality(g) == (False, (1, 4))
+
     def test_example3(self):
         assert is_edge_critical(EXAMPLE_GRAPH3.graph())
 

@@ -381,12 +381,15 @@ class TestGoldenOutput:
 class TestGoldenCommands:
     """`symbolic-power` and `report` output is frozen byte for byte too.
 
-    tests/data holds the inputs example-graph3.txt, c5.txt and clutter10.txt
-    and, for each command below, its recorded output.  clutter10.txt, a
-    10-vertex clutter with edges of sizes 2 and 3, is the one golden input
-    that is not a graph, and no benchmark workload has one: its regularity
-    scan skips cones where a graph's skips folds, and its colon pieces hold
-    the pairs left of its 3-edges.
+    tests/data holds the inputs example-graph3.txt, c5.txt, clutter10.txt
+    and clutter16.txt and, for each command below, its recorded output.
+    The two clutters, with edges of sizes 2 and 3 on 10 and 16 vertices,
+    are the golden inputs that are not graphs, and no benchmark workload
+    has one: their regularity scans skip subsets by the same cone-link rule
+    as a graph's, with wider rests that a graph never has, and their colon
+    pieces hold the pairs left of their 3-edges.  clutter16.txt holds the
+    edges with no proper subset among 26 drawn by `random.Random(0)`, each
+    `frozenset(rng.sample(range(1, 17), rng.choice((2, 3, 3))))`.
     """
 
     def test_commands_match_golden(self, capsys):
@@ -400,7 +403,7 @@ class TestGoldenCommands:
         runs += [
             (["report", os.path.join(data, f"{g}.txt"), "--field", "both", "--json"],
              f"{g}.report.json")
-            for g in ("example-graph3", "clutter10")
+            for g in ("example-graph3", "clutter10", "clutter16")
         ]
         for argv, golden in runs:
             code, out, _ = run_cli(capsys, *argv)

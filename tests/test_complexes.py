@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from vnum.complexes import (
     regularities,
     regularity,
 )
+from vnum.formats import parse_edge_list
 from vnum.monomials import polarized_symbolic_power
 from vnum.vertexsets import antichain_maxima, iter_bits, mask_members, or_all
 
@@ -649,6 +651,17 @@ class TestWorkCounts:
         calls.clear()
         regularities(gnp(16, 0.3), BOTH)
         assert len(calls) <= 1000
+
+    def test_cone_links_in_a_clutter_scan(self, monkeypatch):
+        # 79 and 3,937 kernel calls with the cone skip alone
+        calls = self.counted(monkeypatch)
+        for name, most in (("clutter10.txt", 25), ("clutter16.txt", 150)):
+            path = os.path.join(os.path.dirname(__file__), "data", name)
+            with open(path) as fh:
+                c = parse_edge_list(fh.read()).to_clutter()
+            calls.clear()
+            regularities(c, BOTH)
+            assert len(calls) <= most, name
 
     def test_cored_cohen_macaulay_recursion(self, monkeypatch):
         # the polarization oracle's complexes over the catalog: 4,558

@@ -423,9 +423,27 @@ def naive_betti(facets) -> dict:
     }
 
 
-def induced_facets(g: Graph, amask: int) -> tuple[int, ...]:
-    """Facets of Delta_A, the independence complex of G[A]."""
-    return antichain_maxima(f & amask for f in g.maximal_stable_masks())
+def induced_facets(c: Clutter, amask: int) -> tuple[int, ...]:
+    """Facets of Delta_A, the independence complex of the clutter on A."""
+    return antichain_maxima(f & amask for f in c.maximal_stable_masks())
+
+
+def cone_links(stable: set[int], amask: int) -> list[tuple[int, int]]:
+    """The pairs u != w in A whose link of w in Delta_A is a cone with apex u.
+
+    Decided from the stable sets alone: every F inside A - {u, w} with
+    F | w stable has F | u | w stable.
+    """
+    return [
+        (u, w)
+        for u in iter_bits(amask)
+        for w in iter_bits(amask ^ u)
+        if all(
+            f | u | w in stable
+            for f in stable
+            if f & ~(amask ^ u ^ w) == 0 and f | w in stable
+        )
+    ]
 
 
 class TestStrongCollapses:
@@ -457,6 +475,7 @@ class TestStrongCollapses:
     def test_fold_checks_match_open_neighbourhoods(self, g):
         adj = g.adjacency_masks()
         checks = _folds(g.edge_masks)
+        assert all(wide == () for _, _, wide in checks)
         scanned = g.full_mask ^ sum(1 << (v - 1) for v in g.isolated_vertices())
         for amask in range(1 << g.vertex_count):
             if amask & ~scanned:
@@ -468,4 +487,38 @@ class TestStrongCollapses:
                 for u in members
                 for w in members
             )
-            assert any(amask & m == pair for m, pair in checks) == folds, amask
+            assert any(amask & m == pair for m, pair, _ in checks) == folds, amask
+
+    @given(clutters(max_vertices=6, max_edges=5))
+    @settings(deadline=None, max_examples=150)
+    def test_fold_checks_match_cone_links(self, c):
+        # singleton and wider edges: a check fires on A exactly when some
+        # link in Delta_A is a cone over another member of A
+        stable = set(stable_masks_naive(c))
+        checks = _folds(c.edge_masks)
+        scanned = or_all(c.edge_masks)
+        for amask in range(1 << c.vertex_count):
+            if amask & ~scanned:
+                continue
+            fires = any(
+                amask & m == pair and all(r & ~amask for r in wide)
+                for m, pair, wide in checks
+            )
+            assert fires == bool(cone_links(stable, amask)), (c.edge_lists(), amask)
+
+    @given(clutters(max_vertices=6, max_edges=5))
+    @settings(deadline=None, max_examples=60)
+    def test_clutter_fold_lemma(self, c):
+        # w's link in Delta_A a cone with apex u makes deleting w a strong
+        # collapse, so Delta_A and Delta_{A - w} have the same homology
+        stable = set(stable_masks_naive(c))
+        betti: dict[int, dict] = {}
+
+        def of(amask):
+            if amask not in betti:
+                betti[amask] = naive_betti(induced_facets(c, amask))
+            return betti[amask]
+
+        for amask in range(1, 1 << c.vertex_count):
+            for u, w in cone_links(stable, amask):
+                assert of(amask) == of(amask ^ w), (c.edge_lists(), amask, u, w)
