@@ -63,7 +63,12 @@ class Clutter:
 
     @classmethod
     def of(cls, vertex_count: int, edges: Iterable[Iterable[int]]) -> "Clutter":
-        """The clutter, or for `Graph.of` the graph, with the given edges."""
+        """The clutter, or for `Graph.of` the graph, with the given edges.
+
+        Each edge is read as the set of its vertices, so a vertex repeated
+        inside an edge and an edge listed twice both count once; the input
+        parsers reject such lines before they get here.
+        """
         masks = {mask_of(vertex_count, e) for e in edges}
         return cls(vertex_count, tuple(sorted(masks)))
 

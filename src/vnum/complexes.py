@@ -322,48 +322,37 @@ def _folds(edges: Sequence[int]) -> list[tuple[int, int, tuple[int, ...]]]:
 
     For u != w in A, the link of w in Delta_A is a cone with apex u exactly
     when every edge e inside A through u has some edge inside (e - u) | w.
-    Such an edge holds w, so whether e passes does not depend on A.  Each
-    ordered pair gets one check, with pair = u | w.  A failing e whose rest
-    e - u - w is empty lies inside every A and drops the pair; a rest of one
-    vertex joins mask, and a wider rest joins wide.  The check fires on A
-    when A & mask == pair and no member of wide lies inside A.
-
-    A 2-edge {u, x} passes when {x, w} is an edge or x or w is a singleton
-    edge, so one mask expression settles the 2-edges through u and only the
-    other edges are looped over.  On a graph, wide is empty and mask adds
-    the neighbours of u that are not neighbours of w.  Checks with smaller
-    masks come first: they hold for more subsets.
+    Such an edge holds w, since an edge inside e - u would lie inside e, so
+    whether e passes does not depend on A and only the edges through w need
+    testing.  Each ordered pair gets one check, with pair = u | w.  A failing
+    e whose rest e - u - w is empty lies inside every A and drops the pair; a
+    rest of one vertex joins mask, and a wider rest joins wide.  The check
+    fires on A when A & mask == pair and no member of wide lies inside A.
+    On a graph, wide is empty and mask adds the neighbours of u that are not
+    neighbours of w.  Checks with smaller masks come first: they hold for
+    more subsets.
     """
-    every = or_all(edges)
-    vertices = list(iter_bits(every))
-    adj = dict.fromkeys(vertices, 0)
-    other: dict[int, list[int]] = {u: [] for u in vertices}
-    singles = or_all(e for e in edges if e.bit_count() == 1)
-    for e in edges:
-        for b in iter_bits(e):
-            if e.bit_count() == 2:
-                adj[b] |= e ^ b
-            else:
-                other[b].append(e)
+    vertices = list(iter_bits(or_all(edges)))
+    through = {v: [e for e in edges if e & v] for v in vertices}
     checks = []
     for u in vertices:
         for w in vertices:
-            fail = adj[u] & ~(every if w & singles else adj[w] | singles)
-            if w == u or fail & w:
+            if w == u:
                 continue
+            mask = u | w
             wide: tuple[int, ...] = ()
-            for e in other[u]:
+            for e in through[u]:
                 rest = e & ~(u | w)
-                if any(f & ~(rest | w) == 0 for f in edges):
+                if any(f & ~(rest | w) == 0 for f in through[w]):
                     continue
                 if not rest:
                     break
                 if rest & rest - 1:
                     wide += (rest,)
                 else:
-                    fail |= rest
+                    mask |= rest
             else:
-                checks.append((fail | u | w, u | w, wide))
+                checks.append((mask, u | w, wide))
     return sorted(checks, key=lambda check: check[0].bit_count())
 
 

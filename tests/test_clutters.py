@@ -43,6 +43,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph.of(3, [(1, 2, 3)])
 
+    def test_edges_read_as_vertex_sets(self):
+        # The programmatic constructor merges repeats; the parsers reject them.
+        assert Graph.of(3, [(1, 2, 2)]) == Graph.of(3, [(1, 2)])
+        assert Clutter.of(3, [(1, 2), (2, 1)]).edge_masks == (0b11,)
+
     def test_discrete_clutter_allowed(self):
         c = Clutter.of(3, [])
         assert not c.has_edges()
