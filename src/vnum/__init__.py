@@ -7,7 +7,6 @@ from .classify import (
     edge_criticality,
     full_report,
     has_linear_resolution,
-    is_cm_graph,
     is_edge_critical,
     is_w2,
     symbolic_square_cm,
@@ -34,7 +33,6 @@ __all__ = [
     "full_report",
     "has_linear_resolution",
     "independence_complex",
-    "is_cm_graph",
     "is_cohen_macaulay",
     "is_edge_critical",
     "is_vertex_decomposable",

@@ -4,6 +4,13 @@ Each classification that the underlying theory states in two equivalent ways
 is computed both ways and the answers are compared; a mismatch raises
 CrossRouteError instead of silently preferring one route.  full_report
 bundles every invariant and flag for a graph or clutter.
+
+Fields reach only the regularity scan and the choice of keys a report
+holds.  The Cohen-Macaulay verdicts, of the graph and of its symbolic
+square by either route, come from one Cohen-Macaulay level per complex
+(`complexes.cohen_macaulay_fields`), which answers Q and GF(2) at once, so
+the two symbolic-square routes are compared over every field whichever
+fields were requested.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from . import monomials
 from .clutters import Clutter, Graph
 from .complexes import (
     Field,
+    cohen_macaulay_fields,
     independence_complex,
-    is_cohen_macaulay,
     is_vertex_decomposable,
     regularities,
 )
@@ -103,11 +110,6 @@ def edge_criticality(
     return route1, witness1
 
 
-def is_cm_graph(g: Clutter, field: Field) -> bool:
-    """Cohen-Macaulayness of the edge ring via the independence complex."""
-    return is_cohen_macaulay(independence_complex(g), field)
-
-
 def symbolic_square_cm(g: Graph, field: Field) -> bool:
     """Whether the second symbolic power of the edge ideal is Cohen-Macaulay.
 
@@ -117,29 +119,29 @@ def symbolic_square_cm(g: Graph, field: Field) -> bool:
     polarizing the symbolic square and testing its Stanley-Reisner complex.
     The empty graph on zero vertices counts as Cohen-Macaulay.
     """
-    return symbolic_square_cm_by_field(g, (field,))[field]
+    return symbolic_square_cm_by_field(g)[field]
 
 
 def symbolic_square_cm_by_field(
-    g: Graph,
-    fields: Sequence[Field],
-    walked: Optional[Iterable[tuple[Graph, int]]] = None,
+    g: Graph, walked: Optional[Iterable[tuple[Graph, int]]] = None
 ) -> dict[Field, bool]:
-    """symbolic_square_cm for several fields, with one polarization oracle.
+    """symbolic_square_cm over every field, each route taken once.
 
+    Each route reads one Cohen-Macaulay level per complex, which answers
+    every field, and the two routes are compared over every field.
     `walked` holds the (G_e, beta0(G_e)) pairs of route 2 of
     `edge_criticality`; without it each G_e is built as the walk reaches it.
     """
     subgraphs = _edge_subgraphs(g) if walked is None else walked
-    combo = _symbolic_square_cm_combinatorial(g, fields, subgraphs)
+    combo = _symbolic_square_cm_combinatorial(g, subgraphs)
     if g.has_edges() and g.vertex_count <= ORACLE_CAP:
-        oracle = _symbolic_square_cm_oracle(g, fields)
-        for f in fields:
+        oracle = _symbolic_square_cm_oracle(g)
+        for f in Field:
             _require_agreement(
                 f"symbolic-square CM over {f.value}",
-                {"combinatorial": combo[f], "polarization": oracle[f]},
+                {"combinatorial": f in combo, "polarization": f in oracle},
             )
-    return combo
+    return {f: f in combo for f in Field}
 
 
 def _edge_subgraphs(g: Graph) -> Iterator[tuple[Graph, int]]:
@@ -150,32 +152,32 @@ def _edge_subgraphs(g: Graph) -> Iterator[tuple[Graph, int]]:
 
 
 def _symbolic_square_cm_combinatorial(
-    g: Graph, fields: Sequence[Field], subgraphs: Iterable[tuple[Graph, int]]
-) -> dict[Field, bool]:
-    """The combinatorial route for every field from one walk over the edges.
+    g: Graph, subgraphs: Iterable[tuple[Graph, int]]
+) -> frozenset[Field]:
+    """The fields where the combinatorial route holds, from one edge walk.
 
     `subgraphs` yields (G_e, beta0(G_e)) in edge order, up to the first
-    edge where beta0 does not drop by one.  Each G_e is tested for the
-    fields that are still alive; the walk stops as soon as none is.
+    edge where beta0 does not drop by one.  No G_e is pulled unless G is
+    Cohen-Macaulay over Q; each G_e then narrows the fields to those over
+    which it is Cohen-Macaulay too, and the walk stops when none is left.
     """
-    alive = [f for f in fields if is_cm_graph(g, f)]
-    if not alive:
-        return dict.fromkeys(fields, False)
+    cm = cohen_macaulay_fields(independence_complex(g))
+    if not cm:
+        return cm
     beta0 = g.independence_number()
     for sub, b in subgraphs:
         if b != beta0 - 1:
-            alive = []
-        elif sub.vertex_count:
-            alive = [f for f in alive if is_cm_graph(sub, f)]
-        if not alive:
-            break
-    return {f: f in alive for f in fields}
+            return frozenset()
+        if sub.vertex_count:
+            cm &= cohen_macaulay_fields(independence_complex(sub))
+            if not cm:
+                break
+    return cm
 
 
-def _symbolic_square_cm_oracle(g: Graph, fields: Sequence[Field]) -> dict[Field, bool]:
-    """Cohen-Macaulayness of the polarized symbolic square, built once."""
-    complex_ = independence_complex(polarized_symbolic_power(g, 2))
-    return {f: is_cohen_macaulay(complex_, f) for f in fields}
+def _symbolic_square_cm_oracle(g: Graph) -> frozenset[Field]:
+    """The fields over which the polarized symbolic square is Cohen-Macaulay."""
+    return cohen_macaulay_fields(independence_complex(polarized_symbolic_power(g, 2)))
 
 
 def _beta2_complement_agreement(g: Graph, verdict: bool) -> bool:
@@ -275,6 +277,13 @@ class InvariantReport:
                 raise CrossRouteError(
                     "a chordal complement forces v = reg = 1, got " + ", ".join(bad)
                 )
+        if self.w2 is not None and self.w2 != self.one_well_covered:
+            # Staples (J. Graph Theory 3, 1979): a graph without isolated
+            # vertices is in W2 exactly when it is 1-well-covered
+            raise CrossRouteError(
+                f"W2 must equal 1-well-covered: w2={self.w2}, "
+                f"one_well_covered={self.one_well_covered}"
+            )
         if self.beta0 == 2 and self.edge_critical is not None:
             # at independence number two the complex is at most a graph, so
             # the verdict is field-free and edge-criticality decides it
@@ -295,8 +304,10 @@ def full_report(
     Graph-only classifications are None for clutter input; W2 and the
     linear resolution flag are None when their isolated-vertex or edge
     preconditions fail.  Regularity over every requested field comes from
-    one subset scan.  For a graph the report also carries the induced
-    matching number and the matching number, which must bound it.
+    one subset scan; the Cohen-Macaulay verdicts come from one level per
+    complex, which answers every field, and `fields` only picks the keys
+    they are reported under.  For a graph the report also carries the
+    induced matching number and the matching number, which must bound it.
     """
     is_graph = isinstance(c, Graph)
     isolated = c.isolated_vertices()
@@ -306,7 +317,7 @@ def full_report(
     i_dom = c.independent_domination()
     reg_by_field = regularities(c, fields)
     complex_ = independence_complex(c)
-    cm_by_field = {f: is_cohen_macaulay(complex_, f) for f in fields}
+    cm = cohen_macaulay_fields(complex_)
     gamma = c.domination_number() if is_graph else None
     w2 = None
     edge_critical = None
@@ -318,7 +329,8 @@ def full_report(
             w2 = is_w2(c)
         walked: list[tuple[Graph, int]] = []
         edge_critical, edge_critical_violation = edge_criticality(c, walked)
-        sscm = symbolic_square_cm_by_field(c, fields, walked)
+        square = symbolic_square_cm_by_field(c, walked)
+        sscm = {f: square[f] for f in fields}
         if beta0 == 2:
             _beta2_complement_agreement(c, edge_critical)
         if not isolated and c.has_edges():
@@ -339,7 +351,7 @@ def full_report(
         one_well_covered=c.is_one_well_covered(),
         w2=w2,
         edge_critical=edge_critical,
-        cm_by_field=dict(cm_by_field),
+        cm_by_field={f: f in cm for f in fields},
         symbolic_square_cm_by_field=sscm,
         vertex_decomposable=is_vertex_decomposable(complex_),
         linear_resolution=linres,

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: report, symbolic-power, catalog-verify, batch.  Exit codes:
-0 success, 1 input error, 2 internal cross-route disagreement, 3 fixture or
-assertion failure, 4 input refused as too large.  Output is deterministic:
+0 success, 1 input error (usage errors included), 2 internal cross-route
+disagreement, 3 fixture or assertion failure, 4 input refused as too large.
+Output is deterministic:
 identical inputs and flags produce byte-identical output at any parallelism
 level.
 
@@ -58,14 +59,8 @@ def _check_size(c: Clutter) -> Clutter:
     return c
 
 
-def _parse_fields(spec: str) -> tuple[Field, ...]:
-    if spec == "q":
-        return (Field.Q,)
-    if spec == "f2":
-        return (Field.F2,)
-    if spec == "both":
-        return (Field.Q, Field.F2)
-    raise ParseError(f"unknown field {spec!r}; use q, f2, or both")
+# the fields of each --field choice
+FIELDS = {"q": (Field.Q,), "f2": (Field.F2,), "both": (Field.Q, Field.F2)}
 
 
 def _report_dict(rep: InvariantReport) -> dict:
@@ -144,10 +139,9 @@ def _load_document(path: str) -> InputDocument:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    fields = _parse_fields(args.field)
     doc = _load_document(args.file)
     c = _check_size(doc.to_clutter())
-    rep = full_report(c, fields, name=doc.name)
+    rep = full_report(c, FIELDS[args.field], name=doc.name)
     data = _report_dict(rep)
     if args.json:
         print(json.dumps(data, indent=2))
@@ -179,8 +173,6 @@ def cmd_symbolic_power(args: argparse.Namespace) -> int:
 
 def cmd_catalog_verify(args: argparse.Namespace) -> int:
     if args.table:
-        if args.table != "cm36":
-            raise ParseError(f"unknown table {args.table!r}")
         return _verify_cm36()
     if args.edge_critical:
         return _scan_edge_critical(args.edge_critical)
@@ -242,14 +234,13 @@ def _scan_edge_critical(path: str) -> int:
 
 def _batch_worker(task: tuple[int, str, str, str]) -> dict:
     index, kind, payload, field_spec = task
-    fields = _parse_fields(field_spec)
     try:
         if kind == "graph6":
             doc = parse_graph6(payload, name=f"line {index + 1}")
         else:
             doc = _load_document(payload)
         c = _check_size(doc.to_clutter())
-        rep = full_report(c, fields, name=doc.name)
+        rep = full_report(c, FIELDS[field_spec], name=doc.name)
         return _report_dict(rep)
     except InputTooLargeError as exc:
         error = TOO_LARGE_PREFIX + str(exc)
@@ -303,8 +294,20 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors.
+
+    argparse exits 2 on a usage error, the code of a cross-route
+    disagreement; raising ParseError makes `main` exit 1 instead.  Its
+    subparsers are of this class too.
+    """
+
+    def error(self, message: str):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vnum",
         description="Exact v-number, regularity, and Cohen-Macaulay "
         "classification of edge ideals of graphs and clutters.",
@@ -313,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="full invariant report for one input")
     rep.add_argument("file")
-    rep.add_argument("--field", default="q", choices=["q", "f2", "both"])
+    rep.add_argument("--field", default="q", choices=FIELDS)
     fmt = rep.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--tsv", action="store_true")
@@ -332,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     bat = sub.add_parser("batch", help="report many inputs, one row each")
     bat.add_argument("file", help="file of edge-list paths, or graph6 stream with --graph6")
     bat.add_argument("--graph6", action="store_true")
-    bat.add_argument("--field", default="q", choices=["q", "f2", "both"])
+    bat.add_argument("--field", default="q", choices=FIELDS)
     bfmt = bat.add_mutually_exclusive_group()
     bfmt.add_argument("--json", action="store_true")
     bfmt.add_argument("--tsv", action="store_true", help="tab-separated (default)")
@@ -343,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CrossRouteError as exc:
         print(f"internal cross-route disagreement: {exc}", file=sys.stderr)

@@ -282,48 +282,11 @@ class Graph(Clutter):
 
     def matching_number(self) -> int:
         """Largest number of pairwise disjoint edges."""
-        adj = self.adjacency_masks()
-        memo: dict[int, int] = {}
-
-        def nu(alive: int) -> int:
-            # Some maximum matching covers the lowest vertex when it has a
-            # neighbour: swap in that edge for the one at the neighbour.
-            if not alive:
-                return 0
-            if alive not in memo:
-                v = alive & -alive
-                rest = alive ^ v
-                nbrs = adj[v.bit_length() - 1] & rest
-                best = 0 if nbrs else nu(rest)
-                for u in iter_bits(nbrs):
-                    best = max(best, 1 + nu(rest ^ u))
-                    if best == alive.bit_count() // 2:
-                        break  # perfect or near-perfect: nothing can beat it
-                memo[alive] = best
-            return memo[alive]
-
-        return nu(self.full_mask)
+        return _matching_number(self.adjacency_masks(), self.full_mask, {})
 
     def induced_matching_number(self) -> int:
         """Largest number of edges no two of which meet or are joined by an edge."""
-        adj = self.adjacency_masks()
-        memo: dict[int, int] = {}
-
-        def nu(alive: int) -> int:
-            # The lowest vertex is either left out or matched to a neighbour
-            # u, which removes every vertex adjacent to v or u.
-            if not alive:
-                return 0
-            if alive not in memo:
-                v = alive & -alive
-                best = nu(alive ^ v)
-                for u in iter_bits(adj[v.bit_length() - 1] & alive):
-                    near = v | u | adj[v.bit_length() - 1] | adj[u.bit_length() - 1]
-                    best = max(best, 1 + nu(alive & ~near))
-                memo[alive] = best
-            return memo[alive]
-
-        return nu(self.full_mask)
+        return _induced_matching_number(self.adjacency_masks(), self.full_mask, {})
 
     # -- derived graphs ------------------------------------------------------
 
@@ -427,6 +390,51 @@ class Graph(Clutter):
             if not adj[u] & adj[v]:
                 return False
         return True
+
+
+# The two matching recursions are module functions, not closures over
+# themselves, so that no reference cycle holds a memo once a call returns.
+
+
+def _matching_number(adj: Sequence[int], alive: int, memo: dict[int, int]) -> int:
+    """Largest matching of the subgraph induced on `alive`, memoized in `memo`.
+
+    Some maximum matching covers the lowest vertex when it has a neighbour:
+    swap in that edge for the one at the neighbour.
+    """
+    if not alive:
+        return 0
+    if alive not in memo:
+        v = alive & -alive
+        rest = alive ^ v
+        nbrs = adj[v.bit_length() - 1] & rest
+        best = 0 if nbrs else _matching_number(adj, rest, memo)
+        for u in iter_bits(nbrs):
+            best = max(best, 1 + _matching_number(adj, rest ^ u, memo))
+            if best == alive.bit_count() // 2:
+                break  # perfect or near-perfect: nothing can beat it
+        memo[alive] = best
+    return memo[alive]
+
+
+def _induced_matching_number(
+    adj: Sequence[int], alive: int, memo: dict[int, int]
+) -> int:
+    """Largest induced matching of the subgraph induced on `alive`.
+
+    The lowest vertex is either left out or matched to a neighbour u, which
+    removes every vertex adjacent to v or u.
+    """
+    if not alive:
+        return 0
+    if alive not in memo:
+        v = alive & -alive
+        best = _induced_matching_number(adj, alive ^ v, memo)
+        for u in iter_bits(adj[v.bit_length() - 1] & alive):
+            near = v | u | adj[v.bit_length() - 1] | adj[u.bit_length() - 1]
+            best = max(best, 1 + _induced_matching_number(adj, alive & ~near, memo))
+        memo[alive] = best
+    return memo[alive]
 
 
 def _bfs(adj: Sequence[int], src: int) -> tuple[int, int]:

@@ -16,9 +16,11 @@ mod 2, so rational homology vanishes wherever mod-2 homology does.
 Two callers use the kernel: `regularities`, one Hochster scan of induced
 subcomplexes for every requested field at once, which prunes subsets that
 cannot beat the best found so far and asks the kernel only for dimensions
-at or above it; and the Cohen-Macaulay test.  That test runs one memoized
-recursion for both fields: it finds the level (not over Q, over Q only,
-over Q and GF(2)) from the mod-2 ranks of each link.  Simplices and
+at or above it; and the Cohen-Macaulay test.  That test takes no field:
+one memoized recursion finds the level (not over Q, over Q only, over Q
+and GF(2)) from the mod-2 ranks of each link, and `cohen_macaulay_fields`
+hands it out as the set of fields over which the complex is
+Cohen-Macaulay, so one lookup answers every field.  Simplices and
 impure complexes are settled without a lookup, and cone points are
 stripped.  Neither the level nor vertex decomposability depends on labels,
 so one canonical form, `_relabel`, keys both memos: it renumbers the used
@@ -159,12 +161,6 @@ class SimplicialComplex:
         if self.is_void():
             raise ValueError("the void complex has no dimension")
         return len({f.bit_count() for f in self.facets}) == 1
-
-    def vertex_mask(self) -> int:
-        return or_all(self.facets)
-
-    def vertices(self) -> tuple[int, ...]:
-        return mask_members(self.vertex_mask())
 
     def face_masks(self) -> tuple[int, ...]:
         """Every face, including the empty face of a nonvoid complex."""
@@ -420,22 +416,28 @@ def regularity(c: Clutter, field: Field) -> int:
 # A complex that is Cohen-Macaulay over GF(2) is Cohen-Macaulay over Q, so
 # one recursion answers both fields with a level: 0 when the complex is not
 # Cohen-Macaulay over Q, 1 when it is over Q only, 2 when it is over both.
-_CM_LEVEL = {Field.Q: 1, Field.F2: 2}
+# The level indexes its fields here.
+_LEVEL_FIELDS = (frozenset(), frozenset({Field.Q}), frozenset(Field))
 
 
-def is_cohen_macaulay(complex_: SimplicialComplex, field: Field) -> bool:
-    """Link-vanishing Cohen-Macaulay test over the given field.
+def cohen_macaulay_fields(complex_: SimplicialComplex) -> frozenset[Field]:
+    """The fields over which the complex is Cohen-Macaulay: none, Q, or both.
 
-    Equivalent to requiring, for every face F including the empty one, that
+    Cohen-Macaulay means that for every face F, the empty one included,
     reduced homology of the link of F vanishes below the link's dimension.
-    Runs recursively: purity, then homology of the whole complex, then the
-    links of vertices (links of larger faces are links of vertices inside
-    links).  One memoized recursion serves both fields; its memo is keyed
-    up to most vertex relabellings (see `_cm_level`).
+    One memoized recursion finds every field's answer at once: purity, then
+    homology of the whole complex, then the links of vertices (links of
+    larger faces are links of vertices inside links).  Its memo is keyed up
+    to most vertex relabellings (see `_cm_level`).
     """
     if complex_.is_void():
         raise ValueError("Cohen-Macaulayness is undefined for the void complex")
-    return _cm_level(complex_.facets) >= _CM_LEVEL[field]
+    return _LEVEL_FIELDS[_cm_level(complex_.facets)]
+
+
+def is_cohen_macaulay(complex_: SimplicialComplex, field: Field) -> bool:
+    """Cohen-Macaulayness over one field; see `cohen_macaulay_fields`."""
+    return field in cohen_macaulay_fields(complex_)
 
 
 def _cm_level(facets: tuple[int, ...]) -> int:
@@ -547,7 +549,7 @@ def is_vertex_decomposable(complex_: SimplicialComplex) -> bool:
     is not Cohen-Macaulay over GF(2) cannot be decomposable (decomposable
     implies shellable implies Cohen-Macaulay over every field), which prunes
     the expensive negative searches; that test shares its memo with
-    `is_cohen_macaulay`, since both go through `_cm_level`.  The shedding
+    `cohen_macaulay_fields`, since both go through `_cm_level`.  The shedding
     search is memoized on the same key, `_relabel`, since decomposability
     does not depend on labels either; so the prune mostly asks about
     complexes the Cohen-Macaulay recursion has already seen.

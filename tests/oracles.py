@@ -31,7 +31,7 @@ from vnum import monomials
 from vnum.classify import _beta2_complement_agreement, edge_criticality
 from vnum.clutters import Clutter, Graph
 from vnum.complexes import Field, SimplicialComplex, _top_down
-from vnum.vertexsets import antichain_minima, mask_members, mask_of
+from vnum.vertexsets import antichain_minima, mask_members, mask_of, or_all
 
 
 def subsets(universe):
@@ -693,7 +693,7 @@ def _cm_per_field(facets: tuple[int, ...], field: Field) -> bool:
     complex_ = SimplicialComplex(max(f.bit_length() for f in facets), facets)
     if any(reduced_homology_ranks(complex_, field)[: dim + 1]):
         return False
-    vmask = complex_.vertex_mask()
+    vmask = or_all(complex_.facets)
     for v in range(1, vmask.bit_length() + 1):
         if vmask >> (v - 1) & 1:
             link = link_naive(complex_, 1 << (v - 1))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -24,14 +25,13 @@ from vnum.classify import (
     edge_criticality,
     full_report,
     has_linear_resolution,
-    is_cm_graph,
     is_edge_critical,
     is_w2,
     symbolic_square_cm,
     v_number_checked,
 )
 from vnum.clutters import Clutter, Graph
-from vnum.complexes import Field
+from vnum.complexes import Field, cohen_macaulay_fields, independence_complex
 
 from .oracles import symbolic_square_cm_beta2
 
@@ -61,6 +61,12 @@ class TestW2:
                 continue
             assert is_w2(g) == g.is_one_well_covered()
 
+    def test_report_checks_one_well_covered(self):
+        rep = full_report(cycle_graph(5))
+        assert rep.w2 and rep.one_well_covered
+        with pytest.raises(CrossRouteError, match="w2=True, one_well_covered=False"):
+            dataclasses.replace(rep, one_well_covered=False)
+
 
 class TestEdgeCritical:
     def test_k3(self):
@@ -87,17 +93,20 @@ class TestEdgeCritical:
 
 
 class TestCmGraph:
+    """The fields over which a graph's independence complex is Cohen-Macaulay."""
+
+    @staticmethod
+    def cm_fields(g):
+        return cohen_macaulay_fields(independence_complex(g))
+
     def test_example3_rational_only(self):
-        g = EXAMPLE_GRAPH3.graph()
-        assert is_cm_graph(g, Field.Q)
-        assert not is_cm_graph(g, Field.F2)
+        assert self.cm_fields(EXAMPLE_GRAPH3.graph()) == {Field.Q}
 
     def test_c5(self):
-        assert is_cm_graph(cycle_graph(5), Field.Q)
+        assert Field.Q in self.cm_fields(cycle_graph(5))
 
     def test_c4_not(self):
-        assert not is_cm_graph(cycle_graph(4), Field.Q)
-        assert not is_cm_graph(cycle_graph(4), Field.F2)
+        assert not self.cm_fields(cycle_graph(4))
 
 
 class TestSymbolicSquareCm:
@@ -330,6 +339,21 @@ class TestFullReport:
         rep = full_report(Clutter.of(4, [(1, 2, 3), (3, 4)]))
         assert rep.matching_bounds is None
 
+    def test_warm_report_leaves_no_cyclic_garbage(self):
+        # every memo a report builds is freed on return, not left to the
+        # cyclic collector, whose timing would move peak memory
+        graphs = [EXAMPLE_GRAPH3.graph(), fixture_by_label("cm36-21").graph()]
+        for g in graphs:
+            full_report(g, (Field.Q, Field.F2))
+        gc.collect()
+        gc.disable()
+        try:
+            for g in graphs:
+                full_report(g, (Field.Q, Field.F2))
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_dimension_and_v_chain_name_their_values(self):
         rep = full_report(cycle_graph(5))
         # dim is s - alpha0, so dim = beta0 is the identity alpha0 + beta0 = s
@@ -358,14 +382,62 @@ class TestFullReport:
         calls = []
         oracle = classify._symbolic_square_cm_oracle
 
-        def counted(graph, fields):
-            calls.append(tuple(fields))
-            return oracle(graph, fields)
+        def counted(graph):
+            calls.append(graph)
+            return oracle(graph)
 
         monkeypatch.setattr(classify, "_symbolic_square_cm_oracle", counted)
         rep = full_report(g, (Field.Q, Field.F2))
-        assert calls == [(Field.Q, Field.F2)]
+        assert calls == [g]
         assert set(rep.symbolic_square_cm_by_field) == {Field.Q, Field.F2}
+
+    def test_q_report_compares_the_gf2_oracle(self, monkeypatch):
+        # the oracle's level answers GF(2) too, so a Q-only report on a
+        # graph the oracle checks compares both fields
+        oracle = classify._symbolic_square_cm_oracle
+        monkeypatch.setattr(
+            classify, "_symbolic_square_cm_oracle", lambda g: oracle(g) - {Field.F2}
+        )
+        g = cycle_graph(5)
+        assert g.vertex_count <= classify.ORACLE_CAP
+        with pytest.raises(CrossRouteError, match="CM over F2 routes disagree"):
+            full_report(g, (Field.Q,))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cycle_graph(5),
+            fixture_by_label("cm36-06").graph(),
+            fixture_by_label("cm36-21").graph(),
+            EXAMPLE_GRAPH3.graph(),
+        ],
+        ids=["C5", "cm36-06", "cm36-21", "example-graph3"],
+    )
+    def test_both_fields_cost_what_one_costs(self, monkeypatch, g):
+        # every Cohen-Macaulay verdict comes from one field-free lookup per
+        # complex, so the requested fields change neither count
+        built, looked = [], []
+        build, look = classify.independence_complex, classify.cohen_macaulay_fields
+
+        def counted_build(c):
+            built.append(c)
+            return build(c)
+
+        def counted_look(complex_):
+            looked.append(complex_)
+            return look(complex_)
+
+        monkeypatch.setattr(classify, "independence_complex", counted_build)
+        monkeypatch.setattr(classify, "cohen_macaulay_fields", counted_look)
+        counts = {}
+        for fields in ((Field.Q,), (Field.F2,), (Field.Q, Field.F2)):
+            built.clear()
+            looked.clear()
+            full_report(g, fields)
+            counts[fields] = (len(built), len(looked))
+        assert counts[(Field.Q,)][1] >= 2
+        assert counts[(Field.Q, Field.F2)] == counts[(Field.Q,)]
+        assert counts[(Field.F2,)] == counts[(Field.Q,)]
 
     @pytest.mark.parametrize(
         "g, walked",
@@ -387,7 +459,7 @@ class TestFullReport:
             return build(graph, u, v)
 
         monkeypatch.setattr(Graph, "delete_edge_neighborhoods", counted)
-        got = classify.symbolic_square_cm_by_field(g, (Field.Q, Field.F2))
+        got = classify.symbolic_square_cm_by_field(g)
         assert len(calls) == walked
         assert got == {f: classify.symbolic_square_cm(g, f) for f in got}
 

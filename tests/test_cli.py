@@ -383,6 +383,9 @@ class TestGoldenCommands:
 
     tests/data holds the inputs example-graph3.txt, c5.txt, clutter10.txt
     and clutter16.txt and, for each command below, its recorded output.
+    example-graph3 is reported with each field alone too, since its fields
+    differ (reg 2 over Q and 3 over GF(2), Cohen-Macaulay over Q only) and
+    a one-field report picks its own keys.
     The two clutters, with edges of sizes 2 and 3 on 10 and 16 vertices,
     are the golden inputs that are not graphs, and no benchmark workload
     has one: their regularity scans skip subsets by the same cone-link rule
@@ -404,6 +407,11 @@ class TestGoldenCommands:
             (["report", os.path.join(data, f"{g}.txt"), "--field", "both", "--json"],
              f"{g}.report.json")
             for g in ("example-graph3", "clutter10", "clutter16")
+        ]
+        runs += [
+            (["report", os.path.join(data, "example-graph3.txt"), "--field", f, "--json"],
+             f"example-graph3.{f}.report.json")
+            for f in ("q", "f2")
         ]
         for argv, golden in runs:
             code, out, _ = run_cli(capsys, *argv)
@@ -438,6 +446,29 @@ class TestGoldenReportsAtScale:
         assert code == 0
         with open(os.path.join(data, "gnp16-0.3.report.json"), "rb") as fh:
             assert out.encode("utf-8") == fh.read()
+
+
+class TestUsageErrors:
+    """argparse's usage errors exit 1, an input error, not 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["report", "x.txt", "--field", "bogus"], "invalid choice: 'bogus'"),
+            (["batch", "x.txt", "--parallel", "x"], "invalid int value: 'x'"),
+            (["catalog-verify", "--table", "foo"], "invalid choice: 'foo'"),
+        ],
+    )
+    def test_usage_error_is_an_input_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert message in err and not out
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--help"])
+        assert exc.value.code == 0
+        assert "--field" in capsys.readouterr().out
 
 
 class TestCrossRouteExit:

@@ -32,6 +32,7 @@ KEEP = {
     "regularity": "the single-field entry point to the paper's headline number",
     "face_masks": "face lists for the oracles and the Euler characteristic",
     "render_edge_list": "canonical edge-list text, with parse_edge_list a round trip",
+    "is_cohen_macaulay": "the one-field Cohen-Macaulay test of the public API",
 }
 
 
