@@ -11,12 +11,18 @@ square by either route, come from one Cohen-Macaulay level per complex
 (`complexes.cohen_macaulay_fields`), which answers Q and GF(2) at once, so
 the two symbolic-square routes are compared over every field whichever
 fields were requested.
+
+Edge-criticality and the symbolic-square walk both read, for each edge
+e = {u, v}, the graph G_e = G - N[u] - N[v].  Its stable sets are the
+stable sets of G that avoid N[u] | N[v], so G_e is never built: route 2 of
+edge-criticality reads beta0(G_e) off the maximal stable sets of G, and the
+walk restricts the independence complex of G to the other vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import monomials
 from .clutters import Clutter, Graph
@@ -28,7 +34,7 @@ from .complexes import (
     regularities,
 )
 from .monomials import polarized_symbolic_power
-from .vertexsets import mask_members
+from .vertexsets import iter_bits, mask_members, or_all
 
 # the largest vertex count on which the polarization oracle re-checks a verdict
 ORACLE_CAP = 7
@@ -77,17 +83,14 @@ def is_edge_critical(g: Graph) -> bool:
     return edge_criticality(g)[0]
 
 
-def edge_criticality(
-    g: Graph, walked: Optional[list[tuple[Graph, int]]] = None
-) -> tuple[bool, Optional[tuple[int, int]]]:
+def edge_criticality(g: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
     """Edge-criticality verdict plus the first violating edge, if any.
 
     The violating edge is the first in vertex-list order.  Route 1 removes
-    each edge; route 2 checks that the independence number drops by one
-    after deleting both endpoint neighborhoods.  Route 2 appends each G_e
-    it builds, with its independence number, to `walked` when a list is
-    given, so that a report's symbolic-square walk can read them instead of
-    building them again.
+    each edge and takes fresh covers of G - e; route 2 checks that the
+    independence number drops by one on each G_e.  The stable sets of G_e
+    are the stable sets of G that avoid N[u] | N[v], so route 2 reads
+    beta0(G_e) off the maximal stable sets of G and builds no graph.
     """
     beta0 = g.independence_number() if g.has_edges() else None
     witness1 = None
@@ -96,18 +99,26 @@ def edge_criticality(
             witness1 = (u, v)
             break
     route1 = witness1 is None
-    witness2 = None
-    for edge, (sub, b) in zip(g.edge_lists(), _edge_subgraphs(g)):
-        if walked is not None:
-            walked.append((sub, b))
-        if b != beta0 - 1:
-            witness2 = edge
-            break
-    route2 = witness2 is None
+    maximal = g.maximal_stable_masks()
+    route2 = all(
+        max((f & ~gone).bit_count() for f in maximal) == beta0 - 1
+        for gone in _edge_neighborhoods(g)
+    )
     _require_agreement(
         "edge-critical", {"edge-deletion": route1, "neighborhood": route2}
     )
     return route1, witness1
+
+
+def _edge_neighborhoods(g: Graph) -> Iterator[int]:
+    """N[u] | N[v] for each edge e = {u, v}, in edge order.
+
+    G_e is G with these vertices deleted.  The ends of e are neighbours,
+    so the open neighbourhoods already hold them.
+    """
+    adj = g.adjacency_masks()
+    for e in g.edge_masks:
+        yield or_all(adj[b.bit_length() - 1] for b in iter_bits(e))
 
 
 def symbolic_square_cm(g: Graph, field: Field) -> bool:
@@ -122,18 +133,13 @@ def symbolic_square_cm(g: Graph, field: Field) -> bool:
     return symbolic_square_cm_by_field(g)[field]
 
 
-def symbolic_square_cm_by_field(
-    g: Graph, walked: Optional[Iterable[tuple[Graph, int]]] = None
-) -> dict[Field, bool]:
+def symbolic_square_cm_by_field(g: Graph) -> dict[Field, bool]:
     """symbolic_square_cm over every field, each route taken once.
 
     Each route reads one Cohen-Macaulay level per complex, which answers
     every field, and the two routes are compared over every field.
-    `walked` holds the (G_e, beta0(G_e)) pairs of route 2 of
-    `edge_criticality`; without it each G_e is built as the walk reaches it.
     """
-    subgraphs = _edge_subgraphs(g) if walked is None else walked
-    combo = _symbolic_square_cm_combinatorial(g, subgraphs)
+    combo = _symbolic_square_cm_combinatorial(g)
     if g.has_edges() and g.vertex_count <= ORACLE_CAP:
         oracle = _symbolic_square_cm_oracle(g)
         for f in Field:
@@ -144,34 +150,28 @@ def symbolic_square_cm_by_field(
     return {f: f in combo for f in Field}
 
 
-def _edge_subgraphs(g: Graph) -> Iterator[tuple[Graph, int]]:
-    """G_e and its independence number for each edge e, in edge order."""
-    for u, v in g.edge_lists():
-        sub = g.delete_edge_neighborhoods(u, v)
-        yield sub, sub.independence_number() if sub.vertex_count else 0
-
-
-def _symbolic_square_cm_combinatorial(
-    g: Graph, subgraphs: Iterable[tuple[Graph, int]]
-) -> frozenset[Field]:
+def _symbolic_square_cm_combinatorial(g: Graph) -> frozenset[Field]:
     """The fields where the combinatorial route holds, from one edge walk.
 
-    `subgraphs` yields (G_e, beta0(G_e)) in edge order, up to the first
-    edge where beta0 does not drop by one.  No G_e is pulled unless G is
-    Cohen-Macaulay over Q; each G_e then narrows the fields to those over
-    which it is Cohen-Macaulay too, and the walk stops when none is left.
+    Each G_e is read as a restriction of Delta(G): its faces are the stable
+    sets of G that avoid N[u] | N[v].  The walk goes in edge order, up to
+    the first edge where beta0 does not drop by one.  No G_e is restricted
+    unless G is Cohen-Macaulay over Q; each G_e then narrows the fields to
+    those over which it is Cohen-Macaulay too, and the walk stops when none
+    is left.
     """
-    cm = cohen_macaulay_fields(independence_complex(g))
+    complex_ = independence_complex(g)
+    cm = cohen_macaulay_fields(complex_)
     if not cm:
         return cm
-    beta0 = g.independence_number()
-    for sub, b in subgraphs:
-        if b != beta0 - 1:
+    dim = complex_.dim()
+    for gone in _edge_neighborhoods(g):
+        sub = complex_.deletion(gone)
+        if sub.dim() != dim - 1:
             return frozenset()
-        if sub.vertex_count:
-            cm &= cohen_macaulay_fields(independence_complex(sub))
-            if not cm:
-                break
+        cm &= cohen_macaulay_fields(sub)
+        if not cm:
+            break
     return cm
 
 
@@ -327,9 +327,8 @@ def full_report(
     if is_graph:
         if not isolated and c.vertex_count >= 2:
             w2 = is_w2(c)
-        walked: list[tuple[Graph, int]] = []
-        edge_critical, edge_critical_violation = edge_criticality(c, walked)
-        square = symbolic_square_cm_by_field(c, walked)
+        edge_critical, edge_critical_violation = edge_criticality(c)
+        square = symbolic_square_cm_by_field(c)
         sscm = {f: square[f] for f in fields}
         if beta0 == 2:
             _beta2_complement_agreement(c, edge_critical)

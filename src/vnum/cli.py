@@ -51,12 +51,13 @@ class InputTooLargeError(ValueError):
     """The input has more vertices than the exponential algorithms accept."""
 
 
-def _check_size(c: Clutter) -> Clutter:
-    if c.vertex_count > MAX_VERTICES:
+def _check_size(doc: InputDocument) -> Clutter:
+    """The document's clutter, refused before it is built when too large."""
+    if doc.vertex_count > MAX_VERTICES:
         raise InputTooLargeError(
-            f"{c.vertex_count} vertices exceed the limit of {MAX_VERTICES}"
+            f"{doc.vertex_count} vertices exceed the limit of {MAX_VERTICES}"
         )
-    return c
+    return doc.to_clutter()
 
 
 # the fields of each --field choice
@@ -140,7 +141,7 @@ def _load_document(path: str) -> InputDocument:
 
 def cmd_report(args: argparse.Namespace) -> int:
     doc = _load_document(args.file)
-    c = _check_size(doc.to_clutter())
+    c = _check_size(doc)
     rep = full_report(c, FIELDS[args.field], name=doc.name)
     data = _report_dict(rep)
     if args.json:
@@ -163,7 +164,7 @@ def cmd_symbolic_power(args: argparse.Namespace) -> int:
     if args.k < 1:
         raise ParseError("the power must be at least 1")
     doc = _load_document(args.file)
-    c = _check_size(doc.to_clutter())
+    c = _check_size(doc)
     if not c.has_edges():
         raise ZeroIdealError("symbolic powers of the zero ideal are undefined")
     for exponents in symbolic_power(c, args.k):
@@ -217,7 +218,7 @@ def _scan_edge_critical(path: str) -> int:
         if not line:
             continue
         doc = parse_graph6(line, name=f"line {lineno}")
-        g = _check_size(doc.to_clutter())
+        g = _check_size(doc)
         total += 1
         if g.vertex_count >= 2 and is_edge_critical(g):
             counts[g.vertex_count] = counts.get(g.vertex_count, 0) + 1
@@ -239,7 +240,7 @@ def _batch_worker(task: tuple[int, str, str, str]) -> dict:
             doc = parse_graph6(payload, name=f"line {index + 1}")
         else:
             doc = _load_document(payload)
-        c = _check_size(doc.to_clutter())
+        c = _check_size(doc)
         rep = full_report(c, FIELDS[field_spec], name=doc.name)
         return _report_dict(rep)
     except InputTooLargeError as exc:

@@ -301,15 +301,6 @@ class Graph(Clutter):
         gone = self.adjacency_masks()[v - 1] | 1 << (v - 1)
         return self.induced_subclutter(mask_members(self.full_mask & ~gone))
 
-    def delete_edge_neighborhoods(self, u: int, v: int) -> "Graph":
-        """G_e for e = {u, v}: drop N[u] and N[v] and take the induced graph."""
-        if not self.has_edge(u, v):
-            raise ValueError(f"edge {{{u},{v}}} not present")
-        # u and v are neighbours, so each lies in the other's neighbour mask
-        adj = self.adjacency_masks()
-        gone = adj[u - 1] | adj[v - 1]
-        return self.induced_subclutter(mask_members(self.full_mask & ~gone))
-
     def complement(self) -> "Graph":
         s = self.vertex_count
         present = set(self.edge_masks)

@@ -166,6 +166,10 @@ class SimplicialComplex:
         """Every face, including the empty face of a nonvoid complex."""
         return _face_masks(self.facets)
 
+    def deletion(self, mask: int) -> "SimplicialComplex":
+        """The faces that avoid `mask`: the restriction to the other vertices."""
+        return SimplicialComplex(self.ambient_size, _deletion(self.facets, mask))
+
 
 def independence_complex(c: Clutter) -> SimplicialComplex:
     """Faces are the stable sets; facets the maximal stable sets."""

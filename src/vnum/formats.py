@@ -38,7 +38,7 @@ def parse_edge_list(text: str, name: Optional[str] = None) -> InputDocument:
     kind = None
     vertex_count = 0
     edges: list[tuple[int, ...]] = []
-    edge_sets: list[frozenset[int]] = []
+    edge_sets: set[frozenset[int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -80,7 +80,7 @@ def parse_edge_list(text: str, name: Optional[str] = None) -> InputDocument:
                     raise ParseError(
                         f"line {lineno}: edge violates the antichain condition"
                     )
-        edge_sets.append(frozenset(verts))
+        edge_sets.add(frozenset(verts))
         edges.append(tuple(sorted(set(verts))))
     if kind is None:
         raise ParseError("line 1: missing 'graph <s>' or 'clutter <s>' header")

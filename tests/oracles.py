@@ -10,7 +10,8 @@ one recursion for both fields replaced; the per-field regularity scan over
 every vertex subset, which one pruned scan for all fields replaced; the
 stability filter over every vertex subset, which growing stable sets one
 vertex at a time replaced; and the mask intersection that re-minimizes
-every union, which `vertexsets.meet` replaced.
+every union, which `vertexsets.meet` replaced; and the edge subgraphs G_e
+built as graphs, which restrictions of the independence complex replaced.
 
 This module owns the exponent-tuple value types, `Monomial` and
 `MonomialIdeal`, which the package no longer has: monomial products, colon
@@ -30,7 +31,7 @@ from typing import Iterable, Sequence
 from vnum import monomials
 from vnum.classify import _beta2_complement_agreement, edge_criticality
 from vnum.clutters import Clutter, Graph
-from vnum.complexes import Field, SimplicialComplex, _top_down
+from vnum.complexes import Field, SimplicialComplex, _top_down, independence_complex
 from vnum.vertexsets import antichain_minima, mask_members, mask_of, or_all
 
 
@@ -645,6 +646,28 @@ def symbolic_square_cm_beta2(g: Graph) -> bool:
         raise ValueError("this specialization needs independence number 2")
     verdict, _ = edge_criticality(g)
     return _beta2_complement_agreement(g, verdict)
+
+
+# -- the edge subgraphs G_e ---------------------------------------------------------
+
+
+def edge_subgraph_facets(g: Graph, u: int, v: int) -> tuple[int, ...]:
+    """Facets of the independence complex of G_e, e = {u, v}, in G's labels.
+
+    G_e is built as the induced subgraph on the vertices outside N[u] and
+    N[v], relabelled 1, 2, ..., and its complex comes from its own minimal
+    covers; the facets are mapped back to G's vertices.  The package reads
+    G_e as a restriction of Delta(G) instead.
+    """
+    gone = {w for e in g.edge_lists() if u in e or v in e for w in e}
+    keep = [w for w in g.vertices() if w not in gone]
+    sub = g.induced_subclutter(keep)
+    return tuple(
+        sorted(
+            mask_of(g.vertex_count, [keep[i - 1] for i in mask_members(f)])
+            for f in independence_complex(sub).facets
+        )
+    )
 
 
 # -- Cohen-Macaulay references ------------------------------------------------------

@@ -31,7 +31,12 @@ from vnum.classify import (
     v_number_checked,
 )
 from vnum.clutters import Clutter, Graph
-from vnum.complexes import Field, cohen_macaulay_fields, independence_complex
+from vnum.complexes import (
+    Field,
+    SimplicialComplex,
+    cohen_macaulay_fields,
+    independence_complex,
+)
 
 from .oracles import symbolic_square_cm_beta2
 
@@ -445,39 +450,51 @@ class TestFullReport:
             (cycle_graph(5), 5),
             (fixture_by_label("cm36-06").graph(), 8),
             (fixture_by_label("cm36-21").graph(), 19),
-            # not Cohen-Macaulay over any field: no G_e is built
+            # not Cohen-Macaulay over any field: no G_e is restricted
             (cycle_graph(4), 0),
         ],
         ids=["C5", "cm36-06", "cm36-21", "C4"],
     )
     def test_one_edge_walk_for_both_fields(self, monkeypatch, g, walked):
         calls = []
-        build = Graph.delete_edge_neighborhoods
+        restrict = SimplicialComplex.deletion
 
-        def counted(graph, u, v):
-            calls.append((u, v))
-            return build(graph, u, v)
+        def counted(complex_, mask):
+            calls.append(mask)
+            return restrict(complex_, mask)
 
-        monkeypatch.setattr(Graph, "delete_edge_neighborhoods", counted)
+        monkeypatch.setattr(SimplicialComplex, "deletion", counted)
         got = classify.symbolic_square_cm_by_field(g)
         assert len(calls) == walked
         assert got == {f: classify.symbolic_square_cm(g, f) for f in got}
 
-    def test_each_edge_subgraph_built_once_per_report(self, monkeypatch):
-        # route 2 of edge_criticality hands its G_e to the symbolic-square
-        # walk; every catalog graph is edge-critical, so route 2 builds all
-        # of them and the walk, which reaches every edge too, builds none
-        calls = []
-        build = Graph.delete_edge_neighborhoods
+    def test_edge_walks_build_no_subgraph(self, monkeypatch):
+        # every G_e is a restriction of Delta(G): edge_criticality and the
+        # symbolic-square walk call no induced_subclutter, the walk builds
+        # no graph at all, and route 1 builds only the graphs G - e
+        induced, built = [], []
+        sub, post_init = Clutter.induced_subclutter, Graph.__post_init__
 
-        def counted(graph, u, v):
-            calls.append((u, v))
-            return build(graph, u, v)
+        def counted_sub(c, keep):
+            induced.append(keep)
+            return sub(c, keep)
 
-        monkeypatch.setattr(Graph, "delete_edge_neighborhoods", counted)
+        def counted_post_init(graph):
+            built.append(graph)
+            post_init(graph)
+
+        monkeypatch.setattr(Clutter, "induced_subclutter", counted_sub)
+        monkeypatch.setattr(Graph, "__post_init__", counted_post_init)
         for fix in CM36:
             g = fix.graph()
-            calls.clear()
-            rep = full_report(g, (Field.Q, Field.F2))
-            assert rep.symbolic_square_cm_by_field[Field.Q]
-            assert len(calls) == len(g.edge_masks), fix.label
+            built.clear()
+            assert edge_criticality(g) == (True, None)
+            assert len(built) == len(g.edge_masks), fix.label
+            for graph in built:
+                assert graph.vertex_count == g.vertex_count
+                assert set(graph.edge_masks) < set(g.edge_masks)
+                assert len(graph.edge_masks) == len(g.edge_masks) - 1
+            built.clear()
+            assert classify.symbolic_square_cm_by_field(g)[Field.Q], fix.label
+            assert built == [], fix.label
+        assert induced == []

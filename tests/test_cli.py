@@ -335,6 +335,28 @@ class TestTooLarge:
         code, out, _ = run_cli(capsys, "batch", str(stream), "--graph6", "--tsv")
         assert code == 4 and len(out.strip().split("\n")) == 4
 
+    def test_large_edge_list_refused_before_its_clutter(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # 3,000 vertices and 20,972 edges: the vertex count alone refuses
+        # it, so no clutter is built or validated
+        from vnum.formats import InputDocument
+
+        monkeypatch.setattr(InputDocument, "to_clutter", self._never)
+        edges = [f"{i} {i + k}" for k in range(1, 8) for i in range(1, 3001 - k)]
+        path = tmp_path / "big.txt"
+        path.write_text("graph 3000\n" + "\n".join(edges) + "\n")
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 4 and out == ""
+        assert "3000 vertices exceed the limit of 24" in err
+        listing = tmp_path / "files.txt"
+        listing.write_text(f"{path}\n")
+        code, out, _ = run_cli(capsys, "batch", str(listing), "--json")
+        assert code == 4
+        assert json.loads(out)["error"] == (
+            "too large: 3000 vertices exceed the limit of 24"
+        )
+
     def test_cross_route_exit_wins(self, capsys, tmp_path, monkeypatch):
         import vnum.cli as cli
         from vnum.classify import CrossRouteError

@@ -6,6 +6,7 @@ import pytest
 
 from vnum.catalog import complete_graph, cycle_graph, empty_graph, path_graph, star_graph
 from vnum.clutters import Clutter, Graph, ZeroIdealError
+from vnum.complexes import independence_complex
 from vnum.vertexsets import mask_members, mask_of
 
 from .oracles import (
@@ -357,8 +358,12 @@ class TestDerivedGraphs:
         assert sub.vertex_count == 0 and not sub.has_edges()
 
     def test_c5_edge_neighborhoods(self):
-        sub = cycle_graph(5).delete_edge_neighborhoods(1, 2)
-        assert sub.vertex_count == 1 and not sub.has_edges()
+        # G_e for e = {1, 2} is Delta(C5) restricted to the vertices outside
+        # N[1] | N[2] = {5, 1, 2, 3}, which leaves vertex 4 alone
+        g = cycle_graph(5)
+        adj = g.adjacency_masks()
+        sub = independence_complex(g).deletion(adj[0] | adj[1])
+        assert sub.facets == (mask_of(5, [4]),)
 
     def test_delete_edge(self):
         g = cycle_graph(4).delete_edge(1, 2)

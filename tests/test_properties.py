@@ -6,6 +6,8 @@ import itertools
 
 from hypothesis import example, given, settings, strategies as st
 
+from vnum.catalog import complete_graph
+from vnum.classify import _edge_neighborhoods
 from vnum.clutters import Clutter, Graph
 from vnum.complexes import (
     Field,
@@ -45,6 +47,7 @@ from .oracles import (
     clutter_of_squarefree_ideal,
     colon_by_monomial,
     edge_ideal,
+    edge_subgraph_facets,
     euler_characteristic_reduced,
     family_a_naive,
     homology_ranks_naive,
@@ -507,6 +510,21 @@ class TestStrongCollapses:
             assert fires == bool(cone_links(stable, amask)), (c.edge_lists(), amask)
 
     @given(clutters(max_vertices=6, max_edges=5))
+    @settings(deadline=None, max_examples=150)
+    def test_fold_free_subsets_are_their_own_core(self, c):
+        # a subset the scan keeps has no cone link in Delta_A, so no vertex
+        # is dominated and coring Delta_A cannot shrink the scan's matrices
+        checks = _folds(c.edge_masks)
+        scanned = or_all(c.edge_masks)
+        for amask in range(1, 1 << c.vertex_count):
+            if amask & ~scanned or any(
+                amask & m == pair and all(r & ~amask for r in wide)
+                for m, pair, wide in checks
+            ):
+                continue
+            assert _dominated(induced_facets(c, amask)) == 0, (c.edge_lists(), amask)
+
+    @given(clutters(max_vertices=6, max_edges=5))
     @settings(deadline=None, max_examples=60)
     def test_clutter_fold_lemma(self, c):
         # w's link in Delta_A a cone with apex u makes deleting w a strong
@@ -522,3 +540,23 @@ class TestStrongCollapses:
         for amask in range(1, 1 << c.vertex_count):
             for u, w in cone_links(stable, amask):
                 assert of(amask) == of(amask ^ w), (c.edge_lists(), amask, u, w)
+
+
+class TestEdgeRestriction:
+    @given(graphs(min_vertices=2, max_vertices=8))
+    @settings(deadline=None, max_examples=150)
+    # an isolated vertex outside every N[u] | N[v], and a G_e with no vertex
+    @example(Graph.of(5, [(1, 2), (2, 3), (3, 4)]))
+    @example(complete_graph(4))
+    def test_restriction_is_the_built_subgraph(self, g):
+        # Delta(G) restricted to the vertices outside N[u] | N[v] is the
+        # complex of G_e built as a graph, in G's labels; route 2 of
+        # edge_criticality reads its independence number off the same sets
+        complex_ = independence_complex(g)
+        maximal = g.maximal_stable_masks()
+        for (u, v), gone in zip(g.edge_lists(), _edge_neighborhoods(g)):
+            want = edge_subgraph_facets(g, u, v)
+            assert complex_.deletion(gone).facets == want, (g.edge_lists(), u, v)
+            assert max((f & ~gone).bit_count() for f in maximal) == max(
+                f.bit_count() for f in want
+            )
