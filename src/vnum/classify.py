@@ -209,12 +209,12 @@ def has_linear_resolution(g: Graph) -> bool:
 class InvariantReport:
     """Every computed invariant and classification flag for one input."""
 
-    kind: str
     name: Optional[str]
+    kind: str
     vertex_count: int
     edge_count: int
     v: int
-    i_dom: int
+    i: int
     gamma: Optional[int]
     beta0: int
     alpha0: int
@@ -240,9 +240,9 @@ class InvariantReport:
                 f"Krull dimension s - alpha0 must equal beta0: dim={self.dim}, "
                 f"beta0={self.beta0}"
             )
-        if not self.v <= self.i_dom <= self.beta0:
+        if not self.v <= self.i <= self.beta0:
             raise CrossRouteError(
-                f"v <= i <= beta0 violated: v={self.v}, i={self.i_dom}, "
+                f"v <= i <= beta0 violated: v={self.v}, i={self.i}, "
                 f"beta0={self.beta0}"
             )
         for field, reg in self.reg_by_field.items():
@@ -314,7 +314,6 @@ def full_report(
     v, witness = v_number_checked(c)
     beta0 = c.independence_number()
     alpha0 = c.cover_number()
-    i_dom = c.independent_domination()
     reg_by_field = regularities(c, fields)
     complex_ = independence_complex(c)
     cm = cohen_macaulay_fields(complex_)
@@ -335,12 +334,12 @@ def full_report(
         if not isolated and c.has_edges():
             linres = has_linear_resolution(c)
     return InvariantReport(
-        kind="graph" if is_graph else "clutter",
         name=name,
+        kind="graph" if is_graph else "clutter",
         vertex_count=c.vertex_count,
         edge_count=len(c.edge_masks),
         v=v,
-        i_dom=i_dom,
+        i=c.independent_domination(),
         gamma=gamma,
         beta0=beta0,
         alpha0=alpha0,

@@ -18,6 +18,7 @@ unless a cross-route disagreement (exit 2) also occurred.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -65,36 +66,21 @@ FIELDS = {"q": (Field.Q,), "f2": (Field.F2,), "both": (Field.Q, Field.F2)}
 
 
 def _report_dict(rep: InvariantReport) -> dict:
-    out: dict = {
-        "schema": SCHEMA,
-        "name": rep.name,
-        "kind": rep.kind,
-        "vertex_count": rep.vertex_count,
-        "edge_count": rep.edge_count,
-        "v": rep.v,
-        "i": rep.i_dom,
-        "gamma": rep.gamma,
-        "beta0": rep.beta0,
-        "alpha0": rep.alpha0,
-        "dim": rep.dim,
-    }
-    for field, reg in rep.reg_by_field.items():
-        out[f"reg_{field.value}"] = reg
-    out["well_covered"] = rep.well_covered
-    out["one_well_covered"] = rep.one_well_covered
-    out["w2"] = rep.w2
-    out["edge_critical"] = rep.edge_critical
-    for field, val in rep.cm_by_field.items():
-        out[f"cm_{field.value}"] = val
-    for field, val in rep.symbolic_square_cm_by_field.items():
-        out[f"symbolic_square_cm_{field.value}"] = val
-    out["vertex_decomposable"] = rep.vertex_decomposable
-    out["linear_resolution"] = rep.linear_resolution
-    out["has_isolated_vertices"] = rep.has_isolated_vertices
-    out["v_witness"] = list(rep.v_witness)
-    out["edge_critical_violation"] = (
-        list(rep.edge_critical_violation) if rep.edge_critical_violation else None
-    )
+    """The report as one output row: its fields in order, under their names.
+
+    A `<name>_by_field` dict gives one `<name>_<field>` key per field,
+    tuples become lists, and the matching bounds, which the report only
+    asserts, are left out.
+    """
+    out: dict = {"schema": SCHEMA}
+    for f in dataclasses.fields(rep):
+        value = getattr(rep, f.name)
+        if f.name.endswith("_by_field"):
+            stem = f.name.removesuffix("_by_field")
+            for field, val in value.items():
+                out[f"{stem}_{field.value}"] = val
+        elif f.name != "matching_bounds":
+            out[f.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -175,9 +161,7 @@ def cmd_symbolic_power(args: argparse.Namespace) -> int:
 def cmd_catalog_verify(args: argparse.Namespace) -> int:
     if args.table:
         return _verify_cm36()
-    if args.edge_critical:
-        return _scan_edge_critical(args.edge_critical)
-    raise ParseError("use --table cm36 or --edge-critical <graph6-file>")
+    return _scan_edge_critical(args.edge_critical)
 
 
 def _verify_cm36() -> int:
@@ -329,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_symbolic_power)
 
     cat = sub.add_parser("catalog-verify", help="check embedded or external catalogs")
-    cat.add_argument("--table", choices=["cm36"])
-    cat.add_argument("--edge-critical", dest="edge_critical", metavar="GRAPH6_FILE")
+    which = cat.add_mutually_exclusive_group(required=True)
+    which.add_argument("--table", choices=["cm36"])
+    which.add_argument("--edge-critical", dest="edge_critical", metavar="GRAPH6_FILE")
     cat.set_defaults(func=cmd_catalog_verify)
 
     bat = sub.add_parser("batch", help="report many inputs, one row each")

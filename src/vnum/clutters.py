@@ -50,24 +50,26 @@ class Clutter:
                 raise ValueError("empty edge not allowed")
             if m & ~full:
                 raise ValueError("edge has vertices outside the ambient range")
-        if len(set(self.edge_masks)) != len(self.edge_masks):
-            raise ValueError("repeated edge")
+        for a, b in zip(self.edge_masks, self.edge_masks[1:]):
+            if a == b:
+                raise ValueError(f"repeated edge {mask_members(a)}")
+            if a > b:
+                raise ValueError("edges not in increasing order; use Clutter.of")
         bad = _antichain_violation(self.edge_masks)
         if bad is not None:
             raise ValueError(
                 f"not an antichain: edge {mask_members(bad[0])} is contained "
                 f"in edge {mask_members(bad[1])}"
             )
-        if list(self.edge_masks) != sorted(self.edge_masks):
-            raise ValueError("edges not in increasing order; use Clutter.of")
 
     @classmethod
     def of(cls, vertex_count: int, edges: Iterable[Iterable[int]]) -> "Clutter":
         """The clutter, or for `Graph.of` the graph, with the given edges.
 
         Each edge is read as the set of its vertices, so a vertex repeated
-        inside an edge and an edge listed twice both count once; the input
-        parsers reject such lines before they get here.
+        inside an edge and an edge listed twice both count once.  Input
+        documents do not come through here: `InputDocument.to_clutter`
+        calls the constructor itself, which rejects a repeated edge.
         """
         masks = {mask_of(vertex_count, e) for e in edges}
         return cls(vertex_count, tuple(sorted(masks)))
@@ -243,12 +245,12 @@ class Graph(Clutter):
     """A simple graph: the clutter whose edges all have two vertices."""
 
     def __post_init__(self) -> None:
-        super().__post_init__()
         for m in self.edge_masks:
             if m.bit_count() != 2:
                 raise ValueError(
                     f"graph edge must have exactly 2 vertices, got {mask_members(m)}"
                 )
+        super().__post_init__()
 
     # -- adjacency ----------------------------------------------------------
 

@@ -1,4 +1,10 @@
-"""Input documents: the edge-list text format and graph6 decoding."""
+"""Input documents: the edge-list text format and graph6 decoding.
+
+The parsers check only what one line, or one graph6 string, shows on its
+own; the rules of an edge set (no repeated edge, no edge inside another,
+two vertices per graph edge) live in the `Clutter` and `Graph`
+constructors, which every document goes through.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .clutters import Clutter, Graph
+from .vertexsets import mask_of
 
 
 class ParseError(ValueError):
@@ -22,23 +29,30 @@ class InputDocument:
     name: Optional[str] = None
 
     def to_clutter(self) -> Clutter:
-        if self.kind == "graph":
-            return Graph.of(self.vertex_count, self.edges)
-        return Clutter.of(self.vertex_count, self.edges)
+        """The document's graph or clutter, through its validating constructor.
+
+        The constructor rejects what the parser leaves to it: a repeated
+        edge, an edge contained in another, and a graph edge without
+        exactly two vertices.
+        """
+        cls = Graph if self.kind == "graph" else Clutter
+        masks = sorted(mask_of(self.vertex_count, e) for e in self.edges)
+        return cls(self.vertex_count, tuple(masks))
 
 
 def parse_edge_list(text: str, name: Optional[str] = None) -> InputDocument:
-    """Parse the plain text format.
+    """Parse the plain text format, checking each line on its own.
 
     Line 1 is ``graph <s>`` or ``clutter <s>``; every following non-empty
     line that does not start with ``#`` lists the 1-based vertices of one
-    edge.  Graphs reject loops and duplicate edges; clutters reject any
-    edge contained in another (duplicates included).
+    edge.  A line is rejected, with its number, when a token is not an
+    integer, a vertex lies outside 1..s or a vertex repeats.  Rules that
+    compare edges, and the graph rule of two vertices per edge, belong to
+    the clutter constructors (`InputDocument.to_clutter`).
     """
     kind = None
     vertex_count = 0
     edges: list[tuple[int, ...]] = []
-    edge_sets: set[frozenset[int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -66,22 +80,11 @@ def parse_edge_list(text: str, name: Optional[str] = None) -> InputDocument:
                 raise ParseError(
                     f"line {lineno}: vertex {v} outside 1..{vertex_count}"
                 )
-        if kind == "graph":
-            if len(verts) != 2 or verts[0] == verts[1]:
-                raise ParseError(f"line {lineno}: a graph edge needs 2 distinct vertices")
-            if frozenset(verts) in edge_sets:
-                raise ParseError(f"line {lineno}: duplicate edge")
-        else:
-            if not verts:
-                raise ParseError(f"line {lineno}: empty edge")
-            new = frozenset(verts)
-            for old in edge_sets:
-                if new <= old or old <= new:
-                    raise ParseError(
-                        f"line {lineno}: edge violates the antichain condition"
-                    )
-        edge_sets.add(frozenset(verts))
-        edges.append(tuple(sorted(set(verts))))
+        edge = tuple(sorted(set(verts)))
+        if len(edge) != len(verts):
+            twice = next(v for v in verts if verts.count(v) > 1)
+            raise ParseError(f"line {lineno}: vertex {twice} repeated")
+        edges.append(edge)
     if kind is None:
         raise ParseError("line 1: missing 'graph <s>' or 'clutter <s>' header")
     return InputDocument(kind, vertex_count, tuple(edges), name)

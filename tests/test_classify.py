@@ -303,7 +303,7 @@ class TestFullReport:
         assert rep.kind == "clutter"
         assert rep.gamma is None
         assert rep.w2 is None and rep.edge_critical is None
-        assert rep.v <= rep.i_dom <= rep.beta0 == rep.dim
+        assert rep.v <= rep.i <= rep.beta0 == rep.dim
 
     def test_isolated_vertices_flagged(self):
         g = Graph.of(3, [(1, 2)])

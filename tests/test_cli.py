@@ -335,17 +335,19 @@ class TestTooLarge:
         code, out, _ = run_cli(capsys, "batch", str(stream), "--graph6", "--tsv")
         assert code == 4 and len(out.strip().split("\n")) == 4
 
+    @pytest.mark.parametrize("kind", ["graph", "clutter"])
     def test_large_edge_list_refused_before_its_clutter(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, monkeypatch, kind
     ):
         # 3,000 vertices and 20,972 edges: the vertex count alone refuses
-        # it, so no clutter is built or validated
+        # it, so no clutter is built or validated, and the parser compares
+        # no edge with another (CI times the clutter document)
         from vnum.formats import InputDocument
 
         monkeypatch.setattr(InputDocument, "to_clutter", self._never)
         edges = [f"{i} {i + k}" for k in range(1, 8) for i in range(1, 3001 - k)]
         path = tmp_path / "big.txt"
-        path.write_text("graph 3000\n" + "\n".join(edges) + "\n")
+        path.write_text(f"{kind} 3000\n" + "\n".join(edges) + "\n")
         code, out, err = run_cli(capsys, "report", str(path))
         assert code == 4 and out == ""
         assert "3000 vertices exceed the limit of 24" in err
@@ -407,7 +409,9 @@ class TestGoldenCommands:
     and clutter16.txt and, for each command below, its recorded output.
     example-graph3 is reported with each field alone too, since its fields
     differ (reg 2 over Q and 3 over GF(2), Cohen-Macaulay over Q only) and
-    a one-field report picks its own keys.
+    a one-field report picks its own keys.  example-graph3 and clutter10
+    are also reported as TSV (`.report.tsv`) and as plain text
+    (`.report.out`), the two other formats of the same report row.
     The two clutters, with edges of sizes 2 and 3 on 10 and 16 vertices,
     are the golden inputs that are not graphs, and no benchmark workload
     has one: their regularity scans skip subsets by the same cone-link rule
@@ -434,6 +438,13 @@ class TestGoldenCommands:
             (["report", os.path.join(data, "example-graph3.txt"), "--field", f, "--json"],
              f"example-graph3.{f}.report.json")
             for f in ("q", "f2")
+        ]
+        runs += [
+            (["report", os.path.join(data, f"{g}.txt"), "--field", "both", *fmt], golden)
+            for g in ("example-graph3", "clutter10")
+            for fmt, golden in (
+                (["--tsv"], f"{g}.report.tsv"), ([], f"{g}.report.out")
+            )
         ]
         for argv, golden in runs:
             code, out, _ = run_cli(capsys, *argv)
@@ -479,6 +490,14 @@ class TestUsageErrors:
             (["report", "x.txt", "--field", "bogus"], "invalid choice: 'bogus'"),
             (["batch", "x.txt", "--parallel", "x"], "invalid int value: 'x'"),
             (["catalog-verify", "--table", "foo"], "invalid choice: 'foo'"),
+            (
+                ["catalog-verify", "--table", "cm36", "--edge-critical", "x.g6"],
+                "argument --edge-critical: not allowed with argument --table",
+            ),
+            (
+                ["catalog-verify"],
+                "one of the arguments --table --edge-critical is required",
+            ),
         ],
     )
     def test_usage_error_is_an_input_error(self, capsys, argv, message):
@@ -535,6 +554,43 @@ class TestClutterInput:
         assert code == 0
         data = json.loads(out)
         assert data["v"] == 0 and data["dim"] == 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("graph 3\n1 1\n", "line 2: vertex 1 repeated"),
+            ("graph 3\n1 2 2\n", "line 2: vertex 2 repeated"),
+            ("graph 3\n1 2 3\n", "graph edge must have exactly 2 vertices, got (1, 2, 3)"),
+            ("graph 3\n1 2\n2 1\n", "repeated edge (1, 2)"),
+            (
+                "clutter 3\n1 2 3\n2 3\n",
+                "not an antichain: edge (2, 3) is contained in edge (1, 2, 3)",
+            ),
+            ("clutter 3\n1 2 3\n3 2 1\n", "repeated edge (1, 2, 3)"),
+            ("clutter 3\n1 1 2\n", "line 2: vertex 1 repeated"),
+            ("graph 3\n0 1\n", "line 2: vertex 0 outside 1..3"),
+            ("graph 3\n1 4\n", "line 2: vertex 4 outside 1..3"),
+            ("graph 3\n1 x\n", "line 2: non-integer vertex index"),
+        ],
+        ids=[
+            "loop", "graph-repeated-vertex", "graph-3-edge", "graph-duplicate",
+            "clutter-subset", "clutter-duplicate", "clutter-repeated-vertex",
+            "vertex-0", "vertex-s+1", "non-integer",
+        ],
+    )
+    def test_malformed_document(self, capsys, tmp_path, text, message):
+        # the parser checks each line, the constructors the edge set; both
+        # are input errors, and a batch keeps them in band
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "report", str(path))
+        assert code == 1 and out == ""
+        assert err == f"input error: {message}\n"
+        listing = tmp_path / "files.txt"
+        listing.write_text(f"{path}\n")
+        code, out, _ = run_cli(capsys, "batch", str(listing), "--json")
+        assert code == 0
+        assert json.loads(out) == {"schema": "vnum/1", "name": "line 1", "error": message}
 
     def test_edgeless_graph_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "void.txt"

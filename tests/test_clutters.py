@@ -45,7 +45,7 @@ class TestConstruction:
             Graph.of(3, [(1, 2, 3)])
 
     def test_edges_read_as_vertex_sets(self):
-        # The programmatic constructor merges repeats; the parsers reject them.
+        # `of` merges repeats; input documents reject them (tests/test_cli.py).
         assert Graph.of(3, [(1, 2, 2)]) == Graph.of(3, [(1, 2)])
         assert Clutter.of(3, [(1, 2), (2, 1)]).edge_masks == (0b11,)
 

@@ -36,12 +36,14 @@ class TestEdgeList:
             parse_edge_list("graph 3\n1 1\n")
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(ParseError, match="duplicate"):
-            parse_edge_list("graph 3\n1 2\n2 1\n")
+        doc = parse_edge_list("graph 3\n1 2\n2 1\n")
+        with pytest.raises(ValueError, match=r"repeated edge \(1, 2\)"):
+            doc.to_clutter()
 
     def test_subset_edge_rejected_for_clutters(self):
-        with pytest.raises(ParseError, match="antichain"):
-            parse_edge_list("clutter 3\n1 2 3\n2 3\n")
+        doc = parse_edge_list("clutter 3\n1 2 3\n2 3\n")
+        with pytest.raises(ValueError, match="antichain"):
+            doc.to_clutter()
 
     def test_out_of_range(self):
         with pytest.raises(ParseError, match="line 2"):
