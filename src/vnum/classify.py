@@ -245,6 +245,11 @@ class InvariantReport:
                 f"v <= i <= beta0 violated: v={self.v}, i={self.i}, "
                 f"beta0={self.beta0}"
             )
+        if self.gamma is not None and self.gamma > self.i:
+            # every maximal stable set dominates the graph
+            raise CrossRouteError(
+                f"gamma <= i violated: gamma={self.gamma}, i={self.i}"
+            )
         for field, reg in self.reg_by_field.items():
             if reg > self.dim:
                 raise CrossRouteError(

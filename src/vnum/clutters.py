@@ -8,6 +8,11 @@ the minimal covers, the maximal stable sets and the blocker's edges; equal
 clutters compare equal and every operation is deterministic.  All
 invariants (stable sets, covers, the v-number, the domination numbers) are
 computed exactly; the intended scale is s <= ~24.
+
+No subclutter is built.  The stable sets of C - v are the stable sets of C
+that avoid v, so 1-well-coveredness reads every C - v off the maximal
+stable sets of C.  The derived graphs (G - e, the complement, unions and
+whiskers) are the other routes of cross-checks and test inputs.
 """
 
 from __future__ import annotations
@@ -15,23 +20,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .vertexsets import iter_bits, mask_members, mask_of, meet, or_all
+from .vertexsets import antichain_minima, iter_bits, mask_members, mask_of, meet, or_all
 
 
 class ZeroIdealError(ValueError):
     """Operation undefined for a discrete clutter (its edge ideal is zero)."""
-
-
-def _antichain_violation(masks: Sequence[int]) -> Optional[tuple[int, int]]:
-    """Return a pair (small, big) with small subset of big, or None."""
-    for a, b in itertools.combinations(masks, 2):
-        if a & ~b == 0:
-            return (a, b)
-        if b & ~a == 0:
-            return (b, a)
-    return None
 
 
 @dataclass(frozen=True)
@@ -55,11 +50,13 @@ class Clutter:
                 raise ValueError(f"repeated edge {mask_members(a)}")
             if a > b:
                 raise ValueError("edges not in increasing order; use Clutter.of")
-        bad = _antichain_violation(self.edge_masks)
-        if bad is not None:
+        minimal = antichain_minima(self.edge_masks)
+        if len(minimal) < len(self.edge_masks):
+            big = min(set(self.edge_masks).difference(minimal))
+            small = next(m for m in minimal if m & ~big == 0)
             raise ValueError(
-                f"not an antichain: edge {mask_members(bad[0])} is contained "
-                f"in edge {mask_members(bad[1])}"
+                f"not an antichain: edge {mask_members(small)} is contained "
+                f"in edge {mask_members(big)}"
             )
 
     @classmethod
@@ -85,9 +82,6 @@ class Clutter:
 
     def has_edges(self) -> bool:
         return bool(self.edge_masks)
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(range(1, self.vertex_count + 1))
 
     def isolated_vertices(self) -> tuple[int, ...]:
         return mask_members(self.full_mask & ~or_all(self.edge_masks))
@@ -168,11 +162,24 @@ class Clutter:
         return len(sizes) == 1
 
     def is_one_well_covered(self) -> bool:
+        """Well-covered, and so is C - v for every vertex v.
+
+        The stable sets of C - v are the stable sets of C that avoid v, so
+        its maximal ones are the facets F of Delta(C) without v and the
+        sets F - v that no vertex extends.  When v lies in no edge every
+        facet holds v, and all F - v have one size.  Otherwise some facet
+        avoids v (it grows from e - v for an edge e through v), so C - v is
+        well-covered exactly when each facet F through v trades v for some
+        w outside F: F - v + w is stable of size beta0, so it is a facet.
+        """
         if not self.is_well_covered():
             return False
+        facets = set(self.maximal_stable_masks())
+        full, in_edges = self.full_mask, or_all(self.edge_masks)
         return all(
-            self.delete_vertex(v).is_well_covered()
-            for v in range(1, self.vertex_count + 1)
+            any((f ^ b | w) in facets for w in iter_bits(full & ~f))
+            for f in facets
+            for b in iter_bits(f & in_edges)
         )
 
     def v_number(self) -> int:
@@ -198,23 +205,6 @@ class Clutter:
         if not self.has_edges():
             raise ZeroIdealError("blocker undefined for the zero ideal")
         return Clutter(self.vertex_count, self.minimal_cover_masks())
-
-    def delete_vertex(self, v: int) -> "Clutter":
-        """Remove v and every edge through it, reindexing densely."""
-        if not 1 <= v <= self.vertex_count:
-            raise ValueError(f"vertex {v} not in 1..{self.vertex_count}")
-        return self.induced_subclutter([u for u in self.vertices() if u != v])
-
-    def induced_subclutter(self, keep: Sequence[int]) -> "Clutter":
-        """The edges inside keep, with vertex keep[i] relabelled i + 1."""
-        new_of_old = {u: i + 1 for i, u in enumerate(keep)}
-        keep_mask = mask_of(self.vertex_count, keep)
-        edges = [
-            [new_of_old[u] for u in mask_members(m)]
-            for m in self.edge_masks
-            if m & ~keep_mask == 0
-        ]
-        return type(self).of(len(keep), edges)
 
 
 # -- hypergraph transversals -------------------------------------------------
@@ -297,11 +287,6 @@ class Graph(Clutter):
             raise ValueError(f"edge {{{u},{v}}} not present")
         m = mask_of(self.vertex_count, (u, v))
         return Graph(self.vertex_count, tuple(e for e in self.edge_masks if e != m))
-
-    def delete_closed_neighborhood(self, v: int) -> "Graph":
-        """G_v: the induced subgraph on V minus N[v]."""
-        gone = self.adjacency_masks()[v - 1] | 1 << (v - 1)
-        return self.induced_subclutter(mask_members(self.full_mask & ~gone))
 
     def complement(self) -> "Graph":
         s = self.vertex_count

@@ -19,6 +19,7 @@ among themselves.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 
@@ -61,11 +62,16 @@ def or_all(masks: Iterable[int]) -> int:
 
 
 def antichain_minima(masks: Iterable[int]) -> list[int]:
-    """The inclusion-minimal masks, each once, by increasing size."""
+    """The inclusion-minimal masks, each once, by increasing size.
+
+    Two distinct masks of one size never contain each other, so each size
+    class is tested only against the kept masks of smaller sizes: a family
+    of one size costs no containment test.
+    """
     out: list[int] = []
-    for m in sorted(set(masks), key=int.bit_count):
-        if not any(kept & ~m == 0 for kept in out):
-            out.append(m)
+    for _, same_size in groupby(sorted(set(masks), key=int.bit_count), int.bit_count):
+        smaller = out[:]
+        out.extend(m for m in same_size if not any(k & ~m == 0 for k in smaller))
     return out
 
 

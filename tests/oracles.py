@@ -10,8 +10,10 @@ one recursion for both fields replaced; the per-field regularity scan over
 every vertex subset, which one pruned scan for all fields replaced; the
 stability filter over every vertex subset, which growing stable sets one
 vertex at a time replaced; and the mask intersection that re-minimizes
-every union, which `vertexsets.meet` replaced; and the edge subgraphs G_e
-built as graphs, which restrictions of the independence complex replaced.
+every union, which `vertexsets.meet` replaced; the edge subgraphs G_e
+built as graphs, which restrictions of the independence complex replaced;
+and the subclutters C - v built for 1-well-coveredness, which a facet
+trade inside Delta(C) replaced.
 
 This module owns the exponent-tuple value types, `Monomial` and
 `MonomialIdeal`, which the package no longer has: monomial products, colon
@@ -648,6 +650,44 @@ def symbolic_square_cm_beta2(g: Graph) -> bool:
     return _beta2_complement_agreement(g, verdict)
 
 
+# -- subclutters built as clutters -------------------------------------------------
+
+
+def induced_subclutter(c: Clutter, keep: Sequence[int]) -> Clutter:
+    """The edges inside keep, with vertex keep[i] relabelled i + 1.
+
+    A graph gives a graph.
+    """
+    new_of_old = {u: i + 1 for i, u in enumerate(keep)}
+    keep_mask = mask_of(c.vertex_count, keep)
+    edges = [
+        [new_of_old[u] for u in mask_members(m)]
+        for m in c.edge_masks
+        if m & ~keep_mask == 0
+    ]
+    return type(c).of(len(keep), edges)
+
+
+def delete_closed_neighborhood(g: Graph, v: int) -> Graph:
+    """G_v: the induced subgraph on V minus N[v]."""
+    gone = g.adjacency_masks()[v - 1] | 1 << (v - 1)
+    return induced_subclutter(g, mask_members(g.full_mask & ~gone))
+
+
+def is_one_well_covered_built(c: Clutter) -> bool:
+    """C and every C - v well-covered, each C - v built with its own covers.
+
+    The package reads every C - v off the facets of Delta(C) instead.
+    """
+    if not c.is_well_covered():
+        return False
+    everyone = range(1, c.vertex_count + 1)
+    return all(
+        induced_subclutter(c, [u for u in everyone if u != v]).is_well_covered()
+        for v in everyone
+    )
+
+
 # -- the edge subgraphs G_e ---------------------------------------------------------
 
 
@@ -660,8 +700,8 @@ def edge_subgraph_facets(g: Graph, u: int, v: int) -> tuple[int, ...]:
     G_e as a restriction of Delta(G) instead.
     """
     gone = {w for e in g.edge_lists() if u in e or v in e for w in e}
-    keep = [w for w in g.vertices() if w not in gone]
-    sub = g.induced_subclutter(keep)
+    keep = [w for w in range(1, g.vertex_count + 1) if w not in gone]
+    sub = induced_subclutter(g, keep)
     return tuple(
         sorted(
             mask_of(g.vertex_count, [keep[i - 1] for i in mask_members(f)])

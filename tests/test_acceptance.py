@@ -36,6 +36,7 @@ from .oracles import (
     MonomialIdeal,
     clutter_of_squarefree_ideal,
     colon_by_monomial,
+    delete_closed_neighborhood,
     edge_ideal,
     ordinary_power,
     symbolic_power,
@@ -205,13 +206,13 @@ def test_criterion_5_property_suite(corpus, corpus_invariants, named_graphs):
         complete = len(g.edge_masks) == g.vertex_count * (g.vertex_count - 1) // 2
         if is_w2(g) and not complete:
             for vtx in range(1, g.vertex_count + 1):
-                sub = g.delete_closed_neighborhood(vtx)
+                sub = delete_closed_neighborhood(g, vtx)
                 assert sub.independence_number() == inv[g]["beta0"] - 1
                 assert is_w2(sub)
         if g.is_well_covered():
             descends = True
             for vtx in range(1, g.vertex_count + 1):
-                sub = g.delete_closed_neighborhood(vtx)
+                sub = delete_closed_neighborhood(g, vtx)
                 if sub.vertex_count == 0:
                     continue
                 if sub.vertex_count < 2 or sub.isolated_vertices() or not is_w2(sub):
@@ -242,7 +243,7 @@ def test_criterion_5_property_suite(corpus, corpus_invariants, named_graphs):
             added_vs.append(av)
             assert v <= av + 1
             colon_clutter = clutter_of_squarefree_ideal(colon)
-            sub = g.delete_closed_neighborhood(vtx)
+            sub = delete_closed_neighborhood(g, vtx)
             assert colon_clutter.independence_number() == 1 + (
                 sub.independence_number() if sub.vertex_count else 0
             )

@@ -37,8 +37,9 @@ from vnum.complexes import (
     cohen_macaulay_fields,
     independence_complex,
 )
+from vnum.monomials import polarized_symbolic_power
 
-from .oracles import symbolic_square_cm_beta2
+from .oracles import delete_closed_neighborhood, symbolic_square_cm_beta2
 
 
 class TestW2:
@@ -150,7 +151,7 @@ class TestSymbolicSquareCm:
                 continue
             critical = is_edge_critical(g)
             for v in range(1, g.vertex_count + 1):
-                sub = g.delete_closed_neighborhood(v)
+                sub = delete_closed_neighborhood(g, v)
                 if sub.vertex_count == 0:
                     continue
                 assert symbolic_square_cm(sub, Field.Q)
@@ -248,7 +249,7 @@ class TestW2Heredity:
                 continue
             b = g.independence_number()
             for v in range(1, g.vertex_count + 1):
-                sub = g.delete_closed_neighborhood(v)
+                sub = delete_closed_neighborhood(g, v)
                 assert sub.independence_number() == b - 1
                 assert not sub.isolated_vertices()
                 assert is_w2(sub)
@@ -259,7 +260,7 @@ class TestW2Heredity:
                 continue
             hypothesis_holds = True
             for v in range(1, g.vertex_count + 1):
-                sub = g.delete_closed_neighborhood(v)
+                sub = delete_closed_neighborhood(g, v)
                 if sub.vertex_count == 0:
                     continue  # vacuously in the class
                 if (
@@ -368,6 +369,14 @@ class TestFullReport:
         with pytest.raises(CrossRouteError, match="v=3, i=2, beta0=2"):
             dataclasses.replace(rep, v=3)
 
+    def test_domination_bounded_by_independent_domination(self):
+        # every maximal stable set dominates, so gamma <= i
+        rep = full_report(path_graph(4))
+        assert (rep.gamma, rep.i) == (2, 2)
+        with pytest.raises(CrossRouteError, match="gamma=3, i=2"):
+            dataclasses.replace(rep, gamma=rep.i + 1)
+        assert full_report(Clutter.of(3, [(1, 2, 3)])).gamma is None
+
     def test_linear_resolution_checked_by_the_report(self):
         rep = full_report(cycle_graph(5), [Field.Q, Field.F2])
         assert rep.linear_resolution is False
@@ -469,21 +478,16 @@ class TestFullReport:
         assert got == {f: classify.symbolic_square_cm(g, f) for f in got}
 
     def test_edge_walks_build_no_subgraph(self, monkeypatch):
-        # every G_e is a restriction of Delta(G): edge_criticality and the
-        # symbolic-square walk call no induced_subclutter, the walk builds
-        # no graph at all, and route 1 builds only the graphs G - e
-        induced, built = [], []
-        sub, post_init = Clutter.induced_subclutter, Graph.__post_init__
-
-        def counted_sub(c, keep):
-            induced.append(keep)
-            return sub(c, keep)
+        # every G_e is a restriction of Delta(G): the symbolic-square walk
+        # builds no graph at all, and edge-criticality route 1 builds only
+        # the graphs G - e
+        built = []
+        post_init = Graph.__post_init__
 
         def counted_post_init(graph):
             built.append(graph)
             post_init(graph)
 
-        monkeypatch.setattr(Clutter, "induced_subclutter", counted_sub)
         monkeypatch.setattr(Graph, "__post_init__", counted_post_init)
         for fix in CM36:
             g = fix.graph()
@@ -497,4 +501,37 @@ class TestFullReport:
             built.clear()
             assert classify.symbolic_square_cm_by_field(g)[Field.Q], fix.label
             assert built == [], fix.label
-        assert induced == []
+
+    def test_reports_build_only_cross_check_routes(self, monkeypatch, corpus):
+        # a report builds a clutter only as the other route of a check:
+        # G - e for edge-criticality (up to the first violating edge), the
+        # complement for the independence-number-2 readings and for linear
+        # resolution, and the polarized square for the oracle;
+        # 1-well-coveredness builds none
+        expected = []
+        for g in corpus:
+            violation = edge_criticality(g)[1]
+            routes = []
+            for u, v in sorted(g.edge_lists()):
+                routes.append(g.delete_edge(u, v))
+                if (u, v) == violation:
+                    break
+            if g.has_edges() and g.vertex_count <= classify.ORACLE_CAP:
+                routes.append(polarized_symbolic_power(g, 2))
+            if g.independence_number() == 2:
+                routes.append(g.complement())
+            if g.has_edges() and not g.isolated_vertices():
+                routes.append(g.complement())
+            expected.append(routes)
+        built = []
+        post_init = Clutter.__post_init__
+
+        def counted_post_init(c):
+            built.append(c)
+            post_init(c)
+
+        monkeypatch.setattr(Clutter, "__post_init__", counted_post_init)
+        for g, routes in zip(corpus, expected):
+            built.clear()
+            full_report(g)
+            assert sorted(built, key=repr) == sorted(routes, key=repr), g

@@ -11,6 +11,7 @@ from vnum.vertexsets import mask_members, mask_of
 
 from .oracles import (
     beta0_naive,
+    delete_closed_neighborhood,
     domination_naive,
     family_a_naive,
     is_claw_free_naive,
@@ -349,12 +350,12 @@ class TestWhisker:
 
 class TestDerivedGraphs:
     def test_c5_closed_neighborhood(self):
-        sub = cycle_graph(5).delete_closed_neighborhood(1)
+        sub = delete_closed_neighborhood(cycle_graph(5), 1)
         assert sub.vertex_count == 2
         assert sub.edge_lists() == ((1, 2),)
 
     def test_k3_closed_neighborhood_empty(self):
-        sub = complete_graph(3).delete_closed_neighborhood(1)
+        sub = delete_closed_neighborhood(complete_graph(3), 1)
         assert sub.vertex_count == 0 and not sub.has_edges()
 
     def test_c5_edge_neighborhoods(self):

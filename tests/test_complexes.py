@@ -46,6 +46,7 @@ from .oracles import (
     edge_ideal,
     euler_characteristic_reduced,
     homology_ranks_naive,
+    induced_subclutter,
     is_cohen_macaulay_all_faces,
     is_cohen_macaulay_per_field,
     is_vertex_decomposable_naive,
@@ -788,7 +789,7 @@ def _has_only_short_chordless_cycles(g):
         if size == 5:
             continue
         for verts in itertools.combinations(range(1, n + 1), size):
-            sub = g.induced_subclutter(verts)
+            sub = induced_subclutter(g, verts)
             if len(sub.edge_masks) == size and all(
                 sub.adjacency_masks()[v].bit_count() == 2 for v in range(size)
             ):

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from hypothesis import example, given, settings, strategies as st
 
-from vnum.catalog import complete_graph
+from vnum.catalog import complete_graph, cycle_graph
 from vnum.classify import _edge_neighborhoods
 from vnum.clutters import Clutter, Graph
 from vnum.complexes import (
@@ -53,6 +54,7 @@ from .oracles import (
     homology_ranks_naive,
     intersect,
     is_cohen_macaulay_per_field,
+    is_one_well_covered_built,
     is_vertex_decomposable_naive,
     meet_quadratic,
     ordinary_power,
@@ -129,6 +131,15 @@ def mask_ideal_pairs(draw, max_vertices=6):
     gens = draw(st.lists(mask, min_size=1, max_size=5))
     gens += [draw(st.sampled_from(piece)) | m for m in draw(st.lists(mask, max_size=3))]
     return n, gens, piece
+
+
+@st.composite
+def cliques(draw, max_cliques=4):
+    """Disjoint unions of K1, K2 and K3: well-covered, isolated vertices too."""
+    sizes = draw(st.lists(st.integers(1, 3), max_size=max_cliques))
+    return functools.reduce(
+        Graph.disjoint_union, map(complete_graph, sizes), Graph.of(0, [])
+    )
 
 
 def antichains(bits, max_size=6):
@@ -560,3 +571,29 @@ class TestEdgeRestriction:
             assert max((f & ~gone).bit_count() for f in maximal) == max(
                 f.bit_count() for f in want
             )
+
+
+class TestOneWellCovered:
+    # whiskered graphs and unions of cliques are well-covered, so the trade
+    # test runs on them rather than stopping at well-coveredness
+    @given(
+        st.one_of(
+            clutters(max_vertices=7, max_edges=6),
+            graphs(min_vertices=0, max_vertices=7),
+            graphs(min_vertices=1, max_vertices=4).map(Graph.whisker),
+            cliques(),
+        )
+    )
+    @settings(deadline=None, max_examples=300)
+    @example(Clutter.of(0, []))
+    @example(Clutter.of(3, [(1,), (2, 3)]))
+    @example(Clutter.of(4, [(1, 2)]))
+    @example(Clutter.of(5, [(1, 2, 3), (3, 4, 5)]))
+    @example(cycle_graph(4))
+    @example(cycle_graph(5))
+    # 8 K3: 24 vertices, 6,561 facets
+    @example(functools.reduce(Graph.disjoint_union, [complete_graph(3)] * 8))
+    def test_trade_reading_is_the_built_subclutters(self, c):
+        # C - v read off the facets of Delta(C) against C - v built as a
+        # clutter with its own minimal covers
+        assert c.is_one_well_covered() == is_one_well_covered_built(c), c

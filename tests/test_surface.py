@@ -25,7 +25,6 @@ KEEP = {
     "fixture_by_label": "looks up catalog fixtures for tests",
     "whisker": "builds well-covered test inputs",
     "disjoint_union": "builds disconnected test inputs",
-    "delete_closed_neighborhood": "G_v of the W2 heredity tests",
     "alpha_of_colon_quotient": "the per-prime colon degree the acceptance checks use",
     "blocker": "the cover clutter that acceptance criterion 5 reads",
     "is_pure": "the purity that acceptance criterion 5 reads",

@@ -1,8 +1,11 @@
 """The intersection kernel `vertexsets.meet` inside the folds that call it:
-its antichain precondition, and the work of the minimal-cover fold."""
+its antichain precondition, and the work of the minimal-cover fold; and
+the size classes that spare antichain checks their equal-size tests."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 
 import pytest
@@ -10,9 +13,10 @@ import pytest
 import vnum.clutters as clutters
 import vnum.monomials as monomials
 import vnum.vertexsets as vertexsets
-from vnum.catalog import CM36
+from vnum.catalog import CM36, complete_graph
 from vnum.classify import full_report
-from vnum.complexes import Field
+from vnum.clutters import Clutter, Graph
+from vnum.complexes import Field, SimplicialComplex
 from vnum.formats import parse_edge_list
 from vnum.monomials import polarized_symbolic_power, symbolic_power
 from vnum.vertexsets import antichain_minima
@@ -145,3 +149,62 @@ class TestCoverFoldWork:
         # 396,503 when the bound was set; the quadratic kernel of
         # tests/oracles.py makes 5,619,178
         assert CountedMask.ands <= 420000
+
+
+class SizedMask(int):
+    """A mask that counts its containment tests `a & ~b` with |a| = |b|."""
+
+    same_size_tests = 0
+
+    def __and__(self, other):
+        if isinstance(other, _Complement) and other.size == self.bit_count():
+            SizedMask.same_size_tests += 1
+        return SizedMask(int(self) & int(other))
+
+    __rand__ = __and__
+
+    def __xor__(self, other):
+        return SizedMask(int(self) ^ int(other))
+
+    __rxor__ = __xor__
+
+    def __invert__(self):
+        return _Complement(self)
+
+
+class _Complement(int):
+    """~m for a `SizedMask` m, remembering the size of m."""
+
+    def __new__(cls, mask):
+        out = super().__new__(cls, ~int(mask))
+        out.size = mask.bit_count()
+        return out
+
+
+class TestSizeClassWork:
+    """Two distinct masks of one size never contain each other, so the
+    antichain checks of complexes and clutters test none such pairs, and a
+    pure complex or a uniform clutter costs linear time."""
+
+    def test_counter_sees_equal_size_tests(self):
+        SizedMask.same_size_tests = 0
+        masks = [SizedMask(m) for m in (0b011, 0b101, 0b110, 0b111)]
+        for a, b in itertools.permutations(masks, 2):
+            a & ~b
+        assert SizedMask.same_size_tests == 6
+
+    def test_uniform_families_need_no_equal_size_tests(self):
+        # 8 K3: 24 vertices, 3^8 = 6,561 facets of size 8
+        g = functools.reduce(Graph.disjoint_union, [complete_graph(3)] * 8)
+        facets = g.maximal_stable_masks()
+        assert len(facets) == 6561
+        triples = sorted(
+            sum(1 << i for i in t) for t in itertools.combinations(range(24), 3)
+        )
+        SizedMask.same_size_tests = 0
+        SimplicialComplex(24, tuple(SizedMask(f) for f in facets))
+        Graph(24, tuple(SizedMask(m) for m in g.edge_masks))
+        Clutter(24, tuple(SizedMask(m) for m in triples))
+        assert SizedMask.same_size_tests == 0
+        assert sorted(antichain_minima(SizedMask(m) for m in triples)) == triples
+        assert SizedMask.same_size_tests == 0
