@@ -5,12 +5,13 @@ is computed both ways and the answers are compared; a mismatch raises
 CrossRouteError instead of silently preferring one route.  full_report
 bundles every invariant and flag for a graph or clutter.
 
-Fields reach only the regularity scan and the choice of keys a report
-holds.  The Cohen-Macaulay verdicts, of the graph and of its symbolic
-square by either route, come from one Cohen-Macaulay level per complex
-(`complexes.cohen_macaulay_fields`), which answers Q and GF(2) at once, so
-the two symbolic-square routes are compared over every field whichever
-fields were requested.
+Every report is over both fields, Q and GF(2); a choice of field reaches
+only the keys the command line prints.  Regularity over both fields comes
+from one subset scan, and the Cohen-Macaulay verdicts, of the graph and of
+its symbolic square by either route, come from one Cohen-Macaulay level
+per complex (`complexes.cohen_macaulay_fields`), which answers both fields
+at once.  So every report compares the two symbolic-square routes, checks
+reg_Q <= reg_F2 and holds both fields to the matching bounds.
 
 Edge-criticality and the symbolic-square walk both read, for each edge
 e = {u, v}, the graph G_e = G - N[u] - N[v].  Its stable sets are the
@@ -22,7 +23,7 @@ walk restricts the independence complex of G to the other vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from . import monomials
 from .clutters import Clutter, Graph
@@ -64,18 +65,30 @@ def is_w2(g: Graph) -> bool:
 
     Route 1: the v-number equals the independence number.  Route 2: the
     graph is well-covered and the maximal stable sets are exactly the
-    stable sets with minimal-cover neighborhoods.
+    stable sets with minimal-cover neighborhoods.  Route 2 reads that
+    family as a stream, which yields each mask once: it stops at the first
+    member that is not a maximal stable set, and otherwise counts them.
     """
     if g.isolated_vertices():
         raise ValueError("the W2 classification excludes isolated vertices")
     if g.vertex_count < 2:
         raise ValueError("the W2 class needs at least two vertices")
     route1 = g.v_number() == g.independence_number()
-    route2 = g.is_well_covered() and (
-        set(g.maximal_stable_masks()) == set(g.family_a_masks())
+    route2 = g.is_well_covered() and _yields_exactly(
+        g.family_a_masks(), set(g.maximal_stable_masks())
     )
     _require_agreement("W2", {"v=dim": route1, "families": route2})
     return route1
+
+
+def _yields_exactly(stream: Iterator[int], masks: set[int]) -> bool:
+    """Whether a stream that yields no mask twice yields exactly `masks`."""
+    count = 0
+    for mask in stream:
+        if mask not in masks:
+            return False
+        count += 1
+    return count == len(masks)
 
 
 def is_edge_critical(g: Graph) -> bool:
@@ -231,7 +244,9 @@ class InvariantReport:
     has_isolated_vertices: bool
     v_witness: tuple[int, ...]
     edge_critical_violation: Optional[tuple[int, int]]
-    # (induced matching number, matching number) of a graph input
+    # (low, high) bounds on a graph's regularity over every field: the
+    # induced matching number, and the matching number or, on a chordal
+    # graph, the induced matching number again
     matching_bounds: Optional[tuple[int, int]]
 
     def __post_init__(self) -> None:
@@ -255,9 +270,8 @@ class InvariantReport:
                 raise CrossRouteError(
                     f"regularity over {field.value} exceeds the dimension"
                 )
-        reg_q = self.reg_by_field.get(Field.Q)
-        reg_f2 = self.reg_by_field.get(Field.F2)
-        if reg_q is not None and reg_f2 is not None and reg_q > reg_f2:
+        reg_q, reg_f2 = self.reg_by_field[Field.Q], self.reg_by_field[Field.F2]
+        if reg_q > reg_f2:
             # universal coefficients: rational homology vanishes wherever
             # mod-2 homology does
             raise CrossRouteError(
@@ -265,7 +279,8 @@ class InvariantReport:
             )
         if self.matching_bounds is not None:
             # Katzman (JCTA 113, 2006) and Ha-Van Tuyl (J. Algebraic
-            # Combin. 27, 2008), over every field
+            # Combin. 27, 2008), over every field; both bounds are the
+            # induced matching number on a chordal graph (Ha-Van Tuyl)
             low, high = self.matching_bounds
             for field, reg in self.reg_by_field.items():
                 if not low <= reg <= high:
@@ -299,27 +314,24 @@ class InvariantReport:
             )
 
 
-def full_report(
-    c: Clutter,
-    fields: Sequence[Field] = (Field.Q,),
-    name: Optional[str] = None,
-) -> InvariantReport:
+def full_report(c: Clutter, *, name: Optional[str] = None) -> InvariantReport:
     """Compute every invariant with all cross-route assertions enabled.
 
     Graph-only classifications are None for clutter input; W2 and the
     linear resolution flag are None when their isolated-vertex or edge
-    preconditions fail.  Regularity over every requested field comes from
-    one subset scan; the Cohen-Macaulay verdicts come from one level per
-    complex, which answers every field, and `fields` only picks the keys
-    they are reported under.  For a graph the report also carries the
-    induced matching number and the matching number, which must bound it.
+    preconditions fail.  Every report is over both fields: regularity over
+    Q and GF(2) comes from one subset scan, and the Cohen-Macaulay verdicts
+    from one level per complex, which answers both fields.  For a graph
+    the report also carries the bounds on the regularity: the induced
+    matching number below and the matching number above, or the induced
+    matching number twice when the graph is chordal.
     """
     is_graph = isinstance(c, Graph)
     isolated = c.isolated_vertices()
     v, witness = v_number_checked(c)
     beta0 = c.independence_number()
     alpha0 = c.cover_number()
-    reg_by_field = regularities(c, fields)
+    reg_by_field = regularities(c)
     complex_ = independence_complex(c)
     cm = cohen_macaulay_fields(complex_)
     gamma = c.domination_number() if is_graph else None
@@ -328,16 +340,18 @@ def full_report(
     edge_critical_violation = None
     sscm: dict[Field, bool] = {}
     linres = None
+    bounds = None
     if is_graph:
         if not isolated and c.vertex_count >= 2:
             w2 = is_w2(c)
         edge_critical, edge_critical_violation = edge_criticality(c)
-        square = symbolic_square_cm_by_field(c)
-        sscm = {f: square[f] for f in fields}
+        sscm = symbolic_square_cm_by_field(c)
         if beta0 == 2:
             _beta2_complement_agreement(c, edge_critical)
         if not isolated and c.has_edges():
             linres = has_linear_resolution(c)
+        low = c.induced_matching_number()
+        bounds = (low, low if c.is_chordal() else c.matching_number())
     return InvariantReport(
         name=name,
         kind="graph" if is_graph else "clutter",
@@ -349,19 +363,17 @@ def full_report(
         beta0=beta0,
         alpha0=alpha0,
         dim=c.vertex_count - alpha0,
-        reg_by_field=dict(reg_by_field),
+        reg_by_field=reg_by_field,
         well_covered=c.is_well_covered(),
         one_well_covered=c.is_one_well_covered(),
         w2=w2,
         edge_critical=edge_critical,
-        cm_by_field={f: f in cm for f in fields},
+        cm_by_field={f: f in cm for f in Field},
         symbolic_square_cm_by_field=sscm,
         vertex_decomposable=is_vertex_decomposable(complex_),
         linear_resolution=linres,
         has_isolated_vertices=bool(isolated),
         v_witness=mask_members(witness),
         edge_critical_violation=edge_critical_violation,
-        matching_bounds=(
-            (c.induced_matching_number(), c.matching_number()) if is_graph else None
-        ),
+        matching_bounds=bounds,
     )

@@ -61,14 +61,15 @@ def _check_size(doc: InputDocument) -> Clutter:
     return doc.to_clutter()
 
 
-# the fields of each --field choice
+# the fields each --field choice prints; every report computes both
 FIELDS = {"q": (Field.Q,), "f2": (Field.F2,), "both": (Field.Q, Field.F2)}
 
 
-def _report_dict(rep: InvariantReport) -> dict:
+def _report_dict(rep: InvariantReport, fields: Sequence[Field]) -> dict:
     """The report as one output row: its fields in order, under their names.
 
-    A `<name>_by_field` dict gives one `<name>_<field>` key per field,
+    A `<name>_by_field` dict gives one `<name>_<field>` key for each of
+    `fields` that it holds (a clutter's symbolic-square dict holds none),
     tuples become lists, and the matching bounds, which the report only
     asserts, are left out.
     """
@@ -77,8 +78,7 @@ def _report_dict(rep: InvariantReport) -> dict:
         value = getattr(rep, f.name)
         if f.name.endswith("_by_field"):
             stem = f.name.removesuffix("_by_field")
-            for field, val in value.items():
-                out[f"{stem}_{field.value}"] = val
+            out.update((f"{stem}_{k.value}", value[k]) for k in fields if k in value)
         elif f.name != "matching_bounds":
             out[f.name] = list(value) if isinstance(value, tuple) else value
     return out
@@ -128,8 +128,7 @@ def _load_document(path: str) -> InputDocument:
 def cmd_report(args: argparse.Namespace) -> int:
     doc = _load_document(args.file)
     c = _check_size(doc)
-    rep = full_report(c, FIELDS[args.field], name=doc.name)
-    data = _report_dict(rep)
+    data = _report_dict(full_report(c, name=doc.name), FIELDS[args.field])
     if args.json:
         print(json.dumps(data, indent=2))
     elif args.tsv:
@@ -225,8 +224,7 @@ def _batch_worker(task: tuple[int, str, str, str]) -> dict:
         else:
             doc = _load_document(payload)
         c = _check_size(doc)
-        rep = full_report(c, FIELDS[field_spec], name=doc.name)
-        return _report_dict(rep)
+        return _report_dict(full_report(c, name=doc.name), FIELDS[field_spec])
     except InputTooLargeError as exc:
         error = TOO_LARGE_PREFIX + str(exc)
     except ValueError as exc:

@@ -14,9 +14,9 @@ only where mod-2 homology survives: a rational rank is at least the rank
 mod 2, so rational homology vanishes wherever mod-2 homology does.
 
 Two callers use the kernel: `regularities`, one Hochster scan of induced
-subcomplexes for every requested field at once, which prunes subsets that
-cannot beat the best found so far and asks the kernel only for dimensions
-at or above it; and the Cohen-Macaulay test.  That test takes no field:
+subcomplexes for Q and GF(2) at once, which prunes subsets that cannot
+beat the best found so far and asks the kernel only for dimensions at or
+above it; and the Cohen-Macaulay test.  That test takes no field:
 one memoized recursion finds the level (not over Q, over Q only, over Q
 and GF(2)) from the mod-2 ranks of each link, and `cohen_macaulay_fields`
 hands it out as the set of fields over which the complex is
@@ -356,8 +356,8 @@ def _folds(edges: Sequence[int]) -> list[tuple[int, int, tuple[int, ...]]]:
     return sorted(checks, key=lambda check: check[0].bit_count())
 
 
-def regularities(c: Clutter, fields: Sequence[Field]) -> dict[Field, int]:
-    """reg(S/I) over each field from one scan of induced subcomplexes.
+def regularities(c: Clutter) -> dict[Field, int]:
+    """reg(S/I) over Q and over GF(2) from one scan of induced subcomplexes.
 
     By Hochster's formula the regularity is the largest d + 1 with
     nonvanishing d-homology of some induced subcomplex Delta_A, and Delta_A
@@ -372,17 +372,20 @@ def regularities(c: Clutter, fields: Sequence[Field]) -> dict[Field, int]:
     cone.  `_folds` turns the rule into checks on the mask of A.
     A subset is also skipped when dim Delta_A + 1 is at most the smallest
     best so far, because then no field can improve.  Homology is computed
-    only in dimensions at or above that best.  Over Q, elimination runs
-    only where mod-2 homology survives in a dimension at or above the Q
-    best.  The bests come from the scan alone.
+    only in dimensions at or above that best.  Rational homology is nonzero
+    only where mod-2 homology is, so the smallest best is the Q best, and
+    GF(2) adds no kernel call to a scan for Q alone: only Betti number
+    lookups on the chains built.  Over Q, elimination runs only where mod-2
+    homology survives in a dimension at or above the Q best.  The bests
+    come from the scan alone.
     """
     edges = c.edge_masks
     bits = list(iter_bits(or_all(edges)))
     maximal = c.maximal_stable_masks()
     folds = _folds(edges)
-    best = dict.fromkeys(fields, 0)
+    best = dict.fromkeys(Field, 0)
     for size in range(len(bits), 0, -1):
-        low = min(best.values(), default=size)
+        low = min(best.values())
         if size <= low:
             break
         for combo in itertools.combinations(bits, size):
@@ -399,7 +402,7 @@ def regularities(c: Clutter, fields: Sequence[Field]) -> dict[Field, int]:
             if top + 1 <= low:
                 continue
             chains = _top_down(faces, low)
-            for field in fields:
+            for field in Field:
                 betti = chains.betti2 if field is Field.F2 else chains.betti_q
                 for d in range(top, best[field] - 1, -1):
                     if betti(d):
@@ -411,7 +414,7 @@ def regularities(c: Clutter, fields: Sequence[Field]) -> dict[Field, int]:
 
 def regularity(c: Clutter, field: Field) -> int:
     """reg(S/I) over one field; see `regularities`."""
-    return regularities(c, (field,))[field]
+    return regularities(c)[field]
 
 
 # -- Cohen-Macaulayness -----------------------------------------------------------

@@ -9,11 +9,12 @@ homology of a whole complex; the per-field Cohen-Macaulay recursion, which
 one recursion for both fields replaced; the per-field regularity scan over
 every vertex subset, which one pruned scan for all fields replaced; the
 stability filter over every vertex subset, which growing stable sets one
-vertex at a time replaced; and the mask intersection that re-minimizes
+vertex at a time replaced; the mask intersection that re-minimizes
 every union, which `vertexsets.meet` replaced; the edge subgraphs G_e
 built as graphs, which restrictions of the independence complex replaced;
-and the subclutters C - v built for 1-well-coveredness, which a facet
-trade inside Delta(C) replaced.
+the subclutters C - v built for 1-well-coveredness, which a facet
+trade inside Delta(C) replaced; and route 2 of W2 with whole sets, which
+a stream of family A replaced.
 
 This module owns the exponent-tuple value types, `Monomial` and
 `MonomialIdeal`, which the package no longer has: monomial products, colon
@@ -106,6 +107,18 @@ def family_a_naive(c: Clutter) -> set[frozenset]:
         if is_stable_naive(c, a) and is_minimal_cover_naive(c, neighbor_naive(c, a)):
             out.add(frozenset(a))
     return out
+
+
+def w2_families_by_sets(g: Graph) -> bool:
+    """Route 2 of W2 with whole sets: well-covered, and family A equals the
+    set of maximal stable sets.
+
+    The package reads family A as a stream and stops at its first member
+    that is not a maximal stable set.
+    """
+    return g.is_well_covered() and set(g.maximal_stable_masks()) == set(
+        g.family_a_masks()
+    )
 
 
 def v_number_naive(c: Clutter) -> int:
@@ -794,3 +807,25 @@ def is_vertex_decomposable_naive(facets) -> bool:
         ):
             return True
     return False
+
+
+# -- graph6 encoding ------------------------------------------------------------------
+
+
+def encode_graph6(n: int, edges) -> str:
+    """Independent little encoder used as the decoding oracle."""
+    assert n < 63
+    bits = []
+    present = {frozenset(e) for e in edges}
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(1 if frozenset((i + 1, j + 1)) in present else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    out = [chr(n + 63)]
+    for k in range(0, len(bits), 6):
+        val = 0
+        for b in bits[k : k + 6]:
+            val = val * 2 + b
+        out.append(chr(val + 63))
+    return "".join(out)

@@ -52,7 +52,7 @@ def _passed(criterion: str, detail: str) -> None:
 
 def test_criterion_1_table_reproduction():
     start = time.time()
-    rep = full_report(EXAMPLE_GRAPH3.graph(), list(BOTH), name="example-graph3")
+    rep = full_report(EXAMPLE_GRAPH3.graph(), name="example-graph3")
     elapsed = time.time() - start
     assert rep.v == 3
     assert rep.dim == 3
@@ -68,7 +68,7 @@ def test_criterion_1_table_reproduction():
 
 def test_criterion_2_nine_vertex_example():
     start = time.time()
-    rep = full_report(EXAMPLE_GRAPH4.graph(), [Field.Q], name="example-graph4")
+    rep = full_report(EXAMPLE_GRAPH4.graph(), name="example-graph4")
     elapsed = time.time() - start
     assert rep.v == rep.reg_by_field[Field.Q] == rep.beta0 == 3
     assert rep.w2 is True

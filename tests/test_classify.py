@@ -39,7 +39,11 @@ from vnum.complexes import (
 )
 from vnum.monomials import polarized_symbolic_power
 
-from .oracles import delete_closed_neighborhood, symbolic_square_cm_beta2
+from .oracles import (
+    delete_closed_neighborhood,
+    symbolic_square_cm_beta2,
+    w2_families_by_sets,
+)
 
 
 class TestW2:
@@ -66,6 +70,27 @@ class TestW2:
             if g.isolated_vertices() or g.vertex_count < 2:
                 continue
             assert is_w2(g) == g.is_one_well_covered()
+
+    def test_family_stream_matches_whole_sets(self, corpus, gnp):
+        # the whiskered G(n, 0.3) are well-covered and not W2, so route 2
+        # reads family A on each; the stream stops at its first member
+        whiskered = [gnp(n, 0.3).whisker() for n in range(8, 12)]
+        for g in list(corpus) + whiskered:
+            maximal = set(g.maximal_stable_masks())
+            assert classify._yields_exactly(g.family_a_masks(), maximal) == (
+                maximal == set(g.family_a_masks())
+            ), g
+            if not g.isolated_vertices():
+                assert is_w2(g) == w2_families_by_sets(g), g
+        for g in whiskered:
+            assert g.is_well_covered() and not is_w2(g)
+
+    @pytest.mark.parametrize(
+        "stream, want",
+        [([2, 1], True), ([1], False), ([1, 2, 4], False), ([4, 1, 2], False)],
+    )
+    def test_stream_count_and_strangers(self, stream, want):
+        assert classify._yields_exactly(iter(stream), {1, 2}) is want
 
     def test_report_checks_one_well_covered(self):
         rep = full_report(cycle_graph(5))
@@ -276,9 +301,7 @@ class TestW2Heredity:
 
 class TestFullReport:
     def test_example3_both_fields(self):
-        rep = full_report(
-            EXAMPLE_GRAPH3.graph(), [Field.Q, Field.F2], name="example3"
-        )
+        rep = full_report(EXAMPLE_GRAPH3.graph(), name="example3")
         assert rep.v == 3
         assert rep.dim == 3
         assert rep.reg_by_field[Field.Q] == 2
@@ -290,17 +313,17 @@ class TestFullReport:
         assert rep.vertex_decomposable is False
 
     def test_example4(self):
-        rep = full_report(EXAMPLE_GRAPH4.graph(), [Field.Q])
+        rep = full_report(EXAMPLE_GRAPH4.graph())
         assert rep.v == rep.reg_by_field[Field.Q] == rep.beta0 == 3
         assert rep.w2 and rep.edge_critical
         assert rep.symbolic_square_cm_by_field[Field.Q] is True
 
     def test_k2(self):
-        rep = full_report(complete_graph(2), [Field.Q])
+        rep = full_report(complete_graph(2))
         assert (rep.v, rep.dim, rep.reg_by_field[Field.Q], rep.w2) == (1, 1, 1, True)
 
     def test_clutter_report(self):
-        rep = full_report(Clutter.of(4, [(1, 2, 3), (3, 4)]), [Field.Q])
+        rep = full_report(Clutter.of(4, [(1, 2, 3), (3, 4)]))
         assert rep.kind == "clutter"
         assert rep.gamma is None
         assert rep.w2 is None and rep.edge_critical is None
@@ -308,28 +331,28 @@ class TestFullReport:
 
     def test_isolated_vertices_flagged(self):
         g = Graph.of(3, [(1, 2)])
-        rep = full_report(g, [Field.Q])
+        rep = full_report(g)
         assert rep.has_isolated_vertices
         assert rep.w2 is None
         assert rep.reg_by_field[Field.Q] == 1
 
     def test_witness_fields(self):
-        rep = full_report(cycle_graph(4), [Field.Q])
+        rep = full_report(cycle_graph(4))
         assert rep.v_witness == (1,)
         assert rep.edge_critical_violation == (1, 2)
 
     def test_rational_regularity_above_mod2_rejected(self):
         # example-graph3 has reg_Q = 2 <= reg_F2 = 3; swapped, the universal
         # coefficient bound fails
-        rep = full_report(EXAMPLE_GRAPH3.graph(), [Field.Q, Field.F2])
+        rep = full_report(EXAMPLE_GRAPH3.graph())
+        assert rep.reg_by_field == {Field.Q: 2, Field.F2: 3}
         with pytest.raises(CrossRouteError, match="reg-Q=3, reg-F2=2"):
             dataclasses.replace(rep, reg_by_field={Field.Q: 3, Field.F2: 2})
-        # one field alone has nothing to compare with
-        dataclasses.replace(rep, reg_by_field={Field.Q: 3})
+        dataclasses.replace(rep, reg_by_field={Field.Q: 3, Field.F2: 3})
 
     def test_regularity_outside_matching_bounds_rejected(self):
         # the claw has induced matching number = matching number = 1
-        rep = full_report(star_graph(3), [Field.Q, Field.F2])
+        rep = full_report(star_graph(3))
         assert rep.matching_bounds == (1, 1)
         with pytest.raises(
             CrossRouteError, match="induced-matching=1, reg-F2=2, matching=1"
@@ -339,7 +362,28 @@ class TestFullReport:
         rep = full_report(Graph.of(4, [(1, 2), (3, 4)]))
         assert rep.matching_bounds == (2, 2)
         with pytest.raises(CrossRouteError, match="induced-matching=2, reg-Q=1"):
-            dataclasses.replace(rep, reg_by_field={Field.Q: 1})
+            dataclasses.replace(rep, reg_by_field={Field.Q: 1, Field.F2: 2})
+
+    def test_chordal_graph_pins_the_regularity(self, monkeypatch):
+        # on a chordal graph reg = induced matching number over every field
+        # (Ha-Van Tuyl), so the matching number is not asked for.  P6 has
+        # induced matching number 2 and matching number 3, and its
+        # complement is not chordal, so no linear resolution pins reg first
+        g = path_graph(6)
+        assert (g.induced_matching_number(), g.matching_number()) == (2, 3)
+
+        def unasked(graph):
+            raise AssertionError("matching number asked for a chordal graph")
+
+        monkeypatch.setattr(Graph, "matching_number", unasked)
+        rep = full_report(g)
+        assert rep.linear_resolution is False
+        assert rep.matching_bounds == (2, 2)
+        assert rep.reg_by_field == {Field.Q: 2, Field.F2: 2}
+        with pytest.raises(
+            CrossRouteError, match="induced-matching=2, reg-Q=3, matching=2"
+        ):
+            dataclasses.replace(rep, reg_by_field={Field.Q: 3, Field.F2: 3})
 
     def test_clutter_report_has_no_matching_bounds(self):
         rep = full_report(Clutter.of(4, [(1, 2, 3), (3, 4)]))
@@ -350,12 +394,12 @@ class TestFullReport:
         # cyclic collector, whose timing would move peak memory
         graphs = [EXAMPLE_GRAPH3.graph(), fixture_by_label("cm36-21").graph()]
         for g in graphs:
-            full_report(g, (Field.Q, Field.F2))
+            full_report(g)
         gc.collect()
         gc.disable()
         try:
             for g in graphs:
-                full_report(g, (Field.Q, Field.F2))
+                full_report(g)
                 assert gc.collect() == 0
         finally:
             gc.enable()
@@ -378,13 +422,13 @@ class TestFullReport:
         assert full_report(Clutter.of(3, [(1, 2, 3)])).gamma is None
 
     def test_linear_resolution_checked_by_the_report(self):
-        rep = full_report(cycle_graph(5), [Field.Q, Field.F2])
+        rep = full_report(cycle_graph(5))
         assert rep.linear_resolution is False
         with pytest.raises(CrossRouteError, match="got v=2, reg-Q=2, reg-F2=2"):
             dataclasses.replace(rep, linear_resolution=True)
 
     def test_beta2_square_checked_by_the_report(self):
-        rep = full_report(cycle_graph(5), [Field.Q, Field.F2])
+        rep = full_report(cycle_graph(5))
         assert rep.beta0 == 2 and rep.edge_critical
         assert rep.symbolic_square_cm_by_field == {Field.Q: True, Field.F2: True}
         disagree = {Field.Q: True, Field.F2: False}
@@ -401,13 +445,13 @@ class TestFullReport:
             return oracle(graph)
 
         monkeypatch.setattr(classify, "_symbolic_square_cm_oracle", counted)
-        rep = full_report(g, (Field.Q, Field.F2))
+        rep = full_report(g)
         assert calls == [g]
         assert set(rep.symbolic_square_cm_by_field) == {Field.Q, Field.F2}
 
     def test_q_report_compares_the_gf2_oracle(self, monkeypatch):
-        # the oracle's level answers GF(2) too, so a Q-only report on a
-        # graph the oracle checks compares both fields
+        # the oracle's level answers GF(2) too, and every report holds both
+        # fields, so a report printed for Q alone still compares GF(2)
         oracle = classify._symbolic_square_cm_oracle
         monkeypatch.setattr(
             classify, "_symbolic_square_cm_oracle", lambda g: oracle(g) - {Field.F2}
@@ -415,21 +459,23 @@ class TestFullReport:
         g = cycle_graph(5)
         assert g.vertex_count <= classify.ORACLE_CAP
         with pytest.raises(CrossRouteError, match="CM over F2 routes disagree"):
-            full_report(g, (Field.Q,))
+            full_report(g)
 
     @pytest.mark.parametrize(
-        "g",
+        "g, counts",
         [
-            cycle_graph(5),
-            fixture_by_label("cm36-06").graph(),
-            fixture_by_label("cm36-21").graph(),
-            EXAMPLE_GRAPH3.graph(),
+            (cycle_graph(5), (3, 8)),
+            (fixture_by_label("cm36-06").graph(), (3, 11)),
+            # nine vertices: above ORACLE_CAP, so no polarized square
+            (fixture_by_label("cm36-21").graph(), (2, 21)),
+            (EXAMPLE_GRAPH3.graph(), (2, 8)),
         ],
         ids=["C5", "cm36-06", "cm36-21", "example-graph3"],
     )
-    def test_both_fields_cost_what_one_costs(self, monkeypatch, g):
+    def test_both_fields_cost_what_one_costs(self, monkeypatch, g, counts):
         # every Cohen-Macaulay verdict comes from one field-free lookup per
-        # complex, so the requested fields change neither count
+        # complex, so a report over both fields builds as many independence
+        # complexes and makes as many lookups as a report over one field did
         built, looked = [], []
         build, look = classify.independence_complex, classify.cohen_macaulay_fields
 
@@ -443,15 +489,8 @@ class TestFullReport:
 
         monkeypatch.setattr(classify, "independence_complex", counted_build)
         monkeypatch.setattr(classify, "cohen_macaulay_fields", counted_look)
-        counts = {}
-        for fields in ((Field.Q,), (Field.F2,), (Field.Q, Field.F2)):
-            built.clear()
-            looked.clear()
-            full_report(g, fields)
-            counts[fields] = (len(built), len(looked))
-        assert counts[(Field.Q,)][1] >= 2
-        assert counts[(Field.Q, Field.F2)] == counts[(Field.Q,)]
-        assert counts[(Field.F2,)] == counts[(Field.Q,)]
+        full_report(g)
+        assert (len(built), len(looked)) == counts
 
     @pytest.mark.parametrize(
         "g, walked",

@@ -8,6 +8,9 @@ import os
 import pytest
 
 from vnum.cli import _monomial_text, main
+from vnum.complexes import Field
+
+from .oracles import encode_graph6
 
 
 def run_cli(capsys, *argv):
@@ -256,10 +259,10 @@ class TestBatch:
 
         real = cli.full_report
 
-        def failing_on_line_2(c, fields, name):
+        def failing_on_line_2(c, *, name):
             if name == "line 2":
                 raise CrossRouteError("synthetic disagreement: v 1 vs 2")
-            return real(c, fields, name=name)
+            return real(c, name=name)
 
         monkeypatch.setattr(cli, "full_report", failing_on_line_2)
         stream = self._write_stream(tmp_path)
@@ -481,6 +484,45 @@ class TestGoldenReportsAtScale:
             assert out.encode("utf-8") == fh.read()
 
 
+class TestFieldProjection:
+    """Every report computes both fields; `--field` only picks the keys.
+
+    So the `q` and `f2` output is the `both` output with the other field's
+    keys dropped: on the batch goldens, on the conftest corpus and on the
+    golden 10-vertex clutter, whose report has no symbolic-square keys.
+    """
+
+    OTHER = {"q": "_F2", "f2": "_Q"}
+
+    def assert_projects(self, capsys, argv, indent=None):
+        _, both, _ = run_cli(capsys, *argv, "--field", "both")
+        # a batch prints one row a line, a report one indented row
+        lines = [both] if indent else both.splitlines()
+        rows = [json.loads(ln) for ln in lines]
+        for field, other in self.OTHER.items():
+            code, out, _ = run_cli(capsys, *argv, "--field", field)
+            assert code == 0
+            kept = [{k: v for k, v in r.items() if not k.endswith(other)} for r in rows]
+            want = "".join(json.dumps(r, indent=indent) + "\n" for r in kept)
+            assert out == want, (argv, field)
+
+    def test_batch_goldens(self, capsys):
+        data = os.path.join(os.path.dirname(__file__), "data")
+        for name in ("golden", "cm36-seed2"):
+            path = os.path.join(data, f"{name}.g6")
+            self.assert_projects(capsys, ["batch", path, "--graph6", "--json"])
+
+    def test_corpus(self, capsys, tmp_path, corpus):
+        stream = tmp_path / "corpus.g6"
+        lines = [encode_graph6(g.vertex_count, g.edge_lists()) for g in corpus]
+        stream.write_text("\n".join(lines) + "\n")
+        self.assert_projects(capsys, ["batch", str(stream), "--graph6", "--json"])
+
+    def test_clutter_report(self, capsys):
+        path = os.path.join(os.path.dirname(__file__), "data", "clutter10.txt")
+        self.assert_projects(capsys, ["report", path, "--json"], indent=2)
+
+
 class TestUsageErrors:
     """argparse's usage errors exit 1, an input error, not 2."""
 
@@ -524,6 +566,25 @@ class TestCrossRouteExit:
         code, _, err = run_cli(capsys, "report", k2_file)
         assert code == 2
         assert "disagreement" in err
+
+    def test_q_report_checks_the_gf2_regularity(
+        self, capsys, monkeypatch, example3_file
+    ):
+        # every report scans both fields, so a report printed for Q alone
+        # still holds reg_Q <= reg_F2; here the GF(2) value is made too small
+        import vnum.classify as classify
+
+        real = classify.regularities
+
+        def corrupted(c):
+            regs = real(c)
+            regs[Field.F2] = regs[Field.Q] - 1
+            return regs
+
+        monkeypatch.setattr(classify, "regularities", corrupted)
+        code, _, err = run_cli(capsys, "report", example3_file, "--field", "q")
+        assert code == 2
+        assert "reg-Q=2, reg-F2=1" in err
 
     def test_fixture_failure_maps_to_exit_3(self, capsys, monkeypatch):
         import vnum.cli as cli

@@ -307,7 +307,7 @@ class TestRegularities:
 
     @staticmethod
     def check(c):
-        got = regularities(c, BOTH)
+        got = regularities(c)
         want = {f: regularity_per_field(c, f) for f in BOTH}
         assert got == want
         assert list(got) == list(BOTH)
@@ -326,7 +326,7 @@ class TestRegularities:
 
     def test_one_field_wrapper(self):
         g = EXAMPLE_GRAPH3.graph()
-        assert regularities(g, (Field.F2,)) == {Field.F2: 3}
+        assert regularity(g, Field.F2) == 3
         assert regularity(g, Field.Q) == 2
 
     def test_clutters_with_singleton_and_larger_edges(self):
@@ -648,10 +648,10 @@ class TestWorkCounts:
     def test_fold_skip_in_the_scan(self, monkeypatch, gnp):
         # 6,595 and 34,650 kernel calls with the cone skip alone
         calls = self.counted(monkeypatch)
-        regularities(gnp(14, 0.3), BOTH)
+        regularities(gnp(14, 0.3))
         assert len(calls) <= 100
         calls.clear()
-        regularities(gnp(16, 0.3), BOTH)
+        regularities(gnp(16, 0.3))
         assert len(calls) <= 1000
 
     def test_cone_links_in_a_clutter_scan(self, monkeypatch):
@@ -662,7 +662,7 @@ class TestWorkCounts:
             with open(path) as fh:
                 c = parse_edge_list(fh.read()).to_clutter()
             calls.clear()
-            regularities(c, BOTH)
+            regularities(c)
             assert len(calls) <= most, name
 
     def test_cored_cohen_macaulay_recursion(self, monkeypatch):

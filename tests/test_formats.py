@@ -14,6 +14,8 @@ from vnum.formats import (
     render_edge_list,
 )
 
+from .oracles import encode_graph6
+
 
 class TestEdgeList:
     def test_k2(self):
@@ -68,25 +70,6 @@ class TestEdgeList:
         assert render_edge_list(doc) == "clutter 4\n1 2 3\n3 4\n"
 
 
-def _encode_graph6(n: int, edges) -> str:
-    """Independent little encoder used as the decoding oracle."""
-    assert n < 63
-    bits = []
-    present = {frozenset(e) for e in edges}
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if frozenset((i + 1, j + 1)) in present else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = val * 2 + b
-        out.append(chr(val + 63))
-    return "".join(out)
-
-
 class TestGraph6:
     def test_k2(self):
         doc = parse_graph6("A_")
@@ -129,7 +112,7 @@ class TestGraph6:
             n = rng.randrange(0, 12)
             pairs = list(itertools.combinations(range(1, n + 1), 2))
             edges = [e for e in pairs if rng.random() < 0.4]
-            line = _encode_graph6(n, edges)
+            line = encode_graph6(n, edges)
             doc = parse_graph6(line)
             assert doc.vertex_count == n
             assert {frozenset(e) for e in doc.edges} == {frozenset(e) for e in edges}

@@ -415,7 +415,7 @@ class TestComplexProperties:
     @settings(deadline=None, max_examples=60)
     def test_one_scan_matches_per_field_oracle(self, c):
         both = (Field.Q, Field.F2)
-        assert regularities(c, both) == {f: regularity_per_field(c, f) for f in both}
+        assert regularities(c) == {f: regularity_per_field(c, f) for f in both}
 
     @given(complexes(), st.integers(-1, 4))
     @settings(deadline=None, max_examples=150)

@@ -63,7 +63,7 @@ class TestMeetPrecondition:
 
     def test_reports_pass_antichains(self, corpus, received):
         for c in list(corpus) + [clutter10()]:
-            full_report(c, BOTH)
+            full_report(c)
         # colon pieces mix single vertices and wider generators
         assert any(
             any(h.bit_count() == 1 for h in piece) and any(h.bit_count() > 1 for h in piece)
