@@ -11,8 +11,8 @@ computed exactly; the intended scale is s <= ~24.
 
 No subclutter is built.  The stable sets of C - v are the stable sets of C
 that avoid v, so 1-well-coveredness reads every C - v off the maximal
-stable sets of C.  The derived graphs (G - e, the complement, unions and
-whiskers) are the other routes of cross-checks and test inputs.
+stable sets of C.  The derived graphs, G - e and the complement, are the
+other routes of cross-checks.
 """
 
 from __future__ import annotations
@@ -297,19 +297,6 @@ class Graph(Clutter):
             if mask_of(s, (u, v)) not in present
         ]
         return Graph.of(s, edges)
-
-    def disjoint_union(self, other: "Graph") -> "Graph":
-        s = self.vertex_count
-        edges = list(self.edge_lists())
-        edges += [(a + s, b + s) for a, b in other.edge_lists()]
-        return Graph.of(s + other.vertex_count, edges)
-
-    def whisker(self) -> "Graph":
-        """Attach a pendant vertex u_i = s+i to every vertex t_i."""
-        s = self.vertex_count
-        edges = list(self.edge_lists())
-        edges += [(i, s + i) for i in range(1, s + 1)]
-        return Graph.of(2 * s, edges)
 
     # -- structure predicates -------------------------------------------------
 

@@ -9,9 +9,11 @@ starting from the top facets it walks each dimension d down to `stop`,
 builds every d-face's GF(2) boundary column (packed words), and so discovers
 and indexes the (d-1)-faces; lower-dimensional facets join their level on
 the way down.  Nothing below dimension stop - 1 is built.  Rational ranks
-come from fraction-free (Bareiss) elimination on the same face lists, and
-only where mod-2 homology survives: a rational rank is at least the rank
-mod 2, so rational homology vanishes wherever mod-2 homology does.
+reduce the signed boundary columns of the same face lists as sparse
+integer columns, each on its largest row, as `rank_gf2` reduces packed
+columns on their top bit; they run only where mod-2 homology survives: a
+rational rank is at least the rank mod 2, so rational homology vanishes
+wherever mod-2 homology does.
 
 Two callers use the kernel: `regularities`, one Hochster scan of induced
 subcomplexes for Q and GF(2) at once, which prunes subsets that cannot
@@ -46,12 +48,13 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .clutters import Clutter
-from .vertexsets import antichain_maxima, iter_bits, mask_members, mask_of, or_all
+from .vertexsets import antichain_maxima, iter_bits, mask_of, or_all
 
 
 class Field(enum.Enum):
@@ -179,38 +182,33 @@ def independence_complex(c: Clutter) -> SimplicialComplex:
 # -- exact rank computations ----------------------------------------------------
 
 
-def rank_int_matrix(rows: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    if not rows or not rows[0]:
-        return 0
-    m = [row[:] for row in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
+def rank_int_matrix(columns: Iterable[dict[int, int]]) -> int:
+    """Rank over Q of sparse integer columns, each {row: nonzero entry}.
+
+    The reduction of `rank_gf2` over the integers: a column whose largest
+    row holds a pivot becomes a * col - c * pivot, where a is the pivot's
+    entry there and c the column's, which clears that row; zero entries are
+    dropped and the column is divided by the gcd of its entries.  Each step
+    keeps a nonzero multiple of the column plus a multiple of an earlier
+    pivot, and pivots with distinct largest rows are independent, so the
+    rank is the number of pivots.  The input columns are not changed.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        while col:
+            top = max(col)
+            other = pivots.get(top)
+            if other is None:
+                pivots[top] = col
                 break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            mic = m[i][c]
-            mrc = m[r][c]
-            row_i = m[i]
-            row_r = m[r]
-            for c2 in range(c + 1, ncols):
-                row_i[c2] = (row_i[c2] * mrc - mic * row_r[c2]) // prev
-            row_i[c] = 0
-        prev = m[r][c]
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
+            a, c = other[top], col[top]
+            merged = {r: a * x for r, x in col.items()}
+            for r, y in other.items():
+                merged[r] = merged.get(r, 0) - c * y
+            del merged[top]  # a * c - c * a, so the largest row falls
+            g = math.gcd(*merged.values()) or 1
+            col = {r: x // g for r, x in merged.items() if x}
+    return len(pivots)
 
 
 def rank_gf2(rows: list[int]) -> int:
@@ -227,27 +225,13 @@ def rank_gf2(rows: list[int]) -> int:
     return len(pivots)
 
 
-def _boundary_rows_int(
-    lower: Sequence[int], upper: Sequence[int]
-) -> list[list[int]]:
-    """Signed boundary matrix rows (one per lower face) over the integers."""
-    index = {f: i for i, f in enumerate(lower)}
-    rows = [[0] * len(upper) for _ in lower]
-    for j, f in enumerate(upper):
-        verts = mask_members(f)
-        for pos, v in enumerate(verts):
-            sub = f ^ (1 << (v - 1))
-            rows[index[sub]][j] = -1 if pos % 2 else 1
-    return rows
-
-
 class _Chains:
     """Face levels and boundary ranks found by `_top_down`.
 
     `levels[d]` lists the d-faces for stop - 1 <= d <= top, and `rank2[d]`
     is the GF(2) rank of the boundary map out of the d-faces for
     max(stop, 0) <= d <= top + 1, so Betti numbers are known for
-    stop <= d <= top.  Rational ranks are eliminated on demand and kept.
+    stop <= d <= top.  Rational ranks are reduced on demand and kept.
     """
 
     __slots__ = ("top", "levels", "rank2", "_rankq")
@@ -280,7 +264,13 @@ class _Chains:
         if r == min(len(lower), len(upper)):
             return r
         if d not in self._rankq:
-            self._rankq[d] = rank_int_matrix(_boundary_rows_int(lower, upper))
+            # the boundary columns of the d-faces; removing the k-th vertex,
+            # counted from 0 upwards, has the sign (-1)^k
+            index = {f: i for i, f in enumerate(lower)}
+            self._rankq[d] = rank_int_matrix(
+                {index[f ^ b]: -1 if k % 2 else 1 for k, b in enumerate(iter_bits(f))}
+                for f in upper
+            )
         return self._rankq[d]
 
 
@@ -375,7 +365,7 @@ def regularities(c: Clutter) -> dict[Field, int]:
     only in dimensions at or above that best.  Rational homology is nonzero
     only where mod-2 homology is, so the smallest best is the Q best, and
     GF(2) adds no kernel call to a scan for Q alone: only Betti number
-    lookups on the chains built.  Over Q, elimination runs only where mod-2
+    lookups on the chains built.  Over Q, the reduction runs only where mod-2
     homology survives in a dimension at or above the Q best.  The bests
     come from the scan alone.
     """

@@ -7,16 +7,10 @@ import random
 
 import pytest
 
-from vnum.catalog import (
-    CM36,
-    EXAMPLE_GRAPH3,
-    EXAMPLE_GRAPH4,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    star_graph,
-)
+from vnum.catalog import CM36, EXAMPLE_GRAPH3, EXAMPLE_GRAPH4
 from vnum.clutters import Graph
+
+from .graphs import complete_graph, cycle_graph, path_graph, star_graph
 
 
 def _all_connected_graphs(n: int) -> list[Graph]:

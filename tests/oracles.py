@@ -13,8 +13,9 @@ vertex at a time replaced; the mask intersection that re-minimizes
 every union, which `vertexsets.meet` replaced; the edge subgraphs G_e
 built as graphs, which restrictions of the independence complex replaced;
 the subclutters C - v built for 1-well-coveredness, which a facet
-trade inside Delta(C) replaced; and route 2 of W2 with whole sets, which
-a stream of family A replaced.
+trade inside Delta(C) replaced; route 2 of W2 with whole sets, which
+a stream of family A replaced; and dense Bareiss elimination for rational
+ranks, which a sparse column reduction replaced.
 
 This module owns the exponent-tuple value types, `Monomial` and
 `MonomialIdeal`, which the package no longer has: monomial products, colon
@@ -490,6 +491,50 @@ def alpha_of_colon_quotient_tuples(c: Clutter, p: int) -> int:
 
 
 # -- homology oracle --------------------------------------------------------------
+
+
+def dense_rows(columns: Sequence[dict[int, int]]) -> list[list[int]]:
+    """The dense rows of a matrix given by sparse columns {row: entry}."""
+    count = 1 + max((r for col in columns for r in col), default=-1)
+    return [[col.get(i, 0) for col in columns] for i in range(count)]
+
+
+def rank_bareiss(rows: list[list[int]]) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination.
+
+    The dense rational rank the package used before its sparse column
+    reduction, `complexes.rank_int_matrix`, replaced it.
+    """
+    if not rows or not rows[0]:
+        return 0
+    m = [row[:] for row in rows]
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, nrows):
+            mic = m[i][c]
+            mrc = m[r][c]
+            row_i = m[i]
+            row_r = m[r]
+            for c2 in range(c + 1, ncols):
+                row_i[c2] = (row_i[c2] * mrc - mic * row_r[c2]) // prev
+            row_i[c] = 0
+        prev = m[r][c]
+        rank += 1
+        r += 1
+        if r == nrows:
+            break
+    return rank
 
 
 def rank_fraction(rows: list[list[int]]) -> int:

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from vnum.catalog import (
-    CM36,
-    EXAMPLE_GRAPH3,
-    EXAMPLE_GRAPH4,
-    cm36_vertex_split,
-    fixture_by_label,
-)
+from vnum.catalog import CM36, EXAMPLE_GRAPH3, EXAMPLE_GRAPH4, cm36_vertex_split
 
+from .graphs import fixture_by_label
 from .oracles import edge_ideal
 
 

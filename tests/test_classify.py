@@ -9,17 +9,7 @@ import pytest
 
 import vnum.classify as classify
 
-from vnum.catalog import (
-    CM36,
-    EXAMPLE_GRAPH3,
-    EXAMPLE_GRAPH4,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
-    fixture_by_label,
-    path_graph,
-    star_graph,
-)
+from vnum.catalog import CM36, EXAMPLE_GRAPH3, EXAMPLE_GRAPH4
 from vnum.classify import (
     CrossRouteError,
     edge_criticality,
@@ -39,6 +29,15 @@ from vnum.complexes import (
 )
 from vnum.monomials import polarized_symbolic_power
 
+from .graphs import (
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    fixture_by_label,
+    path_graph,
+    star_graph,
+    whisker,
+)
 from .oracles import (
     delete_closed_neighborhood,
     symbolic_square_cm_beta2,
@@ -74,7 +73,7 @@ class TestW2:
     def test_family_stream_matches_whole_sets(self, corpus, gnp):
         # the whiskered G(n, 0.3) are well-covered and not W2, so route 2
         # reads family A on each; the stream stops at its first member
-        whiskered = [gnp(n, 0.3).whisker() for n in range(8, 12)]
+        whiskered = [whisker(gnp(n, 0.3)) for n in range(8, 12)]
         for g in list(corpus) + whiskered:
             maximal = set(g.maximal_stable_masks())
             assert classify._yields_exactly(g.family_a_masks(), maximal) == (
@@ -255,7 +254,7 @@ class TestWhiskerBounds:
         from vnum.complexes import regularity
 
         for g in [h for h in small_corpus if h.vertex_count <= 4][:25]:
-            w = g.whisker()
+            w = whisker(g)
             v = w.v_number()
             assert v == g.independent_domination()
             for field in (Field.Q, Field.F2):

@@ -383,8 +383,9 @@ class TestGoldenOutput:
     catalog and example-graph3; golden.jsonl is its recorded output.  A
     change that moves any value, key order or formatting fails here.
     cm36-seed2.g6 holds the same catalog graphs and example-graph3 with
-    their vertices shuffled (`python3 bench/workloads.py cm36 --seed 2`),
-    so that a fault seen only under some labellings fails too.
+    their vertices shuffled (`python3 bench/workloads.py cm36 --seed 2 |
+    cut -f1`, since the script prints a label after a tab on each line), so
+    that a fault seen only under some labellings fails too.
     """
 
     @staticmethod
@@ -457,20 +458,26 @@ class TestGoldenCommands:
 
 
 class TestGoldenReportsAtScale:
-    """`report --field both --json` on seeded graphs of 16 and 20 vertices.
+    """`report --field both --json` on seeded graphs of 16, 20 and 22 vertices.
 
-    tests/data/gnp16-0.3.txt and gnp20-0.25.txt are the seeded G(16, 0.3)
-    and G(20, 0.25) draws (see the `gnp` fixture), and each .report.json
-    is the output recorded before the fold and strong-collapse prunes.  The
-    16-vertex report runs here; CI runs the 20-vertex one through the
-    console script under a time limit.
+    tests/data/gnp16-0.3.txt, gnp20-0.25.txt and gnp22-0.2.txt are the
+    seeded G(16, 0.3), G(20, 0.25) and G(22, 0.2) draws (see the `gnp`
+    fixture).  The first two .report.json files are the output recorded
+    before the fold and strong-collapse prunes, the third the output
+    recorded before rational ranks became a sparse column reduction.  The
+    16-vertex report runs here; CI runs the other two through the console
+    script under time limits.
     """
 
     def test_inputs_are_the_seeded_draws(self, gnp):
         from vnum.formats import parse_edge_list
 
         data = os.path.join(os.path.dirname(__file__), "data")
-        for name, n, p in (("gnp16-0.3.txt", 16, 0.3), ("gnp20-0.25.txt", 20, 0.25)):
+        for name, n, p in (
+            ("gnp16-0.3.txt", 16, 0.3),
+            ("gnp20-0.25.txt", 20, 0.25),
+            ("gnp22-0.2.txt", 22, 0.2),
+        ):
             with open(os.path.join(data, name)) as fh:
                 doc = parse_edge_list(fh.read())
             assert doc.to_clutter() == gnp(n, p), name

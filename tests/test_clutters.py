@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from vnum.catalog import complete_graph, cycle_graph, empty_graph, path_graph, star_graph
 from vnum.clutters import Clutter, Graph, ZeroIdealError
 from vnum.complexes import independence_complex
 from vnum.vertexsets import mask_members, mask_of
 
+from .graphs import (
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    path_graph,
+    star_graph,
+    whisker,
+)
 from .oracles import (
     beta0_naive,
     delete_closed_neighborhood,
@@ -85,7 +93,7 @@ class TestStability:
             return stable(self, mask)
 
         monkeypatch.setattr(Clutter, "is_stable_mask", counted)
-        list(path_graph(8).whisker().stable_masks())
+        list(whisker(path_graph(8)).stable_masks())
         assert len(calls) < 8192
 
 
@@ -335,16 +343,16 @@ class TestBlocker:
 
 class TestWhisker:
     def test_k2_gives_path(self):
-        w = complete_graph(2).whisker()
+        w = whisker(complete_graph(2))
         assert w.vertex_count == 4
         assert set(w.edge_lists()) == {(1, 2), (1, 3), (2, 4)}
 
     def test_single_vertex(self):
-        w = empty_graph(1).whisker()
+        w = whisker(empty_graph(1))
         assert w.vertex_count == 2 and w.edge_lists() == ((1, 2),)
 
     def test_k3_counts(self):
-        w = complete_graph(3).whisker()
+        w = whisker(complete_graph(3))
         assert w.vertex_count == 6 and len(w.edge_masks) == 6
 
 
@@ -382,7 +390,7 @@ class TestDerivedGraphs:
         assert set(cycle_graph(4).complement().edge_lists()) == {(1, 3), (2, 4)}
 
     def test_disjoint_union(self):
-        g = complete_graph(2).disjoint_union(complete_graph(2))
+        g = disjoint_union(complete_graph(2), complete_graph(2))
         assert g.vertex_count == 4
         assert set(g.edge_lists()) == {(1, 2), (3, 4)}
 
@@ -416,7 +424,7 @@ class TestPredicates:
     def test_diameter(self):
         assert cycle_graph(5).diameter() == 2
         assert path_graph(4).diameter() == 3
-        g = complete_graph(2).disjoint_union(complete_graph(2))
+        g = disjoint_union(complete_graph(2), complete_graph(2))
         assert g.diameter() == float("inf")
 
     def test_beta_against_scan(self, small_corpus):

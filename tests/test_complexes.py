@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import itertools
 import os
 import random
 
 import pytest
 
 import vnum.complexes as complexes
-from vnum.catalog import (
-    CM36,
-    EXAMPLE_GRAPH3,
-    complete_graph,
-    cycle_graph,
-    path_graph,
-)
+from vnum.catalog import CM36, EXAMPLE_GRAPH3
 from vnum.classify import ORACLE_CAP
 from vnum.clutters import Clutter
 from vnum.complexes import (
@@ -39,10 +35,12 @@ from vnum.formats import parse_edge_list
 from vnum.monomials import polarized_symbolic_power
 from vnum.vertexsets import antichain_maxima, iter_bits, mask_members, or_all
 
+from .graphs import complete_graph, cycle_graph, disjoint_union, path_graph, whisker
 from .oracles import (
     Monomial,
     MonomialIdeal,
     clutter_of_squarefree_ideal,
+    dense_rows,
     edge_ideal,
     euler_characteristic_reduced,
     homology_ranks_naive,
@@ -52,6 +50,7 @@ from .oracles import (
     is_vertex_decomposable_naive,
     maximal_stable_naive,
     polarize,
+    rank_bareiss,
     rank_fraction,
     rank_gf2_sets,
     reduced_homology_ranks,
@@ -150,10 +149,18 @@ class TestStanleyReisner:
             clutter_of_squarefree_ideal(MonomialIdeal.of(1, [Monomial.of(1, (2,))]))
 
 
+def sparse_columns(rows):
+    """The columns of dense rows, each as {row: nonzero entry}."""
+    return [
+        {i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))
+    ]
+
+
 class TestRankEngines:
     def test_known_matrix(self):
         rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-        assert rank_int_matrix(rows) == 2
+        columns = [{0: 1, 1: 2}, {0: 2, 1: 4, 2: 1}, {0: 3, 1: 6, 2: 1}]
+        assert rank_int_matrix(columns) == 2
         assert rank_fraction(rows) == 2
 
     def test_random_matrices_match_fraction_oracle(self):
@@ -163,7 +170,7 @@ class TestRankEngines:
             rows = [
                 [rng.randrange(-3, 4) for _ in range(nc)] for _ in range(nr)
             ]
-            assert rank_int_matrix(rows) == rank_fraction(rows)
+            assert rank_int_matrix(sparse_columns(rows)) == rank_fraction(rows)
 
     def test_random_gf2_matrices_match_set_oracle(self):
         rng = random.Random(17)
@@ -174,6 +181,53 @@ class TestRankEngines:
                 {j for j in range(nc) if r >> j & 1} for r in rows_bits
             ]
             assert rank_gf2(rows_bits) == rank_gf2_sets(rows_sets)
+
+
+class TestSparseRationalRank:
+    """`rank_int_matrix` against dense Bareiss and Fraction elimination.
+
+    The inputs are the boundary maps that regularity scans send to the
+    rational rank, and RP^2, whose rank over Q exceeds its rank mod 2.
+    Hypothesis draws random sparse columns in test_properties.py.
+    """
+
+    @staticmethod
+    def check(columns):
+        before = copy.deepcopy(columns)
+        rank = rank_int_matrix(columns)
+        assert columns == before
+        rows = dense_rows(columns)
+        assert rank == rank_bareiss(rows) == rank_fraction(rows)
+        return rank
+
+    def test_boundary_maps_of_scans(self, monkeypatch):
+        data = os.path.join(os.path.dirname(__file__), "data")
+        inputs = {"example-graph3": EXAMPLE_GRAPH3.graph()}
+        for name in ("clutter10", "gnp16-0.3"):
+            with open(os.path.join(data, f"{name}.txt")) as fh:
+                inputs[name] = parse_edge_list(fh.read()).to_clutter()
+        for name, c in inputs.items():
+            sent = []
+
+            def recording(columns):
+                sent.append(list(columns))
+                return rank_int_matrix(sent[-1])
+
+            monkeypatch.setattr(complexes, "rank_int_matrix", recording)
+            regularities(c)
+            assert sent, name
+            for columns in sent:
+                self.check(columns)
+
+    def test_projective_plane(self):
+        edges = sorted({e for t in RP2_FACETS for e in itertools.combinations(t, 2)})
+        index = {e: i for i, e in enumerate(edges)}
+        columns = [
+            {index[(b, c)]: 1, index[(a, c)]: -1, index[(a, b)]: 1}
+            for a, b, c in RP2_FACETS
+        ]
+        assert self.check(columns) == 10
+        assert rank_gf2([sum(1 << r for r in col) for col in columns]) == 9
 
 
 class TestHomology:
@@ -278,7 +332,7 @@ class TestRegularity:
         pieces = [path_graph(2), path_graph(3), cycle_graph(4), complete_graph(3)]
         for _ in range(6):
             g1, g2 = rng.choice(pieces), rng.choice(pieces)
-            u = g1.disjoint_union(g2)
+            u = disjoint_union(g1, g2)
             for field in (Field.Q, Field.F2):
                 assert regularity(u, field) == regularity(g1, field) + regularity(
                     g2, field
@@ -691,7 +745,7 @@ class TestWorkCounts:
         # test filled; keyed by compacted facets, it made 65 new misses and
         # 3 kernel calls here
         whiskered = [
-            independence_complex(gnp(8, 0.4, seed=k).whisker()) for k in range(10)
+            independence_complex(whisker(gnp(8, 0.4, seed=k))) for k in range(10)
         ]
         clear_cm_memo()
         complexes._vd.cache_clear()
@@ -755,7 +809,7 @@ class TestVertexDecomposable:
             g for g in corpus[::25] if g.vertex_count == 5
         ]
         for g in graphs:
-            w = g.whisker()
+            w = whisker(g)
             assert is_vertex_decomposable(independence_complex(w))
             assert is_vertex_decomposable_naive(maximal_stable_naive(w))
 

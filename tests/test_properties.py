@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 
 from hypothesis import example, given, settings, strategies as st
 
-from vnum.catalog import complete_graph, cycle_graph
 from vnum.classify import _edge_neighborhoods
 from vnum.clutters import Clutter, Graph
 from vnum.complexes import (
@@ -23,6 +23,7 @@ from vnum.complexes import (
     independence_complex,
     is_cohen_macaulay,
     is_vertex_decomposable,
+    rank_int_matrix,
     regularities,
     regularity,
 )
@@ -41,12 +42,14 @@ from vnum.vertexsets import (
     or_all,
 )
 
+from .graphs import complete_graph, cycle_graph, disjoint_union, whisker
 from .oracles import (
     Monomial,
     MonomialIdeal,
     alpha_of_colon_quotient_tuples,
     clutter_of_squarefree_ideal,
     colon_by_monomial,
+    dense_rows,
     edge_ideal,
     edge_subgraph_facets,
     euler_characteristic_reduced,
@@ -60,6 +63,8 @@ from .oracles import (
     ordinary_power,
     polarize,
     radical,
+    rank_bareiss,
+    rank_fraction,
     reduced_homology_ranks,
     regularity_per_field,
     stable_masks_naive,
@@ -138,8 +143,24 @@ def cliques(draw, max_cliques=4):
     """Disjoint unions of K1, K2 and K3: well-covered, isolated vertices too."""
     sizes = draw(st.lists(st.integers(1, 3), max_size=max_cliques))
     return functools.reduce(
-        Graph.disjoint_union, map(complete_graph, sizes), Graph.of(0, [])
+        disjoint_union, map(complete_graph, sizes), Graph.of(0, [])
     )
+
+
+@st.composite
+def sparse_columns(draw, rows=6, max_columns=8):
+    """Integer columns {row: nonzero entry}, entries in {-1, 1, 2}.
+
+    Some columns are empty and some repeat, and the entry 2 gives pivots
+    that are not units, so that the gcd division runs.
+    """
+    column = st.dictionaries(
+        st.integers(0, rows - 1), st.sampled_from((-1, 1, 2)), max_size=rows
+    )
+    columns = draw(st.lists(column, max_size=max_columns))
+    if columns:
+        columns += draw(st.lists(st.sampled_from(columns), max_size=3))
+    return draw(st.permutations(columns))
 
 
 def antichains(bits, max_size=6):
@@ -273,7 +294,7 @@ class TestGraphProperties:
 
     @given(graphs(min_vertices=2, max_vertices=6))
     def test_whisker_v_equals_independent_domination(self, g):
-        assert g.whisker().v_number() == g.independent_domination()
+        assert whisker(g).v_number() == g.independent_domination()
 
 
 class TestIdealContracts:
@@ -346,6 +367,15 @@ class TestMaskAlgebra:
 
 
 class TestComplexProperties:
+    @given(sparse_columns())
+    @example([{0: 2, 1: 2}, {1: 2}, {}, {0: 1, 1: 2}, {0: 2, 1: 2}])
+    def test_sparse_rational_rank_matches_dense_eliminations(self, columns):
+        before = copy.deepcopy(columns)
+        rank = rank_int_matrix(columns)
+        assert columns == before
+        rows = dense_rows(columns)
+        assert rank == rank_bareiss(rows) == rank_fraction(rows)
+
     @given(graphs(min_vertices=1, max_vertices=6))
     def test_stanley_reisner_roundtrip(self, g):
         c = clutter_of_squarefree_ideal(edge_ideal(g))
@@ -580,7 +610,7 @@ class TestOneWellCovered:
         st.one_of(
             clutters(max_vertices=7, max_edges=6),
             graphs(min_vertices=0, max_vertices=7),
-            graphs(min_vertices=1, max_vertices=4).map(Graph.whisker),
+            graphs(min_vertices=1, max_vertices=4).map(whisker),
             cliques(),
         )
     )
@@ -592,7 +622,7 @@ class TestOneWellCovered:
     @example(cycle_graph(4))
     @example(cycle_graph(5))
     # 8 K3: 24 vertices, 6,561 facets
-    @example(functools.reduce(Graph.disjoint_union, [complete_graph(3)] * 8))
+    @example(functools.reduce(disjoint_union, [complete_graph(3)] * 8))
     def test_trade_reading_is_the_built_subclutters(self, c):
         # C - v read off the facets of Delta(C) against C - v built as a
         # clutter with its own minimal covers

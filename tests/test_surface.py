@@ -17,14 +17,6 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # Names that no code in src/vnum refers to, kept on purpose.
 KEEP = {
-    "path_graph": "catalog builder for test inputs",
-    "cycle_graph": "catalog builder for test inputs",
-    "complete_graph": "catalog builder for test inputs",
-    "star_graph": "catalog builder for test inputs",
-    "empty_graph": "catalog builder for test inputs",
-    "fixture_by_label": "looks up catalog fixtures for tests",
-    "whisker": "builds well-covered test inputs",
-    "disjoint_union": "builds disconnected test inputs",
     "alpha_of_colon_quotient": "the per-prime colon degree the acceptance checks use",
     "blocker": "the cover clutter that acceptance criterion 5 reads",
     "is_pure": "the purity that acceptance criterion 5 reads",

@@ -13,13 +13,15 @@ import pytest
 import vnum.clutters as clutters
 import vnum.monomials as monomials
 import vnum.vertexsets as vertexsets
-from vnum.catalog import CM36, complete_graph
+from vnum.catalog import CM36
 from vnum.classify import full_report
 from vnum.clutters import Clutter, Graph
 from vnum.complexes import Field, SimplicialComplex
 from vnum.formats import parse_edge_list
 from vnum.monomials import polarized_symbolic_power, symbolic_power
 from vnum.vertexsets import antichain_minima
+
+from .graphs import complete_graph, disjoint_union
 
 BOTH = (Field.Q, Field.F2)
 
@@ -195,7 +197,7 @@ class TestSizeClassWork:
 
     def test_uniform_families_need_no_equal_size_tests(self):
         # 8 K3: 24 vertices, 3^8 = 6,561 facets of size 8
-        g = functools.reduce(Graph.disjoint_union, [complete_graph(3)] * 8)
+        g = functools.reduce(disjoint_union, [complete_graph(3)] * 8)
         facets = g.maximal_stable_masks()
         assert len(facets) == 6561
         triples = sorted(
