@@ -243,6 +243,10 @@ def _usable_cpus() -> int:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     lines = [ln.strip() for ln in _read_text(args.file).splitlines() if ln.strip()]
+    if args.graph6:
+        # graph6 bytes are 63..126, so a graph ends at the first whitespace
+        # and what follows on its line, such as a label, is not read
+        lines = [ln.split(None, 1)[0] for ln in lines]
     kind = "graph6" if args.graph6 else "files"
     tasks = [(i, kind, line, args.field) for i, line in enumerate(lines)]
     # the executor starts every worker up front, so never more than can run

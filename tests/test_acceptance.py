@@ -21,7 +21,7 @@ from vnum.classify import (
     symbolic_square_cm,
     v_number_checked,
 )
-from vnum.clutters import Clutter, Graph
+from vnum.clutters import Clutter
 from vnum.complexes import (
     Field,
     independence_complex,

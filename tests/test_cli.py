@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -383,16 +385,16 @@ class TestGoldenOutput:
     catalog and example-graph3; golden.jsonl is its recorded output.  A
     change that moves any value, key order or formatting fails here.
     cm36-seed2.g6 holds the same catalog graphs and example-graph3 with
-    their vertices shuffled (`python3 bench/workloads.py cm36 --seed 2 |
-    cut -f1`, since the script prints a label after a tab on each line), so
-    that a fault seen only under some labellings fails too.
+    their vertices shuffled (the first column of `python3
+    bench/workloads.py cm36 --seed 2`, which prints a label after a tab on
+    each line), so that a fault seen only under some labellings fails too.
     """
 
     @staticmethod
-    def assert_batch_matches(capsys, name):
+    def assert_batch_matches(capsys, name, stream=None):
         data = os.path.join(os.path.dirname(__file__), "data")
         code, out, _ = run_cli(
-            capsys, "batch", os.path.join(data, f"{name}.g6"),
+            capsys, "batch", stream or os.path.join(data, f"{name}.g6"),
             "--graph6", "--json", "--field", "both",
         )
         assert code == 0
@@ -404,6 +406,21 @@ class TestGoldenOutput:
 
     def test_relabelled_catalog_matches_golden(self, capsys):
         self.assert_batch_matches(capsys, "cm36-seed2")
+
+    def test_labelled_workload_lines_match_golden(self, capsys, tmp_path):
+        # a batch reads the first field of each graph6 line, so the labels
+        # the workload script prints after a tab are not part of a graph
+        script = os.path.join(
+            os.path.dirname(os.path.dirname(__file__)), "bench", "workloads.py"
+        )
+        labelled = subprocess.run(
+            [sys.executable, script, "cm36", "--seed", "2"],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert "\t" in labelled
+        stream = tmp_path / "cm36-seed2.labelled.g6"
+        stream.write_text(labelled)
+        self.assert_batch_matches(capsys, "cm36-seed2", str(stream))
 
 
 class TestGoldenCommands:

@@ -23,6 +23,7 @@ from vnum.complexes import (
     _link,
     _relabel,
     _top_down,
+    cohen_macaulay_fields,
     independence_complex,
     is_cohen_macaulay,
     is_vertex_decomposable,
@@ -62,6 +63,8 @@ RP2_FACETS = (
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
     (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
 )
+# the deletion of vertex 1 of RP^2; its boundary is the 5-cycle 2-3-5-6-4
+MOBIUS_FACETS = tuple(f for f in RP2_FACETS if 1 not in f)
 
 
 def profile_dict(ranks):
@@ -621,6 +624,52 @@ class TestOneRecursionForBothFields:
         assert self.levels(with_point) == (False, False)
 
 
+def join(first, second, shift):
+    """Facets of the join of two facet lists, the second's vertices shifted up."""
+    return [a + tuple(v + shift for v in b) for a in first for b in second]
+
+
+class TestGluingStep:
+    """The recursion proves level 2 from the first vertex b whose deletion is
+    pure of full dimension, when lk b and del b both have level 2; in every
+    other case the link-vanishing test decides."""
+
+    @staticmethod
+    def per_field(c):
+        return frozenset(f for f in BOTH if is_cohen_macaulay_per_field(c, f))
+
+    def test_rational_link_and_deletion_prove_nothing_over_gf2(self):
+        # RP^2 on 4..9 joined with the path 1-2-3: once the cone point 2 is
+        # stripped, vertex 1 is the first shedding vertex, with the link RP^2
+        # and the deletion a cone over RP^2, both Cohen-Macaulay over Q only
+        c = SimplicialComplex.of(9, join([(1, 2), (2, 3)], RP2_FACETS, 3))
+        clear_cm_memo()
+        assert cohen_macaulay_fields(c) == self.per_field(c) == {Field.Q}
+
+    def test_deletions_that_are_not_cohen_macaulay(self):
+        # every vertex of RP^2 sheds, with a 5-cycle for its link and a
+        # Moebius strip, a circle up to homotopy, for its deletion; a
+        # triangle on a boundary edge of the strip sheds its third vertex
+        cases = [
+            RP2_FACETS,
+            MOBIUS_FACETS,
+            MOBIUS_FACETS + ((2, 3, 7),),
+            MOBIUS_FACETS + ((2, 3, 7), (3, 5, 8)),
+            join([(7,), (8,)], MOBIUS_FACETS, 0),
+            join([(1,), (2,), (3,)], RP2_FACETS, 3),
+        ]
+        rng = random.Random(61)
+        seen = set()
+        for facets in cases:
+            c = SimplicialComplex.of(max(map(max, facets)), facets)
+            want = self.per_field(c)
+            seen.add(want)
+            for copy in [c] + [permuted(c, rng) for _ in range(3)]:
+                clear_cm_memo()
+                assert cohen_macaulay_fields(copy) == want, copy.facets
+        assert seen == {frozenset(), frozenset({Field.Q})}
+
+
 def betti_numbers(facets):
     """Nonzero reduced Betti numbers over Q and GF(2), by dimension.
 
@@ -725,7 +774,9 @@ class TestWorkCounts:
         # and 5,501 memo entries keyed by compacted facets alone; 35,376
         # `_dominated` calls when each pass deleted a single vertex, 12,124
         # when it deletes every vertex it can.  Keyed by `_relabel`, the
-        # recursion runs on 1,041 complexes and 242 cores (2,675 passes).
+        # recursion ran on 1,041 complexes and 242 cores (2,675 passes);
+        # gluing at a shedding vertex first, on 572 complexes and 78 cores
+        # (238 passes).
         oracle = [
             independence_complex(polarized_symbolic_power(fix.graph(), 2))
             for fix in CM36
@@ -735,9 +786,9 @@ class TestWorkCounts:
         calls = self.counted(monkeypatch)
         passes = self.counted(monkeypatch, "_dominated")
         assert all(_cm_level(k.facets) == 2 for k in oracle)
-        assert len(calls) <= 300
-        assert complexes._cm_recursive.cache_info().misses <= 1200
-        assert len(passes) <= 13000
+        assert len(calls) <= 100
+        assert complexes._cm_recursive.cache_info().misses <= 650
+        assert len(passes) <= 400
 
 
     def test_decomposability_reuses_the_cohen_macaulay_memo(self, monkeypatch, gnp):
