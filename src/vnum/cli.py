@@ -12,7 +12,9 @@ refuses an input with more than MAX_VERTICES (24) vertices instead of
 starting a scan that would not finish.  `report`, `symbolic-power` and
 `catalog-verify --edge-critical` then exit 4; `batch` prints the input as an
 in-band `"error": "too large: ..."` row, keeps every other row, and exits 4
-unless a cross-route disagreement (exit 2) also occurred.
+unless a cross-route disagreement (exit 2) also occurred.  A batch with at
+least one input, every one of them an input-error row, exits 1 after
+printing every row.
 """
 
 from __future__ import annotations
@@ -278,6 +280,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         return EXIT_CROSS_ROUTE
     if any(row.get("error", "").startswith(TOO_LARGE_PREFIX) for row in rows):
         return EXIT_TOO_LARGE
+    if rows and all("error" in row for row in rows):
+        return EXIT_INPUT
     return EXIT_OK
 
 

@@ -24,10 +24,14 @@ and GF(2)) from the mod-2 ranks of each link, and `cohen_macaulay_fields`
 hands it out as the set of fields over which the complex is
 Cohen-Macaulay, so one lookup answers every field.  Simplices and
 impure complexes are settled without a lookup, and cone points are
-stripped.  Before any homology, the recursion tries to glue: at the first
-vertex b whose deletion is pure of full dimension, a link and a deletion
+stripped.  Before any homology, the recursion tries to glue at each
+vertex b whose deletion is pure of full dimension: a link and a deletion
 that are both Cohen-Macaulay over both fields make the complex so (the
-depth lemma), and only a failed attempt runs the link-vanishing test.
+depth lemma).  A link that is not Cohen-Macaulay over Q settles the
+complex as not Cohen-Macaulay at once, since every link of a
+Cohen-Macaulay complex is Cohen-Macaulay (Reisner); a link that is over
+Q only ends the attempts, and only then, or when no shedding vertex
+proves the complex, does the link-vanishing test run.
 Neither the level nor vertex decomposability depends on labels,
 so one canonical form, `_relabel`, keys both memos: it renumbers the used
 vertices to the low bits by an isomorphism-invariant signature, so that
@@ -428,7 +432,7 @@ def cohen_macaulay_fields(complex_: SimplicialComplex) -> frozenset[Field]:
     reduced homology of the link of F vanishes below the link's dimension.
     One memoized recursion finds every field's answer at once: purity, then
     a gluing step that can prove the complex Cohen-Macaulay over both
-    fields from one shedding vertex's link and deletion, and otherwise
+    fields from some shedding vertex's link and deletion, and otherwise
     homology of the whole complex, then the links of vertices (links of
     larger faces are links of vertices inside links).  Its memo is keyed up
     to most vertex relabellings (see `_cm_level`).
@@ -519,18 +523,21 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
     call it through `_cm_level`, so that isomorphic copies mostly share one
     entry.
 
-    First a gluing step, which can only prove level 2.  Take the first
-    vertex b whose deletion del b is pure of dimension d = dim K (b sheds:
-    every facet of del b is a facet of K).  Then K is del b and the cone
-    b * lk b glued along lk b, where lk b has dimension d - 1 and the cone
-    is Cohen-Macaulay exactly when lk b is.  The depth lemma (Bruns-Herzog,
+    First a gluing step, tried at each vertex b, in bit order, whose
+    deletion del b is pure of dimension d = dim K (b sheds: every facet of
+    del b is a facet of K).  Then K is del b and the cone b * lk b glued
+    along lk b, where lk b has dimension d - 1 and the cone is
+    Cohen-Macaulay exactly when lk b is.  The depth lemma (Bruns-Herzog,
     Prop. 1.2.9) on 0 -> k[K] -> k[del b] + k[b * lk b] -> k[lk b] -> 0
     makes K Cohen-Macaulay over k when del b and lk b are, so levels 2 for
-    both give level 2.  Nothing else follows from them: RP^2 is
+    both give level 2.  A lower level of del b proves nothing: RP^2 is
     Cohen-Macaulay over Q though its vertex deletions, Moebius strips, are
-    not, and parts of level 1 leave GF(2) open.  In every other case the
-    link-vanishing test decides: homology of the core below dimension d,
-    then the level of each vertex link.
+    not, so the next shedding vertex is tried.  The link is read first,
+    since every link of a Cohen-Macaulay complex is Cohen-Macaulay over
+    the same field (Reisner): a link of level 0 makes K level 0 at once,
+    and a link of level 1 caps K at 1, which no gluing proves, so it stops
+    the step.  Otherwise the link-vanishing test decides: homology of the
+    core below dimension d, then the level of each vertex link.
     """
     dim = facets[0].bit_count() - 1
     used, present = or_all(facets), set(facets)
@@ -543,10 +550,13 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
             for f in facets
             if f & b
         ):
-            del_facets = tuple(f for f in facets if not f & b)
-            if _cm_level(_link(facets, b)) == 2 and _cm_level(del_facets) == 2:
+            link = _cm_level(_link(facets, b))
+            if not link:
+                return 0
+            if link == 1:
+                break
+            if _cm_level(tuple(f for f in facets if not f & b)) == 2:
                 return 2
-            break
     # Only the homology below the dimension matters (a 0-dimensional
     # complex has none).  It comes from the core, which has the same
     # homology and often is a single vertex; the links below need every

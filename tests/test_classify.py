@@ -155,6 +155,15 @@ class TestSymbolicSquareCm:
     def test_p3_not(self):
         assert not symbolic_square_cm(path_graph(3), Field.Q)
 
+    @pytest.mark.parametrize("fix", CM36, ids=lambda fix: fix.label)
+    def test_both_routes_on_every_catalog_entry(self, fix):
+        # reports run the polarization oracle only up to ORACLE_CAP vertices;
+        # here it runs on every entry, whose polarized squares have up to 18
+        # vertices, and both routes find I^(2) Cohen-Macaulay over both fields
+        g = fix.graph()
+        assert classify._symbolic_square_cm_oracle(g) == set(Field)
+        assert classify._symbolic_square_cm_combinatorial(g) == set(Field)
+
     def test_oracle_route_agrees_on_small_graphs(self, small_corpus):
         # the cross-route assertion runs inside symbolic_square_cm itself
         for g in small_corpus[:60]:

@@ -194,6 +194,22 @@ class TestBatch:
         assert "error" in rows[1]
         assert rows[0]["v"] == 1 and rows[2]["v"] == 1
 
+    def test_batch_of_failed_rows_is_an_input_error(self, capsys, tmp_path):
+        # every row is printed either way; the batch exits 1 only when no
+        # input gave a report
+        stream = tmp_path / "garbage.g6"
+        stream.write_text("A!x\n!!\nBw!\n")
+        code, out, _ = run_cli(capsys, "batch", str(stream), "--graph6", "--json")
+        assert code == 1
+        rows = [json.loads(ln) for ln in out.strip().split("\n")]
+        assert [r["name"] for r in rows] == ["line 1", "line 2", "line 3"]
+        assert all("error" in r for r in rows)
+        stream.write_text("A!x\n!!\nBw!\nA_\n")
+        code, out, _ = run_cli(capsys, "batch", str(stream), "--graph6", "--json")
+        assert code == 0
+        rows = [json.loads(ln) for ln in out.strip().split("\n")]
+        assert ["error" in r for r in rows] == [True, True, True, False]
+
     def test_file_of_files(self, capsys, tmp_path):
         a = tmp_path / "a.txt"
         a.write_text("graph 2\n1 2\n")
@@ -674,7 +690,8 @@ class TestClutterInput:
         listing = tmp_path / "files.txt"
         listing.write_text(f"{path}\n")
         code, out, _ = run_cli(capsys, "batch", str(listing), "--json")
-        assert code == 0
+        # the batch's one row failed, so the batch is an input error too
+        assert code == 1
         assert json.loads(out) == {"schema": "vnum/1", "name": "line 1", "error": message}
 
     def test_edgeless_graph_is_input_error(self, capsys, tmp_path):

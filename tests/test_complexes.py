@@ -8,6 +8,7 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vnum.complexes as complexes
 from vnum.catalog import CM36, EXAMPLE_GRAPH3
@@ -58,6 +59,7 @@ from .oracles import (
     regularity_per_field,
     symbolic_power,
 )
+from .test_properties import shedding_complexes
 
 RP2_FACETS = (
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -629,14 +631,80 @@ def join(first, second, shift):
     return [a + tuple(v + shift for v in b) for a in first for b in second]
 
 
+def shedders(facets):
+    """The vertex bits of a pure complex whose deletion is pure of full
+    dimension, in increasing order: the vertices the gluing step tries."""
+    return [
+        b
+        for b in iter_bits(or_all(facets))
+        if all(d in facets for d in _deletion(facets, b))
+    ]
+
+
+@st.composite
+def rp2_sheddings(draw):
+    """Vertex 1 coned over RP^2 on 2..7, each triangle t of which also lies
+    in a tetrahedron t + w for some w in 2..9: vertex 1 sheds, and its link,
+    RP^2, is Cohen-Macaulay over Q only."""
+    facets = []
+    for t in RP2_FACETS:
+        t = tuple(v + 1 for v in t)
+        w = draw(st.sampled_from([v for v in range(2, 10) if v not in t]))
+        facets += [(1,) + t, t + (w,)]
+    return SimplicialComplex.of(9, facets)
+
+
 class TestGluingStep:
-    """The recursion proves level 2 from the first vertex b whose deletion is
-    pure of full dimension, when lk b and del b both have level 2; in every
-    other case the link-vanishing test decides."""
+    """The recursion tries each vertex b whose deletion is pure of full
+    dimension, in turn: a level 0 of lk b settles level 0, a level 1 of
+    lk b ends the attempts, and lk b and del b both of level 2 prove level
+    2; in every other case the link-vanishing test decides."""
 
     @staticmethod
     def per_field(c):
         return frozenset(f for f in BOTH if is_cohen_macaulay_per_field(c, f))
+
+    def test_a_later_shedding_vertex_proves_level_2(self, monkeypatch):
+        # two copies of K4 joined by a path through vertex 5: the bridge
+        # vertex, of degree 2, is the first shedding vertex of the
+        # relabelled complex, and its deletion is disconnected; a vertex of
+        # either K4 then sheds with a connected deletion, so the complex
+        # itself never reaches the link-vanishing test
+        k4 = list(itertools.combinations((1, 2, 3, 4), 2))
+        edges = k4 + [(u + 5, v + 5) for u, v in k4] + [(4, 5), (5, 6)]
+        c = SimplicialComplex.of(9, edges)
+        key = _relabel(c.facets)
+        first = shedders(key)[0]
+        assert _cm_level(_link(key, first)) == 2
+        assert _cm_level(_deletion(key, first)) == 0
+        clear_cm_memo()
+        cored = []
+        real = complexes._core
+        monkeypatch.setattr(
+            complexes, "_core", lambda facets: cored.append(facets) or real(facets)
+        )
+        assert cohen_macaulay_fields(c) == self.per_field(c) == set(BOTH)
+        assert key not in cored
+
+    def test_a_rational_link_caps_the_level(self):
+        # the suspension of RP^2 with a disjoint tetrahedron: both apexes
+        # shed, with the link RP^2 of level 1, and every other shedding
+        # vertex has a link of level 2; but the complex is disconnected
+        suspension = join(RP2_FACETS, [(1,), (2,)], 6)
+        c = SimplicialComplex.of(12, suspension + [(9, 10, 11, 12)])
+        key = _relabel(c.facets)
+        links = {_cm_level(_link(key, b)) for b in shedders(key)}
+        assert links == {1, 2}
+        clear_cm_memo()
+        assert cohen_macaulay_fields(c) == self.per_field(c) == set()
+
+    @given(st.one_of(shedding_complexes(), rp2_sheddings()))
+    @settings(deadline=None, max_examples=150)
+    def test_matches_the_link_vanishing_oracle(self, c):
+        # every example starts from a cold memo, so the gluing step runs on
+        # the complex itself and not only the verdict of an earlier copy
+        clear_cm_memo()
+        assert cohen_macaulay_fields(c) == self.per_field(c)
 
     def test_rational_link_and_deletion_prove_nothing_over_gf2(self):
         # RP^2 on 4..9 joined with the path 1-2-3: once the cone point 2 is
@@ -775,8 +843,10 @@ class TestWorkCounts:
         # `_dominated` calls when each pass deleted a single vertex, 12,124
         # when it deletes every vertex it can.  Keyed by `_relabel`, the
         # recursion ran on 1,041 complexes and 242 cores (2,675 passes);
-        # gluing at a shedding vertex first, on 572 complexes and 78 cores
-        # (238 passes).
+        # gluing at the first shedding vertex only, on 572 complexes and
+        # 78 cores (238 passes); gluing at every shedding vertex, with a
+        # link below level 2 ending the attempts, on 80 complexes and 8
+        # cores (13 passes).
         oracle = [
             independence_complex(polarized_symbolic_power(fix.graph(), 2))
             for fix in CM36
@@ -786,9 +856,9 @@ class TestWorkCounts:
         calls = self.counted(monkeypatch)
         passes = self.counted(monkeypatch, "_dominated")
         assert all(_cm_level(k.facets) == 2 for k in oracle)
-        assert len(calls) <= 100
-        assert complexes._cm_recursive.cache_info().misses <= 650
-        assert len(passes) <= 400
+        assert len(calls) <= 15
+        assert complexes._cm_recursive.cache_info().misses <= 120
+        assert len(passes) <= 30
 
 
     def test_decomposability_reuses_the_cohen_macaulay_memo(self, monkeypatch, gnp):
