@@ -13,17 +13,19 @@ per complex (`complexes.cohen_macaulay_fields`), which answers both fields
 at once.  So every report compares the two symbolic-square routes, checks
 reg_Q <= reg_F2 and holds both fields to the matching bounds.
 
-Edge-criticality and the symbolic-square walk both read, for each edge
-e = {u, v}, the graph G_e = G - N[u] - N[v].  Its stable sets are the
-stable sets of G that avoid N[u] | N[v], so G_e is never built: route 2 of
-edge-criticality reads beta0(G_e) off the maximal stable sets of G, and the
-walk restricts the independence complex of G to the other vertices.
+Edge-criticality builds no graph.  Route 1 searches alpha(G - e) on G's
+adjacency masks with e toggled out, by branching on the lowest vertex.
+Route 2 and the symbolic-square walk both read, for each edge e = {u, v},
+the graph G_e = G - N[u] - N[v].  Its stable sets are the stable sets of
+G that avoid N[u] | N[v], so G_e is never built: route 2 reads beta0(G_e)
+off the maximal stable sets of G, and the walk restricts the independence
+complex of G to the other vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import monomials
 from .clutters import Clutter, Graph
@@ -99,16 +101,25 @@ def is_edge_critical(g: Graph) -> bool:
 def edge_criticality(g: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
     """Edge-criticality verdict plus the first violating edge, if any.
 
-    The violating edge is the first in vertex-list order.  Route 1 removes
-    each edge and takes fresh covers of G - e; route 2 checks that the
+    The violating edge is the first in vertex-list order.  Route 1 toggles
+    each edge out of G's adjacency masks, searches alpha(G - e) there
+    (`_stable_number`) and compares it with beta0(G) + 1, beta0 read off
+    G's covers; it shares no code with route 2.  Route 2 checks that the
     independence number drops by one on each G_e.  The stable sets of G_e
     are the stable sets of G that avoid N[u] | N[v], so route 2 reads
-    beta0(G_e) off the maximal stable sets of G and builds no graph.
+    beta0(G_e) off the maximal stable sets of G.  Neither route builds a
+    graph.
     """
     beta0 = g.independence_number() if g.has_edges() else None
+    adj = list(g.adjacency_masks())
     witness1 = None
     for u, v in sorted(g.edge_lists()):
-        if g.delete_edge(u, v).independence_number() != beta0 + 1:
+        adj[u - 1] ^= 1 << (v - 1)
+        adj[v - 1] ^= 1 << (u - 1)
+        alpha = _stable_number(adj, g.full_mask, {})
+        adj[u - 1] ^= 1 << (v - 1)
+        adj[v - 1] ^= 1 << (u - 1)
+        if alpha != beta0 + 1:
             witness1 = (u, v)
             break
     route1 = witness1 is None
@@ -121,6 +132,27 @@ def edge_criticality(g: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
         "edge-critical", {"edge-deletion": route1, "neighborhood": route2}
     )
     return route1, witness1
+
+
+def _stable_number(adj: Sequence[int], alive: int, memo: dict[int, int]) -> int:
+    """Largest stable set of the graph induced on `alive`, memoized in `memo`.
+
+    The lowest vertex v is taken or left out.  When v has at most one live
+    neighbour it is always taken: swapping that neighbour for v turns a
+    maximum stable set into one that holds v.  A module function, not a
+    closure over itself, so that no reference cycle holds the memo.
+    """
+    if not alive:
+        return 0
+    if alive not in memo:
+        v = alive & -alive
+        rest = alive ^ v
+        nbrs = adj[v.bit_length() - 1] & rest
+        best = 1 + _stable_number(adj, rest & ~nbrs, memo)
+        if nbrs & nbrs - 1:
+            best = max(best, _stable_number(adj, rest, memo))
+        memo[alive] = best
+    return memo[alive]
 
 
 def _edge_neighborhoods(g: Graph) -> Iterator[int]:

@@ -11,8 +11,8 @@ computed exactly; the intended scale is s <= ~24.
 
 No subclutter is built.  The stable sets of C - v are the stable sets of C
 that avoid v, so 1-well-coveredness reads every C - v off the maximal
-stable sets of C.  The derived graphs, G - e and the complement, are the
-other routes of cross-checks.
+stable sets of C.  The one derived graph, the complement, is the other
+route of cross-checks.
 """
 
 from __future__ import annotations
@@ -253,24 +253,17 @@ class Graph(Clutter):
             adj[b - 1] |= 1 << (a - 1)
         return tuple(adj)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return mask_of(self.vertex_count, (u, v)) in self.edge_masks
-
     def domination_number(self) -> int:
-        """Least size of a set dominating every vertex outside it."""
-        adj = self.adjacency_masks()
-        s = self.vertex_count
-        full = self.full_mask
-        for k in range(s + 1):
-            for combo in itertools.combinations(range(s), k):
-                mask = 0
-                dominated = 0
-                for i in combo:
-                    mask |= 1 << i
-                    dominated |= adj[i]
-                if (mask | dominated) == full:
-                    return k
-        raise AssertionError("unreachable: the full vertex set dominates")
+        """Least size of a set dominating every vertex outside it.
+
+        Iterative deepening over k = 0, 1, ...: each level asks whether k
+        closed neighbourhoods cover the vertices (`_dominated_by`).
+        """
+        closed = [a | 1 << i for i, a in enumerate(self.adjacency_masks())]
+        k = 0
+        while not _dominated_by(closed, self.full_mask, k):
+            k += 1
+        return k
 
     def matching_number(self) -> int:
         """Largest number of pairwise disjoint edges."""
@@ -281,12 +274,6 @@ class Graph(Clutter):
         return _induced_matching_number(self.adjacency_masks(), self.full_mask, {})
 
     # -- derived graphs ------------------------------------------------------
-
-    def delete_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise ValueError(f"edge {{{u},{v}}} not present")
-        m = mask_of(self.vertex_count, (u, v))
-        return Graph(self.vertex_count, tuple(e for e in self.edge_masks if e != m))
 
     def complement(self) -> "Graph":
         s = self.vertex_count
@@ -400,6 +387,23 @@ def _induced_matching_number(
             best = max(best, 1 + _induced_matching_number(adj, alive & ~near, memo))
         memo[alive] = best
     return memo[alive]
+
+
+def _dominated_by(closed: Sequence[int], left: int, k: int) -> bool:
+    """Whether at most k of the closed neighbourhoods cover the mask `left`.
+
+    Some chosen vertex dominates the lowest vertex u of `left`, so the
+    search branches over the vertices of N[u].
+    """
+    if not left:
+        return True
+    if not k:
+        return False
+    u = left & -left
+    return any(
+        _dominated_by(closed, left & ~closed[w.bit_length() - 1], k - 1)
+        for w in iter_bits(closed[u.bit_length() - 1])
+    )
 
 
 def _bfs(adj: Sequence[int], src: int) -> tuple[int, int]:

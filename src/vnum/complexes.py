@@ -17,14 +17,15 @@ wherever mod-2 homology does.
 
 Two callers use the kernel: `regularities`, one Hochster scan of induced
 subcomplexes for Q and GF(2) at once, which prunes subsets that cannot
-beat the best found so far and asks the kernel only for dimensions at or
-above it; and the Cohen-Macaulay test.  That test takes no field:
-one memoized recursion finds the level (not over Q, over Q only, over Q
-and GF(2)) from the mod-2 ranks of each link, and `cohen_macaulay_fields`
-hands it out as the set of fields over which the complex is
-Cohen-Macaulay, so one lookup answers every field.  Simplices and
-impure complexes are settled without a lookup, and cone points are
-stripped.  Before any homology, the recursion tries to glue at each
+beat the best found so far, asks the kernel only for dimensions at or
+above it, and stops once the dimension or, for flag complexes, the
+subset size leaves no field room to improve; and the Cohen-Macaulay
+test.  That test takes no field: one memoized recursion finds the level
+(not over Q, over Q only, over Q and GF(2)) from the mod-2 ranks of each
+link, and `cohen_macaulay_fields` hands it out as the set of fields over
+which the complex is Cohen-Macaulay, so one lookup answers every field.
+Simplices and impure complexes are settled without a lookup, and cone
+points are stripped.  Before any homology, the recursion tries to glue at each
 vertex b whose deletion is pure of full dimension: a link and a deletion
 that are both Cohen-Macaulay over both fields make the complex so (the
 depth lemma).  A link that is not Cohen-Macaulay over Q settles the
@@ -376,15 +377,30 @@ def regularities(c: Clutter) -> dict[Field, int]:
     lookups on the chains built.  Over Q, the reduction runs only where mod-2
     homology survives in a dimension at or above the Q best.  The bests
     come from the scan alone.
+
+    Two exact stops end the scan once no field can improve.  Every best is
+    at most dim Delta + 1, the largest facet size, so the scan returns as
+    soon as the smallest best reaches it.  And when every edge has at most
+    two vertices, each Delta_A is a flag complex, and a flag complex with
+    nonzero d-homology has at least 2d + 2 vertices.  By induction: in a
+    smallest such complex no vertex deletion keeps the class, so by
+    Mayer-Vietoris each vertex v has nonzero (d-1)-homology in its link, a
+    flag complex on at least 2d other vertices; and some vertex lies
+    outside the star of v, or else the complex is a cone.  So the scan
+    stops at sizes below 2 * best + 2, not at sizes up to the best.  Wider
+    edges keep the plain stop: the boundary of a triangle has 1-homology on
+    3 vertices.
     """
     edges = c.edge_masks
     bits = list(iter_bits(or_all(edges)))
     maximal = c.maximal_stable_masks()
     folds = _folds(edges)
+    ceiling = max(f.bit_count() for f in maximal)
+    flag = all(e.bit_count() <= 2 for e in edges)
     best = dict.fromkeys(Field, 0)
+    low = 0
     for size in range(len(bits), 0, -1):
-        low = min(best.values())
-        if size <= low:
+        if low == ceiling or size < (2 * low + 2 if flag else low + 1):
             break
         for combo in itertools.combinations(bits, size):
             amask = sum(combo)
@@ -407,6 +423,8 @@ def regularities(c: Clutter) -> dict[Field, int]:
                         best[field] = d + 1
                         break
             low = min(best.values())
+            if low == ceiling:
+                return best
     return best
 
 

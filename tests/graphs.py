@@ -1,5 +1,5 @@
 """Graph builders for test inputs: named families, catalog lookups by
-label, disjoint unions and whiskers."""
+label, disjoint unions, whiskers and edge deletions."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import itertools
 
 from vnum.catalog import CM36, EXAMPLE_GRAPH3, CatalogFixture
 from vnum.clutters import Graph
+from vnum.vertexsets import mask_of
 
 
 def path_graph(n: int) -> Graph:
@@ -54,3 +55,11 @@ def whisker(g: Graph) -> Graph:
     edges = list(g.edge_lists())
     edges += [(i, s + i) for i in range(1, s + 1)]
     return Graph.of(2 * s, edges)
+
+
+def delete_edge(g: Graph, u: int, v: int) -> Graph:
+    """G - e for the edge e = {u, v} of g, on the same vertices."""
+    m = mask_of(g.vertex_count, (u, v))
+    if m not in g.edge_masks:
+        raise ValueError(f"edge {{{u},{v}}} not present")
+    return Graph(g.vertex_count, tuple(e for e in g.edge_masks if e != m))

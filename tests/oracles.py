@@ -12,6 +12,10 @@ stability filter over every vertex subset, which growing stable sets one
 vertex at a time replaced; the mask intersection that re-minimizes
 every union, which `vertexsets.meet` replaced; the edge subgraphs G_e
 built as graphs, which restrictions of the independence complex replaced;
+the graphs G - e built with fresh covers for route 1 of edge-criticality,
+which a branching search for alpha(G - e) on adjacency masks replaced; the
+domination number by trying sets by size, which a branching search over
+closed neighbourhoods replaced;
 the subclutters C - v built for 1-well-coveredness, which a facet
 trade inside Delta(C) replaced; route 2 of W2 with whole sets, which
 a stream of family A replaced; and dense Bareiss elimination for rational
@@ -37,6 +41,8 @@ from vnum.classify import _beta2_complement_agreement, edge_criticality
 from vnum.clutters import Clutter, Graph
 from vnum.complexes import Field, SimplicialComplex, _top_down, independence_complex
 from vnum.vertexsets import antichain_minima, mask_members, mask_of, or_all
+
+from .graphs import delete_edge
 
 
 def subsets(universe):
@@ -141,6 +147,20 @@ def domination_naive(g: Graph) -> int:
         if all(v in aset or adj[v] & aset for v in range(1, g.vertex_count + 1)):
             best = min(best, len(aset))
     return best
+
+
+def domination_by_size(g: Graph) -> int:
+    """The domination number by trying vertex sets of each size in turn."""
+    adj = g.adjacency_masks()
+    for k in range(g.vertex_count + 1):
+        for combo in combinations(range(g.vertex_count), k):
+            mask = dominated = 0
+            for i in combo:
+                mask |= 1 << i
+                dominated |= adj[i]
+            if mask | dominated == g.full_mask:
+                return k
+    raise AssertionError("unreachable: the full vertex set dominates")
 
 
 def is_claw_free_naive(g: Graph) -> bool:
@@ -766,6 +786,23 @@ def edge_subgraph_facets(g: Graph, u: int, v: int) -> tuple[int, ...]:
             for f in independence_complex(sub).facets
         )
     )
+
+
+# -- edge deletions G - e -----------------------------------------------------------
+
+
+def edge_criticality_by_fresh_covers(g: Graph) -> tuple[bool, tuple[int, int] | None]:
+    """Edge-criticality and its first violating edge, each G - e built.
+
+    Every G - e, edges in vertex-list order, is built as a graph and takes
+    its independence number from its own minimal covers.  The package
+    searches alpha(G - e) on G's adjacency masks instead.
+    """
+    beta0 = g.independence_number() if g.has_edges() else None
+    for u, v in sorted(g.edge_lists()):
+        if delete_edge(g, u, v).independence_number() != beta0 + 1:
+            return False, (u, v)
+    return True, None
 
 
 # -- Cohen-Macaulay references ------------------------------------------------------

@@ -32,6 +32,7 @@ from vnum.monomials import polarized_symbolic_power
 from .graphs import (
     complete_graph,
     cycle_graph,
+    delete_edge,
     empty_graph,
     fixture_by_label,
     path_graph,
@@ -39,7 +40,9 @@ from .graphs import (
     whisker,
 )
 from .oracles import (
+    beta0_naive,
     delete_closed_neighborhood,
+    edge_criticality_by_fresh_covers,
     symbolic_square_cm_beta2,
     w2_families_by_sets,
 )
@@ -117,6 +120,26 @@ class TestEdgeCritical:
 
     def test_edgeless_vacuous(self):
         assert is_edge_critical(empty_graph(3))
+
+    def test_stable_number_search_on_every_edge_deletion(self, corpus):
+        for g in corpus:
+            for u, v in g.edge_lists():
+                h = delete_edge(g, u, v)
+                alpha = classify._stable_number(h.adjacency_masks(), h.full_mask, {})
+                assert alpha == beta0_naive(h), (g, u, v)
+
+    def test_matches_fresh_covers_on_the_corpus(self, corpus):
+        verdicts = [edge_criticality(g) for g in corpus]
+        assert verdicts == [edge_criticality_by_fresh_covers(g) for g in corpus]
+        # both verdicts occur, so the witness edge is compared too
+        assert {ok for ok, _ in verdicts} == {True, False}
+
+    @pytest.mark.parametrize(
+        "fix", CM36 + (EXAMPLE_GRAPH3,), ids=lambda fix: fix.label
+    )
+    def test_matches_fresh_covers_on_the_catalog(self, fix):
+        g = fix.graph()
+        assert edge_criticality(g) == edge_criticality_by_fresh_covers(g) == (True, None)
 
     def test_star_not(self):
         assert not is_edge_critical(star_graph(3))
@@ -525,9 +548,9 @@ class TestFullReport:
         assert got == {f: classify.symbolic_square_cm(g, f) for f in got}
 
     def test_edge_walks_build_no_subgraph(self, monkeypatch):
-        # every G_e is a restriction of Delta(G): the symbolic-square walk
-        # builds no graph at all, and edge-criticality route 1 builds only
-        # the graphs G - e
+        # every G_e is a restriction of Delta(G) and every G - e a toggle of
+        # G's adjacency masks: neither edge-criticality route nor the
+        # symbolic-square walk builds a graph
         built = []
         post_init = Graph.__post_init__
 
@@ -540,29 +563,18 @@ class TestFullReport:
             g = fix.graph()
             built.clear()
             assert edge_criticality(g) == (True, None)
-            assert len(built) == len(g.edge_masks), fix.label
-            for graph in built:
-                assert graph.vertex_count == g.vertex_count
-                assert set(graph.edge_masks) < set(g.edge_masks)
-                assert len(graph.edge_masks) == len(g.edge_masks) - 1
-            built.clear()
+            assert built == [], fix.label
             assert classify.symbolic_square_cm_by_field(g)[Field.Q], fix.label
             assert built == [], fix.label
 
     def test_reports_build_only_cross_check_routes(self, monkeypatch, corpus):
         # a report builds a clutter only as the other route of a check:
-        # G - e for edge-criticality (up to the first violating edge), the
-        # complement for the independence-number-2 readings and for linear
-        # resolution, and the polarized square for the oracle;
-        # 1-well-coveredness builds none
+        # the complement for the independence-number-2 readings and for
+        # linear resolution, and the polarized square for the oracle;
+        # 1-well-coveredness and edge-criticality build none
         expected = []
         for g in corpus:
-            violation = edge_criticality(g)[1]
             routes = []
-            for u, v in sorted(g.edge_lists()):
-                routes.append(g.delete_edge(u, v))
-                if (u, v) == violation:
-                    break
             if g.has_edges() and g.vertex_count <= classify.ORACLE_CAP:
                 routes.append(polarized_symbolic_power(g, 2))
             if g.independence_number() == 2:

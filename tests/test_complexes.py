@@ -6,6 +6,7 @@ import copy
 import itertools
 import os
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import vnum.complexes as complexes
 from vnum.catalog import CM36, EXAMPLE_GRAPH3
 from vnum.classify import ORACLE_CAP
-from vnum.clutters import Clutter
+from vnum.clutters import Clutter, Graph
 from vnum.complexes import (
     Field,
     SimplicialComplex,
@@ -392,6 +393,16 @@ class TestRegularities:
         for edges in ([(1,), (2, 3), (3, 4)], [(1, 2, 3), (3, 4), (4, 5, 1)]):
             c = Clutter.of(5, edges)
             self.check(c)
+
+    def test_wide_edges_keep_the_plain_stop(self):
+        # the boundary of the triangle {1, 2, 3} has 1-homology on 3
+        # vertices, so reg is 2, while larger subsets settle only reg 1:
+        # the flag stop, sizes below 2 * 1 + 2, would end the scan first
+        c = Clutter.of(
+            6,
+            [(1, 2, 3), (1, 4), (1, 5), (1, 6), (2, 4), (3, 6), (4, 5), (4, 6), (5, 6)],
+        )
+        assert self.check(c) == {Field.Q: 2, Field.F2: 2}
 
 
 def kernel_matches_naive(facets, n, stop):
@@ -824,6 +835,54 @@ class TestWorkCounts:
         calls.clear()
         regularities(gnp(16, 0.3))
         assert len(calls) <= 1000
+
+    @staticmethod
+    def visited(monkeypatch):
+        """The subsets the scan draws, counted where it enumerates them."""
+        visits = []
+
+        def combinations(bits, size):
+            for combo in itertools.combinations(bits, size):
+                visits.append(combo)
+                yield combo
+
+        monkeypatch.setattr(
+            complexes, "itertools", types.SimpleNamespace(combinations=combinations)
+        )
+        return visits
+
+    def test_flag_stop_in_a_graph_scan(self, monkeypatch, gnp):
+        # 15,914 and 64,839 subsets when the scan stopped at sizes up to
+        # the best; the kernel calls stay 34 and 921
+        visits = self.visited(monkeypatch)
+        regularities(gnp(14, 0.3))
+        assert len(visits) <= 6500
+        visits.clear()
+        regularities(gnp(16, 0.3))
+        assert len(visits) <= 40000
+
+    def test_dimension_ceiling_ends_the_scan(self, monkeypatch):
+        # Delta(4 K3), a join of four 3-point sets, has reg 4 = dim + 1 on
+        # the whole vertex set, the first subset: without the ceiling the
+        # scan goes on through the 78 subsets of sizes 11 and 10
+        g = complete_graph(3)
+        for _ in range(3):
+            g = disjoint_union(g, complete_graph(3))
+        visits = self.visited(monkeypatch)
+        calls = self.counted(monkeypatch)
+        assert regularities(g) == {Field.Q: 4, Field.F2: 4}
+        assert (len(visits), len(calls)) == (1, 1)
+        # the triangle 1-4-5 with the path 5-2-3: the induced matching
+        # {1, 4}, {2, 3} gives reg 2 = dim + 1 on the first subset of size
+        # 4, and the scan returns there, not after the other four
+        visits.clear()
+        g = Graph.of(5, [(1, 4), (1, 5), (4, 5), (2, 5), (2, 3)])
+        assert regularities(g) == {Field.Q: 2, Field.F2: 2}
+        assert visits == [(1, 2, 4, 8, 16), (1, 2, 4, 8)]
+        # singleton edges alone leave Delta = {emptyset}, of ceiling 0
+        visits.clear()
+        assert regularities(Clutter.of(3, [(1,), (2,), (3,)])) == {Field.Q: 0, Field.F2: 0}
+        assert visits == []
 
     def test_cone_links_in_a_clutter_scan(self, monkeypatch):
         # 79 and 3,937 kernel calls with the cone skip alone

@@ -8,7 +8,7 @@ import itertools
 
 from hypothesis import example, given, settings, strategies as st
 
-from vnum.classify import _edge_neighborhoods
+from vnum.classify import _edge_neighborhoods, _stable_number
 from vnum.clutters import Clutter, Graph
 from vnum.complexes import (
     Field,
@@ -42,14 +42,17 @@ from vnum.vertexsets import (
     or_all,
 )
 
-from .graphs import complete_graph, cycle_graph, disjoint_union, whisker
+from .graphs import complete_graph, cycle_graph, delete_edge, disjoint_union, whisker
 from .oracles import (
     Monomial,
     MonomialIdeal,
     alpha_of_colon_quotient_tuples,
+    beta0_naive,
     clutter_of_squarefree_ideal,
     colon_by_monomial,
     dense_rows,
+    domination_by_size,
+    domination_naive,
     edge_ideal,
     edge_subgraph_facets,
     euler_characteristic_reduced,
@@ -295,7 +298,16 @@ class TestGraphProperties:
     def test_edge_deletion_monotone(self, g):
         b = g.independence_number()
         for u, v in g.edge_lists():
-            assert g.delete_edge(u, v).independence_number() in (b, b + 1)
+            assert delete_edge(g, u, v).independence_number() in (b, b + 1)
+
+    @given(graphs(min_vertices=0, max_vertices=9))
+    def test_stable_number_search_matches_subset_scan(self, g):
+        alpha = _stable_number(g.adjacency_masks(), g.full_mask, {})
+        assert alpha == beta0_naive(g)
+
+    @given(graphs(min_vertices=0, max_vertices=7))
+    def test_domination_search_matches_both_scans(self, g):
+        assert g.domination_number() == domination_by_size(g) == domination_naive(g)
 
     @given(graphs(min_vertices=1, max_vertices=6))
     def test_domination_chain(self, g):
