@@ -22,7 +22,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .vertexsets import antichain_minima, iter_bits, mask_members, mask_of, meet, or_all
+from .vertexsets import (
+    antichain_minima,
+    iter_bits,
+    mask_members,
+    mask_of,
+    meet,
+    or_all,
+    sheds,
+)
 
 
 class ZeroIdealError(ValueError):
@@ -165,22 +173,18 @@ class Clutter:
         """Well-covered, and so is C - v for every vertex v.
 
         The stable sets of C - v are the stable sets of C that avoid v, so
-        its maximal ones are the facets F of Delta(C) without v and the
-        sets F - v that no vertex extends.  When v lies in no edge every
-        facet holds v, and all F - v have one size.  Otherwise some facet
-        avoids v (it grows from e - v for an edge e through v), so C - v is
-        well-covered exactly when each facet F through v trades v for some
-        w outside F: F - v + w is stable of size beta0, so it is a facet.
+        its maximal ones are the facets of the deletion of v from Delta(C).
+        When v lies in no edge every facet holds v, and all F - v have one
+        size.  Otherwise some facet avoids v (it grows from e - v for an
+        edge e through v) and has size beta0, so C - v is well-covered
+        exactly when v sheds from Delta(C): every facet of the deletion is
+        a facet of Delta(C).
         """
         if not self.is_well_covered():
             return False
         facets = set(self.maximal_stable_masks())
-        full, in_edges = self.full_mask, or_all(self.edge_masks)
-        return all(
-            any((f ^ b | w) in facets for w in iter_bits(full & ~f))
-            for f in facets
-            for b in iter_bits(f & in_edges)
-        )
+        full = self.full_mask
+        return all(sheds(facets, full, b) for b in iter_bits(or_all(self.edge_masks)))
 
     def v_number(self) -> int:
         return self.v_number_with_witness()[0]

@@ -25,32 +25,31 @@ test.  That test takes no field: one memoized recursion finds the level
 link, and `cohen_macaulay_fields` hands it out as the set of fields over
 which the complex is Cohen-Macaulay, so one lookup answers every field.
 Simplices and impure complexes are settled without a lookup, and cone
-points are stripped.  Before any homology, the recursion tries to glue at each
-vertex b whose deletion is pure of full dimension: a link and a deletion
-that are both Cohen-Macaulay over both fields make the complex so (the
-depth lemma).  A link that is not Cohen-Macaulay over Q settles the
+points are stripped.  Before any homology, the recursion tries to glue at
+each shedding vertex b (`vertexsets.sheds`, the one shedding test, which
+vertex decomposability and 1-well-coveredness share): a link and a
+deletion that are both Cohen-Macaulay over both fields make the complex so
+(the depth lemma).  A link that is not Cohen-Macaulay over Q settles the
 complex as not Cohen-Macaulay at once, since every link of a
 Cohen-Macaulay complex is Cohen-Macaulay (Reisner); a link that is over
 Q only ends the attempts, and only then, or when no shedding vertex
-proves the complex, does the link-vanishing test run.
+proves the complex, does the link-vanishing test run, on the homology of
+the whole complex and then on each vertex link.
 Neither the level nor vertex decomposability depends on labels,
 so one canonical form, `_relabel`, keys both memos: it renumbers the used
 vertices to the low bits by an isomorphism-invariant signature, so that
 most isomorphic links share one entry.  Vertex decomposability recurses
-through `_link` and `_deletion` and prunes with the Cohen-Macaulay memo,
-which then mostly answers from complexes that recursion has seen.
+through the link and the deletion of each shedding vertex and prunes with
+the Cohen-Macaulay memo, which then mostly answers from complexes that
+recursion has seen.
 
-Both exponential callers prune with strong collapses (Barmak-Minian): a
-vertex whose link is a cone can be deleted without changing the homotopy
-type, so reduced homology stays the same over every field.  The scan skips
-a subset A of any clutter when, for some u != w in A, the link of w in
-Delta_A is a cone with apex u (for a graph, N_A(u) inside N_A(w):
-Engstrom's fold lemma), tested on edge masks before any face is built.
-The Cohen-Macaulay test takes the homology of each complex on its core
-(`_core`: every dominated vertex deleted in one pass, and passes repeated
-until none is left) and skips the kernel when the core is a single
-vertex; its links still come from the whole complex.  The reference paths
-without these prunes live with the tests, as oracles.
+Only the scan prunes with strong collapses (Barmak-Minian): a vertex whose
+link is a cone can be deleted without changing the homotopy type, so
+reduced homology stays the same over every field.  The scan skips a subset
+A of any clutter when, for some u != w in A, the link of w in Delta_A is a
+cone with apex u (for a graph, N_A(u) inside N_A(w): Engstrom's fold
+lemma), tested on edge masks before any face is built.  The reference
+paths without these prunes live with the tests, as oracles.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .clutters import Clutter
-from .vertexsets import antichain_maxima, iter_bits, mask_of, or_all
+from .vertexsets import antichain_maxima, iter_bits, mask_of, or_all, sheds
 
 
 class Field(enum.Enum):
@@ -80,48 +79,6 @@ def _link(facets: tuple[int, ...], mask: int) -> tuple[int, ...]:
     vertices from facets that all contain them keeps both inclusion and order.
     """
     return tuple(f & ~mask for f in facets if mask & ~f == 0)
-
-
-def _deletion(facets: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """Facets of the complex with the vertices of `mask` deleted."""
-    return antichain_maxima(f & ~mask for f in facets)
-
-
-def _dominated(facets: tuple[int, ...]) -> int:
-    """The mask of vertices deleted by one pass of strong collapses.
-
-    Vertex bits are tried in increasing order, and bit b is taken when every
-    facet through b also holds some vertex that is not taken, its apex.
-    Then b's link in the deletion of the bits taken before it is a cone
-    over the apex, so deleting the taken bits one after another is a chain
-    of strong collapses (Barmak-Minian): each deletion is a deformation
-    retract, and reduced homology stays the same over every field.  The
-    apex of the last bit taken is never taken, so a vertex is always left.
-    """
-    common: dict[int, int] = {}
-    for f in facets:
-        rest = f
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            common[b] = common.get(b, f) & f
-    taken = 0
-    for b in sorted(common):
-        if common[b] & ~taken != b:
-            taken |= b
-    return taken
-
-
-def _core(facets: tuple[int, ...]) -> tuple[int, ...]:
-    """Facets left once dominated vertices are deleted until none remains.
-
-    Each pass deletes every vertex that `_dominated` takes.  The core has
-    the reduced homology of the complex; a complex that collapses strongly
-    to a point has a single vertex as its core.
-    """
-    while taken := _dominated(facets):
-        facets = _deletion(facets, taken)
-    return facets
 
 
 def _face_masks(facets: Iterable[int]) -> tuple[int, ...]:
@@ -180,7 +137,8 @@ class SimplicialComplex:
 
     def deletion(self, mask: int) -> "SimplicialComplex":
         """The faces that avoid `mask`: the restriction to the other vertices."""
-        return SimplicialComplex(self.ambient_size, _deletion(self.facets, mask))
+        kept = antichain_maxima(f & ~mask for f in self.facets)
+        return SimplicialComplex(self.ambient_size, kept)
 
 
 def independence_complex(c: Clutter) -> SimplicialComplex:
@@ -290,6 +248,8 @@ def _top_down(facets: Iterable[int], stop: int) -> _Chains:
     Level d starts with the generators of dimension d; the boundary column
     of each d-face indexes the (d-1)-faces it meets, which discovers the
     rest of level d - 1.  Levels below stop - 1 are never built.
+    Generators in increasing order keep the boundary columns cheap to
+    reduce; the hash order of a set can cost several times as much.
     """
     by_dim: dict[int, list[int]] = {}
     for f in facets:
@@ -411,7 +371,7 @@ def regularities(c: Clutter) -> dict[Field, int]:
                 for m, pair, wide in folds
             ):
                 continue
-            faces = {f & amask for f in maximal}
+            faces = sorted({f & amask for f in maximal})
             top = max(f.bit_count() for f in faces) - 1
             if top + 1 <= low:
                 continue
@@ -541,11 +501,11 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
     call it through `_cm_level`, so that isomorphic copies mostly share one
     entry.
 
-    First a gluing step, tried at each vertex b, in bit order, whose
-    deletion del b is pure of dimension d = dim K (b sheds: every facet of
-    del b is a facet of K).  Then K is del b and the cone b * lk b glued
-    along lk b, where lk b has dimension d - 1 and the cone is
-    Cohen-Macaulay exactly when lk b is.  The depth lemma (Bruns-Herzog,
+    First a gluing step, tried at each vertex b, in bit order, that sheds
+    (`vertexsets.sheds`): every facet of its deletion del b is a facet of
+    K, so del b is pure of dimension d = dim K.  Then K is del b and the
+    cone b * lk b glued along lk b, where lk b has dimension d - 1 and the
+    cone is Cohen-Macaulay exactly when lk b is.  The depth lemma (Bruns-Herzog,
     Prop. 1.2.9) on 0 -> k[K] -> k[del b] + k[b * lk b] -> k[lk b] -> 0
     makes K Cohen-Macaulay over k when del b and lk b are, so levels 2 for
     both give level 2.  A lower level of del b proves nothing: RP^2 is
@@ -555,19 +515,12 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
     the same field (Reisner): a link of level 0 makes K level 0 at once,
     and a link of level 1 caps K at 1, which no gluing proves, so it stops
     the step.  Otherwise the link-vanishing test decides: homology of the
-    core below dimension d, then the level of each vertex link.
+    whole complex below dimension d, then the level of each vertex link.
     """
     dim = facets[0].bit_count() - 1
     used, present = or_all(facets), set(facets)
     for b in iter_bits(used):
-        # b sheds when each facet f through it has f - b inside a facet
-        # avoiding b, which by purity is f - b plus a vertex w outside f;
-        # then del b is the facets avoiding b
-        if all(
-            any((f ^ b | w) in present for w in iter_bits(used & ~f))
-            for f in facets
-            if f & b
-        ):
+        if sheds(present, used, b):
             link = _cm_level(_link(facets, b))
             if not link:
                 return 0
@@ -576,14 +529,11 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
             if _cm_level(tuple(f for f in facets if not f & b)) == 2:
                 return 2
     # Only the homology below the dimension matters (a 0-dimensional
-    # complex has none).  It comes from the core, which has the same
-    # homology and often is a single vertex; the links below need every
-    # face, so they are taken in the whole complex.
-    core = _core(facets)
+    # complex has none).
     level = 2
-    if dim and len(core) > 1:
-        chains = _top_down(core, 0)
-        below = range(min(dim, chains.top + 1))
+    if dim:
+        chains = _top_down(facets, 0)
+        below = range(dim)
         if any(chains.betti2(d) for d in below):
             if any(chains.betti_q(d) for d in below):
                 return 0
@@ -603,10 +553,11 @@ def is_vertex_decomposable(complex_: SimplicialComplex) -> bool:
 
     Base cases: the void complex and simplices are decomposable.  A vertex
     v sheds when every facet of the deletion of v is a facet of the complex
-    (no facet of the deletion is a face of the link).  A pure complex that
-    is not Cohen-Macaulay over GF(2) cannot be decomposable (decomposable
-    implies shellable implies Cohen-Macaulay over every field), which prunes
-    the expensive negative searches; that test shares its memo with
+    (`vertexsets.sheds`, which reads this off the facets through v); the
+    deletion is then the facets that avoid v.  A pure complex that is not
+    Cohen-Macaulay over GF(2) cannot be decomposable (decomposable implies
+    shellable implies Cohen-Macaulay over every field), which prunes the
+    expensive negative searches; that test shares its memo with
     `cohen_macaulay_fields`, since both go through `_cm_level`.  The shedding
     search is memoized on the same key, `_relabel`, since decomposability
     does not depend on labels either; so the prune mostly asks about
@@ -623,11 +574,11 @@ def _vd(facets: tuple[int, ...]) -> bool:
     sizes = {f.bit_count() for f in facets}
     if len(sizes) == 1 and _cm_level(facets) < 2:
         return False
-    for b in iter_bits(or_all(facets)):
-        del_facets = _deletion(facets, b)
-        if any(d not in facets for d in del_facets):
-            continue
-        if _vd(_relabel(_link(facets, b))) and _vd(_relabel(del_facets)):
-            return True
-    return False
+    used, present = or_all(facets), set(facets)
+    return any(
+        sheds(present, used, b)
+        and _vd(_relabel(_link(facets, b)))
+        and _vd(_relabel(tuple(f for f in facets if not f & b)))
+        for b in iter_bits(used)
+    )
 

@@ -8,7 +8,8 @@ supports alike.
 
 The module also holds the one algebra of mask families that the others
 share: unions, antichain minima and maxima, and `meet`, the intersection of
-two monomial ideals given by mask generators.  `meet` takes both ideals by
+two monomial ideals given by mask generators, and the one shedding test of
+a complex given by its facet masks, `sheds`.  `meet` takes both ideals by
 their minimal generators, antichains of masks, and does only the
 containment tests that can succeed: a generator that the other ideal
 already contains stays minimal, and the unions with a single-vertex
@@ -20,7 +21,7 @@ among themselves.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 
 def mask_of(ambient_size: int, members: Iterable[int]) -> int:
@@ -124,3 +125,26 @@ def meet(gens: Iterable[int], piece: Sequence[int]) -> list[int]:
         if wide:
             above.extend(g | h for h in wide if not any(d & ~h == 0 for d in diffs))
     return out + antichain_minima(above) if above else out
+
+
+def sheds(facets: Collection[int], used: int, b: int) -> bool:
+    """Whether the vertex bit b sheds from the complex with these facets.
+
+    b sheds when every facet of its deletion, the faces that avoid b, is a
+    facet of the complex (Bjorner-Wachs): when every facet f through b has
+    f - b inside a facet that avoids b.  A facet of f's size that does is
+    f - b + w for a vertex w of `used` outside f, so a set lookup finds it,
+    and that settles a pure complex; only when every lookup fails are the
+    larger facets scanned, which only an impure complex has.  `used` must
+    hold every vertex of the facets.  The deletion of a shedding vertex is
+    then just the facets that avoid b.
+    """
+    for f in facets:
+        if not f & b:
+            continue
+        rest, size = f ^ b, f.bit_count()
+        if not any((rest | w) in facets for w in iter_bits(used & ~f)) and not any(
+            g.bit_count() > size and rest & ~g == 0 and not g & b for g in facets
+        ):
+            return False
+    return True

@@ -18,8 +18,11 @@ domination number by trying sets by size, which a branching search over
 closed neighbourhoods replaced;
 the subclutters C - v built for 1-well-coveredness, which a facet
 trade inside Delta(C) replaced; route 2 of W2 with whole sets, which
-a stream of family A replaced; and dense Bareiss elimination for rational
-ranks, which a sparse column reduction replaced.
+a stream of family A replaced; dense Bareiss elimination for rational
+ranks, which a sparse column reduction replaced; and the shedding test
+that builds each deletion, which `vertexsets.sheds` replaced.  The strong
+collapses of `dominated` are no route the package replaced: they are the
+reference of the scan's fold checks.
 
 This module owns the exponent-tuple value types, `Monomial` and
 `MonomialIdeal`, which the package no longer has: monomial products, colon
@@ -40,7 +43,13 @@ from vnum import monomials
 from vnum.classify import _beta2_complement_agreement, edge_criticality
 from vnum.clutters import Clutter, Graph
 from vnum.complexes import Field, SimplicialComplex, _top_down, independence_complex
-from vnum.vertexsets import antichain_minima, mask_members, mask_of, or_all
+from vnum.vertexsets import (
+    antichain_maxima,
+    antichain_minima,
+    mask_members,
+    mask_of,
+    or_all,
+)
 
 from .graphs import delete_edge
 
@@ -858,6 +867,46 @@ def _cm_per_field(facets: tuple[int, ...], field: Field) -> bool:
             if not _cm_per_field(link.facets, field):
                 return False
     return True
+
+
+# -- shedding vertices and strong collapses -----------------------------------------
+
+
+def sheds_by_deletion(facets: tuple[int, ...], b: int) -> bool:
+    """Whether the vertex bit b sheds: every facet of its deletion, built
+    with `antichain_maxima`, is a facet of the complex.
+
+    The package looks the facets of the deletion up from the facets through
+    b instead (`vertexsets.sheds`).
+    """
+    return all(d in facets for d in antichain_maxima(f & ~b for f in facets))
+
+
+def dominated(facets: tuple[int, ...]) -> int:
+    """The mask of vertices deleted by one pass of strong collapses.
+
+    Vertex bits are tried in increasing order, and bit b is taken when every
+    facet through b also holds some vertex that is not taken, its apex.
+    Then b's link in the deletion of the bits taken before it is a cone
+    over the apex, so deleting the taken bits one after another is a chain
+    of strong collapses (Barmak-Minian): each deletion is a deformation
+    retract, and reduced homology stays the same over every field.  The
+    apex of the last bit taken is never taken, so a vertex is always left.
+    It is the reference of the scan's fold checks: a subset the scan keeps
+    has no dominated vertex.
+    """
+    common: dict[int, int] = {}
+    for f in facets:
+        rest = f
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            common[b] = common.get(b, f) & f
+    taken = 0
+    for b in sorted(common):
+        if common[b] & ~taken != b:
+            taken |= b
+    return taken
 
 
 # -- vertex decomposability -----------------------------------------------------------

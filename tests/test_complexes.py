@@ -19,9 +19,6 @@ from vnum.complexes import (
     Field,
     SimplicialComplex,
     _cm_level,
-    _core,
-    _deletion,
-    _dominated,
     _link,
     _relabel,
     _top_down,
@@ -36,7 +33,7 @@ from vnum.complexes import (
 )
 from vnum.formats import parse_edge_list
 from vnum.monomials import polarized_symbolic_power
-from vnum.vertexsets import antichain_maxima, iter_bits, mask_members, or_all
+from vnum.vertexsets import antichain_maxima, iter_bits, mask_members, or_all, sheds
 
 from .graphs import complete_graph, cycle_graph, disjoint_union, path_graph, whisker
 from .oracles import (
@@ -44,6 +41,7 @@ from .oracles import (
     MonomialIdeal,
     clutter_of_squarefree_ideal,
     dense_rows,
+    dominated,
     edge_ideal,
     euler_characteristic_reduced,
     homology_ranks_naive,
@@ -58,9 +56,10 @@ from .oracles import (
     rank_gf2_sets,
     reduced_homology_ranks,
     regularity_per_field,
+    sheds_by_deletion,
     symbolic_power,
 )
-from .test_properties import shedding_complexes
+from .test_properties import complexes as drawn_complexes, shedding_complexes
 
 RP2_FACETS = (
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -116,11 +115,11 @@ class TestSubcomplexes:
     def test_induced_path(self):
         # the subcomplex induced on {1, 2, 3} deletes vertices 4 and 5
         c = independence_complex(cycle_graph(5))
-        assert _deletion(c.facets, 0b11000) == (0b010, 0b101)
+        assert c.deletion(0b11000).facets == (0b010, 0b101)
 
     def test_deletion_of_simplex_vertex(self):
         c = SimplicialComplex.of(3, [(1, 2, 3)])
-        assert _deletion(c.facets, 0b100) == (0b011,)
+        assert c.deletion(0b100).facets == (0b011,)
 
 
 class TestStanleyReisner:
@@ -643,13 +642,9 @@ def join(first, second, shift):
 
 
 def shedders(facets):
-    """The vertex bits of a pure complex whose deletion is pure of full
-    dimension, in increasing order: the vertices the gluing step tries."""
-    return [
-        b
-        for b in iter_bits(or_all(facets))
-        if all(d in facets for d in _deletion(facets, b))
-    ]
+    """The shedding vertex bits of a complex, in increasing order: the
+    vertices the gluing step tries."""
+    return [b for b in iter_bits(or_all(facets)) if sheds_by_deletion(facets, b)]
 
 
 @st.composite
@@ -687,15 +682,17 @@ class TestGluingStep:
         key = _relabel(c.facets)
         first = shedders(key)[0]
         assert _cm_level(_link(key, first)) == 2
-        assert _cm_level(_deletion(key, first)) == 0
+        assert _cm_level(tuple(f for f in key if not f & first)) == 0
         clear_cm_memo()
-        cored = []
-        real = complexes._core
+        kernel = []
+        real = complexes._top_down
         monkeypatch.setattr(
-            complexes, "_core", lambda facets: cored.append(facets) or real(facets)
+            complexes,
+            "_top_down",
+            lambda facets, stop: kernel.append(facets) or real(facets, stop),
         )
         assert cohen_macaulay_fields(c) == self.per_field(c) == set(BOTH)
-        assert key not in cored
+        assert key not in kernel
 
     def test_a_rational_link_caps_the_level(self):
         # the suspension of RP^2 with a disjoint tetrahedron: both apexes
@@ -749,22 +746,43 @@ class TestGluingStep:
         assert seen == {frozenset(), frozenset({Field.Q})}
 
 
-def betti_numbers(facets):
-    """Nonzero reduced Betti numbers over Q and GF(2), by dimension.
+class TestSheds:
+    """The one shedding test against the deletion it spares building."""
 
-    They come from `reduced_homology_ranks`, the kernel without any prune.
-    """
-    complex_ = SimplicialComplex(max(f.bit_length() for f in facets), facets)
-    return {f: profile_dict(reduced_homology_ranks(complex_, f)) for f in BOTH}
+    @given(st.one_of(drawn_complexes(), shedding_complexes(), rp2_sheddings()))
+    @settings(deadline=None, max_examples=200)
+    def test_matches_the_built_deletion(self, c):
+        present, used = set(c.facets), or_all(c.facets)
+        for b in iter_bits(used):
+            assert sheds(present, used, b) == sheds_by_deletion(c.facets, b), (
+                c.facets,
+                b,
+            )
+
+    def test_a_larger_facet_takes_the_trade(self):
+        # vertex 1 of the triangle 1-2-3 with the tetrahedron 2-3-4-5: the
+        # edge 2-3 lies only in the larger facet, so 1 sheds, though no
+        # triangle 2-3-w is a facet; the tetrahedron's vertices do not shed
+        c = SimplicialComplex.of(5, [(1, 2, 3), (2, 3, 4, 5)])
+        present, used = set(c.facets), or_all(c.facets)
+        assert [b for b in iter_bits(used) if sheds(present, used, b)] == [0b1]
+        assert shedders(c.facets) == [0b1]
+
+    def test_every_facet_through_the_vertex_must_trade(self):
+        # in the path 1-2-3-4 vertex 2 trades its edge 1-2 for nothing, though
+        # its edge 2-3 trades for 3-4; the ends shed
+        c = SimplicialComplex.of(4, [(1, 2), (2, 3), (3, 4)])
+        present, used = set(c.facets), or_all(c.facets)
+        assert [b for b in iter_bits(used) if sheds(present, used, b)] == [0b1, 0b1000]
 
 
 def assert_collapse_chain(facets):
-    """Each bit `_dominated` takes, in increasing order, has a cone link in
+    """Each bit `dominated` takes, in increasing order, has a cone link in
     the deletion of the bits taken before it."""
     taken = 0
-    for b in iter_bits(_dominated(facets)):
+    for b in iter_bits(dominated(facets)):
         apexes = -1
-        for f in _link(_deletion(facets, taken), b):
+        for f in _link(antichain_maxima(f & ~taken for f in facets), b):
             apexes &= f
         assert apexes > 0, (facets, b)
         taken |= b
@@ -772,13 +790,7 @@ def assert_collapse_chain(facets):
 
 
 class TestStrongCollapses:
-    """Dominated vertices and the core the Cohen-Macaulay recursion reads."""
-
-    def test_cone_and_simplex_collapse_to_a_point(self):
-        cone = SimplicialComplex.of(7, [f + (7,) for f in RP2_FACETS])
-        assert len(_core(cone.facets)) == 1
-        simplex = SimplicialComplex.of(4, [(1, 2, 3, 4)])
-        assert _core(simplex.facets) in ((1,), (2,), (4,), (8,))
+    """Dominated vertices, the reference of the scan's fold checks."""
 
     def test_minimal_complexes_have_no_dominated_vertex(self):
         for facets in (
@@ -787,29 +799,16 @@ class TestStrongCollapses:
             SimplicialComplex.of(3, [(1,), (2,), (3,)]).facets,
             SimplicialComplex.of(3, [(1, 2), (1, 3), (2, 3)]).facets,
         ):
-            assert _dominated(facets) == 0
-            assert _core(facets) == facets
+            assert dominated(facets) == 0
 
     def test_dominated_vertex_has_a_cone_link(self):
         # a path 1-2-3: the ends lie only in one edge each, the middle in two
         path = SimplicialComplex.of(3, [(1, 2), (2, 3)])
-        assert _dominated(path.facets) == 0b101
+        assert dominated(path.facets) == 0b101
         # two triangles on the edge {1, 2}: every vertex has an apex
         bowtie = SimplicialComplex.of(4, [(1, 2, 3), (1, 2, 4)])
         for facets in (path.facets, bowtie.facets):
             assert_collapse_chain(facets)
-            assert len(_core(facets)) == 1
-
-    def test_core_keeps_betti_numbers(self, small_corpus):
-        for g in small_corpus:
-            for facets in (
-                independence_complex(g).facets,
-                independence_complex(polarized_symbolic_power(g, 2)).facets,
-            ):
-                assert_collapse_chain(facets)
-                core = _core(facets)
-                assert _dominated(core) == 0
-                assert betti_numbers(core) == betti_numbers(facets), facets
 
 
 class TestWorkCounts:
@@ -835,6 +834,15 @@ class TestWorkCounts:
         calls.clear()
         regularities(gnp(16, 0.3))
         assert len(calls) <= 1000
+
+    def test_scan_passes_the_kernel_sorted_faces(self, monkeypatch, gnp):
+        # in a set's hash order the same faces cost 8 K3's one kernel call
+        # several times as much
+        calls = self.counted(monkeypatch)
+        regularities(gnp(12, 0.3))
+        regularities(Clutter.of(6, [(1, 2, 3), (3, 4), (4, 5, 6), (1, 6), (2, 5)]))
+        assert len(calls) > 1
+        assert all(list(faces) == sorted(faces) for faces, _ in calls)
 
     @staticmethod
     def visited(monkeypatch):
@@ -895,17 +903,16 @@ class TestWorkCounts:
             regularities(c)
             assert len(calls) <= most, name
 
-    def test_cored_cohen_macaulay_recursion(self, monkeypatch):
-        # the polarization oracle's complexes over the catalog: 4,558
-        # kernel calls without the core, 883 cores that are not a point
-        # and 5,501 memo entries keyed by compacted facets alone; 35,376
-        # `_dominated` calls when each pass deleted a single vertex, 12,124
-        # when it deletes every vertex it can.  Keyed by `_relabel`, the
-        # recursion ran on 1,041 complexes and 242 cores (2,675 passes);
-        # gluing at the first shedding vertex only, on 572 complexes and
-        # 78 cores (238 passes); gluing at every shedding vertex, with a
-        # link below level 2 ending the attempts, on 80 complexes and 8
-        # cores (13 passes).
+    def test_cohen_macaulay_recursion_on_the_oracle_complexes(self, monkeypatch):
+        # the polarization oracle's complexes over the catalog: keyed by
+        # compacted facets alone, 5,501 memo entries and 4,558 kernel calls,
+        # 883 when homology was taken on strong-collapse cores.  Keyed by
+        # `_relabel`, the recursion ran on 1,041 complexes, 242 of them with
+        # a core that is not a point; gluing at the first shedding vertex
+        # only, on 572 complexes with 78 such cores; gluing at every
+        # shedding vertex, with a link below level 2 ending the attempts,
+        # on 80 complexes with 8 such cores.  Without the cores the same 8
+        # complexes reach the kernel whole: 8 calls and 80 misses.
         oracle = [
             independence_complex(polarized_symbolic_power(fix.graph(), 2))
             for fix in CM36
@@ -913,12 +920,22 @@ class TestWorkCounts:
         ]
         clear_cm_memo()
         calls = self.counted(monkeypatch)
-        passes = self.counted(monkeypatch, "_dominated")
         assert all(_cm_level(k.facets) == 2 for k in oracle)
         assert len(calls) <= 15
         assert complexes._cm_recursive.cache_info().misses <= 120
-        assert len(passes) <= 30
 
+    def test_decomposability_builds_no_deletion(self, monkeypatch):
+        # Delta(4 K3), a join of four 3-point sets: every vertex sheds, and
+        # the shedding test reads the deletion off the facets avoiding the
+        # vertex; building each deletion took 20 `antichain_maxima` calls
+        g = complete_graph(3)
+        for _ in range(3):
+            g = disjoint_union(g, complete_graph(3))
+        c = independence_complex(g)
+        complexes._vd.cache_clear()
+        calls = self.counted(monkeypatch, "antichain_maxima")
+        assert is_vertex_decomposable(c)
+        assert not calls
 
     def test_decomposability_reuses_the_cohen_macaulay_memo(self, monkeypatch, gnp):
         # the decomposability prune asks the memo that the Cohen-Macaulay

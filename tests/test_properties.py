@@ -15,8 +15,6 @@ from vnum.complexes import (
     SimplicialComplex,
     _cm_level,
     _cm_recursive,
-    _core,
-    _dominated,
     _folds,
     _relabel,
     _top_down,
@@ -51,6 +49,7 @@ from .oracles import (
     clutter_of_squarefree_ideal,
     colon_by_monomial,
     dense_rows,
+    dominated,
     domination_by_size,
     domination_naive,
     edge_ideal,
@@ -518,13 +517,6 @@ def cone_links(stable: set[int], amask: int) -> list[tuple[int, int]]:
 
 
 class TestStrongCollapses:
-    @given(complexes())
-    @settings(deadline=None, max_examples=150)
-    def test_core_keeps_betti_numbers(self, c):
-        core = _core(c.facets)
-        assert _dominated(core) == 0
-        assert naive_betti(core) == naive_betti(c.facets)
-
     @given(graphs(min_vertices=2, max_vertices=6))
     @settings(deadline=None, max_examples=60)
     def test_fold_lemma(self, g):
@@ -581,7 +573,7 @@ class TestStrongCollapses:
     @settings(deadline=None, max_examples=150)
     def test_fold_free_subsets_are_their_own_core(self, c):
         # a subset the scan keeps has no cone link in Delta_A, so no vertex
-        # is dominated and coring Delta_A cannot shrink the scan's matrices
+        # is dominated and no strong collapse can shrink the scan's matrices
         checks = _folds(c.edge_masks)
         scanned = or_all(c.edge_masks)
         for amask in range(1, 1 << c.vertex_count):
@@ -590,7 +582,7 @@ class TestStrongCollapses:
                 for m, pair, wide in checks
             ):
                 continue
-            assert _dominated(induced_facets(c, amask)) == 0, (c.edge_lists(), amask)
+            assert dominated(induced_facets(c, amask)) == 0, (c.edge_lists(), amask)
 
     @given(clutters(max_vertices=6, max_edges=5))
     @settings(deadline=None, max_examples=60)
