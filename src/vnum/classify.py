@@ -75,7 +75,12 @@ def is_w2(g: Graph) -> bool:
         raise ValueError("the W2 classification excludes isolated vertices")
     if g.vertex_count < 2:
         raise ValueError("the W2 class needs at least two vertices")
-    route1 = g.v_number() == g.independence_number()
+    return _is_w2(g, g.v_number())
+
+
+def _is_w2(g: Graph, v: int) -> bool:
+    """`is_w2` on a graph that meets its preconditions, with v its v-number."""
+    route1 = v == g.independence_number()
     route2 = g.is_well_covered() and _yields_exactly(
         g.family_a_masks(), set(g.maximal_stable_masks())
     )
@@ -344,6 +349,12 @@ class InvariantReport:
                 "symbolic-square CM at independence number 2",
                 {"specialization": self.edge_critical, **sscm},
             )
+        if any(self.symbolic_square_cm_by_field.values()) and not self.edge_critical:
+            # the combinatorial criterion asks alpha(G_e) = alpha(G) - 1 for
+            # every edge e = {u, v}, which is edge-criticality: a stable set
+            # of G - e of size alpha + 1 holds u and v and avoids the rest
+            # of N[u] | N[v]
+            raise CrossRouteError("a CM symbolic square forces edge-criticality")
 
 
 def full_report(c: Clutter, *, name: Optional[str] = None) -> InvariantReport:
@@ -375,7 +386,7 @@ def full_report(c: Clutter, *, name: Optional[str] = None) -> InvariantReport:
     bounds = None
     if is_graph:
         if not isolated and c.vertex_count >= 2:
-            w2 = is_w2(c)
+            w2 = _is_w2(c, v)
         edge_critical, edge_critical_violation = edge_criticality(c)
         sscm = symbolic_square_cm_by_field(c)
         if beta0 == 2:

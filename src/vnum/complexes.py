@@ -4,26 +4,28 @@ Complexes are stored by facets (an antichain of bit masks over a fixed
 ambient, in increasing order of the masks as integers); the void complex
 has no facets and is distinct from {emptyset}, which has the single facet 0.
 
-All homology comes from one top-down kernel, `_top_down(facets, stop)`:
-starting from the top facets it walks each dimension d down to `stop`,
-builds every d-face's GF(2) boundary column (packed words), and so discovers
-and indexes the (d-1)-faces; lower-dimensional facets join their level on
-the way down.  Nothing below dimension stop - 1 is built.  Rational ranks
-reduce the signed boundary columns of the same face lists as sparse
-integer columns, each on its largest row, as `rank_gf2` reduces packed
-columns on their top bit; they run only where mod-2 homology survives: a
-rational rank is at least the rank mod 2, so rational homology vanishes
-wherever mod-2 homology does.
+All homology comes from one lazy chain complex, `_Chains(facets)`: the
+first Betti number asked for in dimension d walks from the top facets
+down to d, builds every face's GF(2) boundary column (packed words), and
+so discovers and indexes the faces one dimension lower; lower-dimensional
+facets join their level on the way down.  Nothing below dimension d - 1
+is built until a caller asks for it, so a caller that reads from the top
+down and stops at the first answer builds only the levels above it.
+Rational ranks reduce the signed boundary columns of the same face lists
+as sparse integer columns, each on its largest row, as `rank_gf2` reduces
+packed columns on their top bit; they run only where mod-2 homology
+survives: a rational rank is at least the rank mod 2, so rational
+homology vanishes wherever mod-2 homology does.
 
-Two callers use the kernel: `regularities`, one Hochster scan of induced
+Two callers read the chains: `regularities`, one Hochster scan of induced
 subcomplexes for Q and GF(2) at once, which prunes subsets that cannot
-beat the best found so far, asks the kernel only for dimensions at or
-above it, and stops once the dimension or, for flag complexes, the
-subset size leaves no field room to improve; and the Cohen-Macaulay
-test.  That test takes no field: one memoized recursion finds the level
-(not over Q, over Q only, over Q and GF(2)) from the mod-2 ranks of each
-link, and `cohen_macaulay_fields` hands it out as the set of fields over
-which the complex is Cohen-Macaulay, so one lookup answers every field.
+beat the best found so far, asks only for dimensions at or above it, and
+stops once the dimension or, for flag complexes, the subset size leaves
+no field room to improve; and the Cohen-Macaulay test.  That test takes
+no field: one memoized recursion finds the level (not over Q, over Q
+only, over Q and GF(2)) from the mod-2 ranks of each link, and
+`cohen_macaulay_fields` hands it out as the set of fields over which the
+complex is Cohen-Macaulay, so one lookup answers every field.
 Simplices and impure complexes are settled without a lookup, and cone
 points are stripped.  Before any homology, the recursion tries to glue at
 each shedding vertex b (`vertexsets.sheds`, the one shedding test, which
@@ -193,24 +195,49 @@ def rank_gf2(rows: list[int]) -> int:
 
 
 class _Chains:
-    """Face levels and boundary ranks found by `_top_down`.
+    """Face levels and GF(2) boundary ranks of a nonvoid complex, built on demand.
 
-    `levels[d]` lists the d-faces for stop - 1 <= d <= top, and `rank2[d]`
-    is the GF(2) rank of the boundary map out of the d-faces for
-    max(stop, 0) <= d <= top + 1, so Betti numbers are known for
-    stop <= d <= top.  Rational ranks are reduced on demand and kept.
+    `facets` may be any faces that generate the complex, without repeats;
+    the constructor only groups them by dimension.  Asking for a Betti
+    number in dimension d builds the levels from the top down to d - 1:
+    level e starts with the generators of dimension e, and the boundary
+    column of each e-face indexes the (e-1)-faces it meets, which discovers
+    the rest of level e - 1.  Then `levels[e]` lists the e-faces for
+    d - 1 <= e <= top, and `rank2[e]` is the GF(2) rank of the boundary map
+    out of the e-faces for max(d, 0) <= e <= top + 1.  Nothing below is
+    built until a lower dimension is asked for.  Generators in increasing
+    order keep the boundary columns cheap to reduce; the hash order of a
+    set can cost several times as much.  Rational ranks are reduced on
+    demand and kept.
     """
 
-    __slots__ = ("top", "levels", "rank2", "_rankq")
+    __slots__ = ("top", "levels", "rank2", "_gens", "_rankq")
 
-    def __init__(self, top: int, levels: dict[int, list[int]], rank2: dict[int, int]):
-        self.top = top
-        self.levels = levels
-        self.rank2 = rank2
+    def __init__(self, facets: Iterable[int]):
+        gens: dict[int, list[int]] = {}
+        for f in facets:
+            gens.setdefault(f.bit_count() - 1, []).append(f)
+        self.top = max(gens)
+        self.levels = {self.top: gens[self.top]}
+        self.rank2 = {self.top + 1: 0}
+        self._gens = gens
         self._rankq: dict[int, int] = {}
 
     def betti2(self, d: int) -> int:
         """Rank of mod-2 reduced homology in dimension d."""
+        for e in range(min(self.rank2) - 1, max(d, 0) - 1, -1):
+            index = {f: i for i, f in enumerate(self._gens.get(e - 1, ()))}
+            cols = []
+            for f in self.levels[e]:
+                col = 0
+                rest = f
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    col |= 1 << index.setdefault(f ^ b, len(index))
+                cols.append(col)
+            self.levels[e - 1] = list(index)
+            self.rank2[e] = rank_gf2(cols)
         return len(self.levels[d]) - self.rank2.get(d, 0) - self.rank2[d + 1]
 
     def betti_q(self, d: int) -> int:
@@ -239,38 +266,6 @@ class _Chains:
                 for f in upper
             )
         return self._rankq[d]
-
-
-def _top_down(facets: Iterable[int], stop: int) -> _Chains:
-    """Faces and GF(2) boundary ranks of a nonvoid complex, top down to `stop`.
-
-    `facets` may be any faces that generate the complex, without repeats.
-    Level d starts with the generators of dimension d; the boundary column
-    of each d-face indexes the (d-1)-faces it meets, which discovers the
-    rest of level d - 1.  Levels below stop - 1 are never built.
-    Generators in increasing order keep the boundary columns cheap to
-    reduce; the hash order of a set can cost several times as much.
-    """
-    by_dim: dict[int, list[int]] = {}
-    for f in facets:
-        by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    top = max(by_dim)
-    levels = {top: by_dim[top]}
-    rank2 = {top + 1: 0}
-    for d in range(top, max(stop, 0) - 1, -1):
-        index = {f: i for i, f in enumerate(by_dim.get(d - 1, ()))}
-        cols = []
-        for f in levels[d]:
-            col = 0
-            rest = f
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                col |= 1 << index.setdefault(f ^ b, len(index))
-            cols.append(col)
-        levels[d - 1] = list(index)
-        rank2[d] = rank_gf2(cols)
-    return _Chains(top, levels, rank2)
 
 
 # -- regularity via induced subcomplexes -----------------------------------------
@@ -330,13 +325,15 @@ def regularities(c: Clutter) -> dict[Field, int]:
     inside N_A(w); when u lies in no edge inside A, Delta_A is itself a
     cone.  `_folds` turns the rule into checks on the mask of A.
     A subset is also skipped when dim Delta_A + 1 is at most the smallest
-    best so far, because then no field can improve.  Homology is computed
-    only in dimensions at or above that best.  Rational homology is nonzero
-    only where mod-2 homology is, so the smallest best is the Q best, and
-    GF(2) adds no kernel call to a scan for Q alone: only Betti number
-    lookups on the chains built.  Over Q, the reduction runs only where mod-2
-    homology survives in a dimension at or above the Q best.  The bests
-    come from the scan alone.
+    best so far, because then no field can improve.  Each field reads its
+    Betti numbers from the top dimension down to its best and stops at the
+    first nonzero one, so the chains are built only down to where some
+    field is settled.  Rational homology is nonzero only where mod-2
+    homology is, so the smallest best is the Q best, and GF(2) builds
+    nothing that Q has not: it only looks up Betti numbers on the chains
+    built.  Over Q, the reduction runs only where mod-2 homology survives
+    in a dimension at or above the Q best.  The bests come from the scan
+    alone.
 
     Two exact stops end the scan once no field can improve.  Every best is
     at most dim Delta + 1, the largest facet size, so the scan returns as
@@ -375,7 +372,7 @@ def regularities(c: Clutter) -> dict[Field, int]:
             top = max(f.bit_count() for f in faces) - 1
             if top + 1 <= low:
                 continue
-            chains = _top_down(faces, low)
+            chains = _Chains(faces)
             for field in Field:
                 betti = chains.betti2 if field is Field.F2 else chains.betti_q
                 for d in range(top, best[field] - 1, -1):
@@ -515,9 +512,10 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
     the same field (Reisner): a link of level 0 makes K level 0 at once,
     and a link of level 1 caps K at 1, which no gluing proves, so it stops
     the step.  Otherwise the link-vanishing test decides: homology of the
-    whole complex below dimension d, then the level of each vertex link.
+    whole complex below dimension d, read from d - 1 down so that the first
+    nonzero rational Betti number ends the build, then the level of each
+    vertex link.
     """
-    dim = facets[0].bit_count() - 1
     used, present = or_all(facets), set(facets)
     for b in iter_bits(used):
         if sheds(present, used, b):
@@ -528,15 +526,14 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
                 break
             if _cm_level(tuple(f for f in facets if not f & b)) == 2:
                 return 2
-    # Only the homology below the dimension matters (a 0-dimensional
-    # complex has none).
+    # Only the homology below the dimension matters, read from the top
+    # down: rational homology settles the complex at once.
+    chains = _Chains(facets)
     level = 2
-    if dim:
-        chains = _top_down(facets, 0)
-        below = range(dim)
-        if any(chains.betti2(d) for d in below):
-            if any(chains.betti_q(d) for d in below):
-                return 0
+    for d in range(chains.top - 1, -1, -1):
+        if chains.betti_q(d):
+            return 0
+        if chains.betti2(d):
             level = 1
     for b in iter_bits(used):
         level = min(level, _cm_level(_link(facets, b)))

@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 from vnum import monomials
 from vnum.classify import _beta2_complement_agreement, edge_criticality
 from vnum.clutters import Clutter, Graph
-from vnum.complexes import Field, SimplicialComplex, _top_down, independence_complex
+from vnum.complexes import Field, SimplicialComplex, _Chains, independence_complex
 from vnum.vertexsets import (
     antichain_maxima,
     antichain_minima,
@@ -622,13 +622,14 @@ def euler_characteristic_reduced(complex_: SimplicialComplex) -> int:
 def reduced_homology_ranks(complex_: SimplicialComplex, field: Field) -> tuple[int, ...]:
     """Reduced homology ranks from dimension -1 up, by the unpruned kernel.
 
-    The whole complex goes through `_top_down` down to the empty face, with
-    no core and no collapse; entry d + 1 is the rank in dimension d, and the
-    void complex has no entries.
+    The whole complex goes into `_Chains`, with no core and no collapse,
+    and the first rank asked for, in dimension -1, builds every level down
+    to the empty face; entry d + 1 is the rank in dimension d, and the void
+    complex has no entries.
     """
     if complex_.is_void():
         return ()
-    chains = _top_down(complex_.facets, -1)
+    chains = _Chains(complex_.facets)
     betti = chains.betti2 if field is Field.F2 else chains.betti_q
     return tuple(betti(d) for d in range(-1, chains.top + 1))
 

@@ -65,6 +65,10 @@ class TestW2:
     def test_isolated_rejected(self):
         with pytest.raises(ValueError):
             is_w2(Graph.of(3, [(1, 2)]))
+        # the preconditions come before the v-number, which an edgeless
+        # graph does not have
+        with pytest.raises(ValueError, match="excludes isolated vertices"):
+            is_w2(Graph.of(3, []))
 
     def test_matches_one_well_covered(self, corpus):
         # the W2 class is exactly the 1-well-covered isolated-free graphs
@@ -93,6 +97,23 @@ class TestW2:
     )
     def test_stream_count_and_strangers(self, stream, want):
         assert classify._yields_exactly(iter(stream), {1, 2}) is want
+
+    def test_report_reads_the_v_number_once(self, monkeypatch):
+        # W2's route 1 takes the cross-checked v of the report; the public
+        # is_w2 searches it for itself
+        calls = []
+        search = Clutter.v_number_with_witness
+
+        def counted(c):
+            calls.append(c)
+            return search(c)
+
+        monkeypatch.setattr(Clutter, "v_number_with_witness", counted)
+        g = cycle_graph(5)
+        assert full_report(g).w2 is True
+        assert calls == [g]
+        assert is_w2(g)
+        assert calls == [g, g]
 
     def test_report_checks_one_well_covered(self):
         rep = full_report(cycle_graph(5))
@@ -465,6 +486,20 @@ class TestFullReport:
         disagree = {Field.Q: True, Field.F2: False}
         with pytest.raises(CrossRouteError, match="at independence number 2"):
             dataclasses.replace(rep, symbolic_square_cm_by_field=disagree)
+
+    def test_cohen_macaulay_square_forces_edge_criticality(self):
+        # the combinatorial criterion asks alpha(G_e) = alpha(G) - 1 on
+        # every edge, which is edge-criticality; at beta0 = 3 the beta0 = 2
+        # equivalence does not apply
+        rep = full_report(EXAMPLE_GRAPH4.graph())
+        assert rep.beta0 == 3 and rep.edge_critical
+        assert rep.symbolic_square_cm_by_field[Field.Q]
+        with pytest.raises(CrossRouteError, match="forces edge-criticality"):
+            dataclasses.replace(rep, edge_critical=False)
+        # a square that is not Cohen-Macaulay over any field asks nothing
+        rep = full_report(cycle_graph(4))
+        assert not rep.edge_critical
+        assert not any(rep.symbolic_square_cm_by_field.values())
 
     @pytest.mark.parametrize("g", [cycle_graph(5), complete_graph(3), path_graph(4)])
     def test_one_oracle_for_both_fields(self, monkeypatch, g):

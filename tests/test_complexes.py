@@ -18,10 +18,10 @@ from vnum.clutters import Clutter, Graph
 from vnum.complexes import (
     Field,
     SimplicialComplex,
+    _Chains,
     _cm_level,
     _link,
     _relabel,
-    _top_down,
     cohen_macaulay_fields,
     independence_complex,
     is_cohen_macaulay,
@@ -404,14 +404,23 @@ class TestRegularities:
         assert self.check(c) == {Field.Q: 2, Field.F2: 2}
 
 
-def kernel_matches_naive(facets, n, stop):
-    """Compare `_top_down` with the from-scratch ranks in dimensions >= stop."""
-    chains = _top_down(facets, stop)
+def kernel_matches_naive(facets, n, low):
+    """Compare `_Chains` with the from-scratch ranks in dimensions >= low.
+
+    The dimensions are asked for from the top down, as the callers do, so
+    each one builds a level more, and from the bottom up, so the first one
+    builds them all; each order starts from fresh chains.
+    """
     sets = [frozenset(mask_members(f)) for f in facets]
-    for field, betti in ((Field.F2, chains.betti2), (Field.Q, chains.betti_q)):
-        want = homology_ranks_naive(sets, field.value)
-        for d in range(max(stop, -1), chains.top + 1):
-            assert betti(d) == want.get(d, 0), (facets, stop, field, d)
+    top = max(f.bit_count() for f in facets) - 1
+    upward = range(max(low, -1), top + 1)
+    for dims in (upward[::-1], upward):
+        chains = _Chains(facets)
+        assert chains.top == top
+        for field, betti in ((Field.F2, chains.betti2), (Field.Q, chains.betti_q)):
+            want = homology_ranks_naive(sets, field.value)
+            for d in dims:
+                assert betti(d) == want.get(d, 0), (facets, low, field, d)
 
 
 class TestTopDownKernel:
@@ -420,23 +429,25 @@ class TestTopDownKernel:
     def test_independence_complexes(self, small_corpus):
         for g in small_corpus:
             facets = independence_complex(g).facets
-            for stop in (-1, 0, 1, 2):
-                kernel_matches_naive(facets, g.vertex_count, stop)
+            for low in (-1, 0, 1, 2):
+                kernel_matches_naive(facets, g.vertex_count, low)
 
     def test_projective_plane_from_each_stop(self):
         rp2 = SimplicialComplex.of(6, RP2_FACETS)
-        for stop in (-1, 0, 1, 2):
-            kernel_matches_naive(rp2.facets, 6, stop)
-        chains = _top_down(rp2.facets, 2)
+        for low in (-1, 0, 1, 2):
+            kernel_matches_naive(rp2.facets, 6, low)
+        chains = _Chains(rp2.facets)
+        assert set(chains.levels) == {2}  # the constructor builds nothing
         assert (chains.betti2(2), chains.betti_q(2)) == (1, 0)
-        assert set(chains.levels) == {1, 2}  # nothing below stop - 1
+        assert set(chains.levels) == {1, 2}  # nothing below dimension 2 - 1
+        assert set(chains.rank2) == {2, 3}
 
     def test_lower_dimensional_facets_join_their_level(self):
         # a triangle, an edge hanging off it and an isolated point
         c = SimplicialComplex.of(5, [(1, 2, 3), (3, 4), (5,)])
-        chains = _top_down(c.facets, -1)
-        assert sorted(len(chains.levels[d]) for d in (-1, 0, 1, 2)) == [1, 1, 4, 5]
+        chains = _Chains(c.facets)
         assert (chains.betti2(-1), chains.betti2(0), chains.betti2(1)) == (0, 1, 0)
+        assert sorted(len(chains.levels[d]) for d in (-1, 0, 1, 2)) == [1, 1, 4, 5]
 
     def test_random_non_pure_complexes(self):
         rng = random.Random(41)
@@ -447,19 +458,19 @@ class TestTopDownKernel:
                 for _ in range(rng.randrange(1, 7))
             ]
             c = SimplicialComplex.of(n, faces)
-            for stop in range(-1, c.dim() + 2):
-                kernel_matches_naive(c.facets, n, stop)
+            for low in range(-1, c.dim() + 2):
+                kernel_matches_naive(c.facets, n, low)
 
     def test_generators_need_not_be_facets(self):
         # the scan passes the maximal stable sets cut down to A, which may
         # contain one another; the kernel must count each face once
         c = SimplicialComplex.of(6, RP2_FACETS[:3] + ((1, 2), (4,)))
         gens = c.facets + (0b0011, 0b1000 | 0b0001)
-        whole = _top_down(c.facets, -1)
-        redundant = _top_down(gens, -1)
+        whole = _Chains(c.facets)
+        redundant = _Chains(gens)
         for d in range(-1, whole.top + 1):
-            assert len(whole.levels[d]) == len(redundant.levels[d])
             assert whole.betti2(d) == redundant.betti2(d)
+            assert len(whole.levels[d]) == len(redundant.levels[d])
 
 
 def permuted(complex_, rng):
@@ -685,11 +696,11 @@ class TestGluingStep:
         assert _cm_level(tuple(f for f in key if not f & first)) == 0
         clear_cm_memo()
         kernel = []
-        real = complexes._top_down
+        real = complexes._Chains
         monkeypatch.setattr(
             complexes,
-            "_top_down",
-            lambda facets, stop: kernel.append(facets) or real(facets, stop),
+            "_Chains",
+            lambda facets: kernel.append(facets) or real(facets),
         )
         assert cohen_macaulay_fields(c) == self.per_field(c) == set(BOTH)
         assert key not in kernel
@@ -815,7 +826,7 @@ class TestWorkCounts:
     """Kernel calls are deterministic, unlike time, so they guard the prunes."""
 
     @staticmethod
-    def counted(monkeypatch, name="_top_down"):
+    def counted(monkeypatch, name="_Chains"):
         calls = []
         real = getattr(complexes, name)
 
@@ -842,7 +853,7 @@ class TestWorkCounts:
         regularities(gnp(12, 0.3))
         regularities(Clutter.of(6, [(1, 2, 3), (3, 4), (4, 5, 6), (1, 6), (2, 5)]))
         assert len(calls) > 1
-        assert all(list(faces) == sorted(faces) for faces, _ in calls)
+        assert all(list(faces) == sorted(faces) for (faces,) in calls)
 
     @staticmethod
     def visited(monkeypatch):
@@ -891,6 +902,17 @@ class TestWorkCounts:
         visits.clear()
         assert regularities(Clutter.of(3, [(1,), (2,), (3,)])) == {Field.Q: 0, Field.F2: 0}
         assert visits == []
+
+    def test_scan_builds_only_the_levels_it_reads(self, monkeypatch):
+        # Delta(4 K3) has 3-homology, so the scan settles reg = 4 at the top
+        # level of its first subset and reduces that level's boundary only;
+        # building every level down to 0 took 4 reductions
+        g = complete_graph(3)
+        for _ in range(3):
+            g = disjoint_union(g, complete_graph(3))
+        calls = self.counted(monkeypatch, "rank_gf2")
+        assert regularities(g) == {Field.Q: 4, Field.F2: 4}
+        assert len(calls) == 1
 
     def test_cone_links_in_a_clutter_scan(self, monkeypatch):
         # 79 and 3,937 kernel calls with the cone skip alone

@@ -24,6 +24,7 @@ KEEP = {
     "face_masks": "face lists for the oracles and the Euler characteristic",
     "render_edge_list": "canonical edge-list text, with parse_edge_list a round trip",
     "is_cohen_macaulay": "the one-field Cohen-Macaulay test of the public API",
+    "is_w2": "the W2 test of the public API; reports pass it their checked v",
     "error": "argparse calls it on every usage error",
 }
 
