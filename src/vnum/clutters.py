@@ -100,8 +100,10 @@ class Clutter:
         return all(e & ~mask for e in self.edge_masks)
 
     def neighbor_mask(self, mask: int) -> int:
-        # N(A) collects v with some edge inside A | {v}; for stable A each
-        # such edge leaves exactly one vertex outside A.
+        # N(A) collects the v outside A with some edge inside A | {v}: the
+        # edges that leave exactly one vertex outside A.  For stable A these
+        # are all the edges inside A | {v}, so A | {v} is stable exactly
+        # when v is not in N(A).
         out = 0
         for e in self.edge_masks:
             rest = e & ~mask
@@ -112,12 +114,6 @@ class Clutter:
     def is_cover_mask(self, mask: int) -> bool:
         return all(e & mask for e in self.edge_masks)
 
-    def is_minimal_cover_mask(self, mask: int) -> bool:
-        # Covers are upward closed, so dropping single vertices suffices.
-        if not self.is_cover_mask(mask):
-            return False
-        return all(not self.is_cover_mask(mask ^ b) for b in iter_bits(mask))
-
     # -- enumeration ------------------------------------------------------
 
     def stable_masks(self) -> Iterator[int]:
@@ -126,15 +122,18 @@ class Clutter:
         Stable sets are closed under taking subsets, so layer k + 1 grows
         from layer k by adding one vertex above the largest member; taking
         the vertices in increasing order keeps each layer lexicographic.
+        A stable A grows by exactly the vertices outside N(A), so each
+        stable set costs one pass over the edges.
         """
         layer = [0]
         while layer:
             yield from layer
             layer = [
-                grown
+                mask | 1 << i
                 for mask in layer
+                for nbrs in [self.neighbor_mask(mask)]
                 for i in range(mask.bit_length(), self.vertex_count)
-                if self.is_stable_mask(grown := mask | 1 << i)
+                if not nbrs >> i & 1
             ]
 
     def minimal_cover_masks(self) -> tuple[int, ...]:
@@ -147,11 +146,16 @@ class Clutter:
         return tuple(full ^ c for c in reversed(self.minimal_cover_masks()))
 
     def family_a_masks(self) -> Iterator[int]:
-        """Stable sets with a minimal-cover neighbor set, in stable_masks order."""
+        """Stable sets with a minimal-cover neighbor set, in stable_masks order.
+
+        For stable A, N(A) is a minimal cover as soon as it is a cover: each
+        v in N(A) has a private edge, one inside A | {v}, whose other
+        vertices lie in A and so outside N(A), and dropping v uncovers it.
+        """
         if not self.has_edges():
             raise ZeroIdealError("family undefined for the zero ideal")
         for mask in self.stable_masks():
-            if self.is_minimal_cover_mask(self.neighbor_mask(mask)):
+            if self.is_cover_mask(self.neighbor_mask(mask)):
                 yield mask
 
     # -- numeric invariants -------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from vnum.cli import _monomial_text, main
 from vnum.complexes import Field
 
+from .graphs import fixture_by_label, whisker
 from .oracles import encode_graph6
 
 
@@ -144,6 +145,11 @@ class TestSymbolicPower:
         code, _, err = run_cli(capsys, "symbolic-power", str(path), "2")
         assert code == 1
 
+    def test_zero_power(self, capsys, k2_file):
+        code, out, err = run_cli(capsys, "symbolic-power", k2_file, "0")
+        assert code == 1
+        assert out == "" and "n >= 1" in err
+
 
 class TestCatalogVerify:
     def test_cm36(self, capsys):
@@ -151,6 +157,14 @@ class TestCatalogVerify:
         assert code == 0
         lines = out.strip().split("\n")
         assert sum(1 for ln in lines if ln.endswith("\tpass")) == 36
+        # two routes over two fields, and edge-criticality, on every entry
+        assert lines[0].split("\t")[3:-1] == [
+            "symbolic_square_cm_Q=true",
+            "symbolic_square_cm_F2=true",
+            "polarized_square_cm_Q=true",
+            "polarized_square_cm_F2=true",
+            "edge_critical=true",
+        ]
         assert "split 19 + 17" in out
         assert "36 pass" in lines[-1]
 
@@ -491,29 +505,32 @@ class TestGoldenCommands:
 
 
 class TestGoldenReportsAtScale:
-    """`report --field both --json` on seeded graphs of 16, 20 and 22 vertices.
+    """`report --field both --json` on seeded graphs of 16 to 24 vertices.
 
     tests/data/gnp16-0.3.txt, gnp20-0.25.txt and gnp22-0.2.txt are the
     seeded G(16, 0.3), G(20, 0.25) and G(22, 0.2) draws (see the `gnp`
-    fixture).  The first two .report.json files are the output recorded
-    before the fold and strong-collapse prunes, the third the output
-    recorded before rational ranks became a sparse column reduction.  The
-    16-vertex report runs here; CI runs the other two through the console
-    script under time limits.
+    fixture), and whisker-gnp12-0.3.txt is W(12), the whiskered
+    G(12, 0.3) on 24 vertices.  The first two .report.json files are the
+    output recorded before the fold and strong-collapse prunes, the third
+    the output recorded before rational ranks became a sparse column
+    reduction, and W(12)'s the output recorded before family A was read
+    off neighbour sets.  The 16-vertex report runs here; CI runs the other
+    three through the console script under time limits.
     """
 
     def test_inputs_are_the_seeded_draws(self, gnp):
         from vnum.formats import parse_edge_list
 
         data = os.path.join(os.path.dirname(__file__), "data")
-        for name, n, p in (
-            ("gnp16-0.3.txt", 16, 0.3),
-            ("gnp20-0.25.txt", 20, 0.25),
-            ("gnp22-0.2.txt", 22, 0.2),
+        for name, graph in (
+            ("gnp16-0.3.txt", gnp(16, 0.3)),
+            ("gnp20-0.25.txt", gnp(20, 0.25)),
+            ("gnp22-0.2.txt", gnp(22, 0.2)),
+            ("whisker-gnp12-0.3.txt", whisker(gnp(12, 0.3))),
         ):
             with open(os.path.join(data, name)) as fh:
                 doc = parse_edge_list(fh.read())
-            assert doc.to_clutter() == gnp(n, p), name
+            assert doc.to_clutter() == graph, name
 
     def test_report_on_16_vertices_matches_golden(self, capsys):
         data = os.path.join(os.path.dirname(__file__), "data")
@@ -636,6 +653,29 @@ class TestCrossRouteExit:
         code, out, _ = run_cli(capsys, "catalog-verify", "--table", "cm36")
         assert code == 3
         assert "FAIL" in out
+
+    def test_polarized_square_missing_a_generator_fails(self, capsys, monkeypatch):
+        # the table runs the polarization oracle on the 9-vertex entries too,
+        # which reports leave to the combinatorial route alone
+        import vnum.classify as classify
+        from vnum.clutters import Clutter
+
+        target = fixture_by_label("cm36-32").graph()
+        polarize = classify.polarized_symbolic_power
+
+        def dropped(g, n):
+            square = polarize(g, n)
+            if g != target:
+                return square
+            return Clutter(square.vertex_count, square.edge_masks[1:])
+
+        monkeypatch.setattr(classify, "polarized_symbolic_power", dropped)
+        code, out, _ = run_cli(capsys, "catalog-verify", "--table", "cm36")
+        assert code == 3
+        failed = [ln for ln in out.splitlines() if ln.endswith("\tFAIL")]
+        assert len(failed) == 1 and failed[0].startswith("cm36-32\t")
+        assert "\tsymbolic_square_cm_Q=true\t" in failed[0]
+        assert "\tpolarized_square_cm_Q=false\t" in failed[0]
 
 
 class TestClutterInput:

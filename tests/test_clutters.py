@@ -25,7 +25,6 @@ from .oracles import (
     domination_naive,
     family_a_naive,
     is_claw_free_naive,
-    is_minimal_cover_naive,
     matching_numbers_naive,
     maximal_stable_naive,
     minimal_covers_naive,
@@ -85,18 +84,22 @@ class TestStability:
             assert list(g.stable_masks()) == stable_masks_naive(g)
 
     def test_one_stability_test_per_extension(self, monkeypatch):
-        # growing tests each stable set once per vertex above its largest
-        # member (5,147 calls here); filtering tests all 2^16 = 65,536 subsets
-        calls = []
-        stable = Clutter.is_stable_mask
+        # growing reads one neighbour set per stable set, which tests every
+        # extension at once: 3,344 calls here, where testing each vertex
+        # above the largest member made 5,147 stability tests and filtering
+        # tests all 2^16 = 65,536 subsets
+        calls = {"is_stable_mask": 0, "neighbor_mask": 0}
+        for name in calls:
+            method = getattr(Clutter, name)
 
-        def counted(self, mask):
-            calls.append(mask)
-            return stable(self, mask)
+            def counted(self, mask, name=name, method=method):
+                calls[name] += 1
+                return method(self, mask)
 
-        monkeypatch.setattr(Clutter, "is_stable_mask", counted)
-        list(whisker(path_graph(8)).stable_masks())
-        assert len(calls) < 8192
+            monkeypatch.setattr(Clutter, name, counted)
+        stable = list(whisker(path_graph(8)).stable_masks())
+        assert calls == {"is_stable_mask": 0, "neighbor_mask": len(stable)}
+        assert len(stable) == 3344
 
 
 class TestNeighborSet:
@@ -132,13 +135,11 @@ class TestCovers:
         c4 = cycle_graph(4)
         a = mask_of(4, [2, 4])
         assert c4.is_cover_mask(a)
-        assert c4.is_minimal_cover_mask(a)
 
     def test_c4_non_minimal(self):
         c4 = cycle_graph(4)
         a = mask_of(4, [1, 2, 3])
         assert c4.is_cover_mask(a)
-        assert not c4.is_minimal_cover_mask(a)
 
     def test_empty_not_cover(self):
         assert not complete_graph(2).is_cover_mask(0)
@@ -449,10 +450,3 @@ class TestClutterSpecific:
         c = Clutter.of(4, [(1,), (2, 3)])
         assert not c.is_stable_mask(mask_of(4, [1]))
         assert c.v_number() == v_number_naive(c)
-
-    def test_minimal_cover_naive_agreement(self):
-        c = Clutter.of(4, [(1, 2), (2, 3, 4)])
-        for a in [(1,), (2,), (1, 3), (1, 3, 4), (1, 2, 3, 4)]:
-            assert c.is_minimal_cover_mask(mask_of(4, a)) == is_minimal_cover_naive(
-                c, a
-            )

@@ -59,9 +59,13 @@ from .oracles import (
     homology_ranks_naive,
     intersect,
     is_cohen_macaulay_per_field,
+    is_cover_naive,
+    is_minimal_cover_naive,
     is_one_well_covered_built,
+    is_stable_naive,
     is_vertex_decomposable_naive,
     meet_quadratic,
+    neighbor_naive,
     ordinary_power,
     polarize,
     radical,
@@ -70,6 +74,7 @@ from .oracles import (
     reduced_homology_ranks,
     regularity_per_field,
     stable_masks_naive,
+    subsets,
     symbolic_power,
     symbolic_power_tuples,
     times,
@@ -240,6 +245,22 @@ class TestClutterFamilies:
     @example(Clutter.of(4, [(1,), (2, 3), (3, 4)]))
     def test_stable_growth_matches_subset_filter(self, c):
         assert list(c.stable_masks()) == stable_masks_naive(c)
+
+    @given(clutters())
+    @example(Clutter.of(5, [(1,), (2, 3, 4), (4, 5)]))
+    def test_neighbour_sets_of_stable_sets(self, c):
+        # the two facts family A and the stable-set growth rest on, read off
+        # the naive oracles alone: for stable A every v in N(A) has a private
+        # edge inside A | {v}, so N(A) is a minimal cover once it covers, and
+        # A | {i} is stable exactly when i lies outside N(A)
+        vertices = range(1, c.vertex_count + 1)
+        for a in subsets(vertices):
+            if not is_stable_naive(c, a):
+                continue
+            nbrs = neighbor_naive(c, a)
+            assert is_cover_naive(c, nbrs) == is_minimal_cover_naive(c, nbrs)
+            for i in set(vertices).difference(a):
+                assert is_stable_naive(c, a + (i,)) == (i not in nbrs)
 
     @given(clutters())
     def test_maximal_stable_sets_inside_family(self, c):

@@ -25,6 +25,7 @@ KEEP = {
     "render_edge_list": "canonical edge-list text, with parse_edge_list a round trip",
     "is_cohen_macaulay": "the one-field Cohen-Macaulay test of the public API",
     "is_w2": "the W2 test of the public API; reports pass it their checked v",
+    "symbolic_square_cm": "the one-field symbolic-square test of the public API",
     "error": "argparse calls it on every usage error",
 }
 
