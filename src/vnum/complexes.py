@@ -285,19 +285,33 @@ def _folds(edges: Sequence[int]) -> list[tuple[int, int, tuple[int, ...]]]:
     On a graph, wide is empty and mask adds the neighbours of u that are not
     neighbours of w.  Checks with smaller masks come first: they hold for
     more subsets.
+
+    e passes when some link member f - w, for an edge f through w, lies
+    inside rest.  So each w's members are read once: an empty one (the
+    edge {w}) passes every e, the one-vertex ones are tested together by
+    one AND against their union, and only the wider ones one by one.
     """
     vertices = list(iter_bits(or_all(edges)))
     through = {v: [e for e in edges if e & v] for v in vertices}
+    links = {}
+    for w in vertices:
+        members = [f ^ w for f in through[w]]
+        links[w] = (
+            0 in members,
+            or_all(m for m in members if m.bit_count() == 1),
+            [m for m in members if m.bit_count() > 1],
+        )
     checks = []
     for u in vertices:
         for w in vertices:
             if w == u:
                 continue
+            cone, singles, wider = links[w]
             mask = u | w
             wide: tuple[int, ...] = ()
             for e in through[u]:
                 rest = e & ~(u | w)
-                if any(f & ~(rest | w) == 0 for f in through[w]):
+                if cone or rest & singles or any(m & ~rest == 0 for m in wider):
                     continue
                 if not rest:
                     break

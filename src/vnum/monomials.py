@@ -6,14 +6,24 @@ its clutter, which keeps colon ideals, symbolic powers, and the algebraic
 v-number exact without any generic primary decomposition.  The algebraic
 v-number runs on the clutter's edge masks, symbolic powers and their
 polarization on unary-layer masks.  The colon ideals (I : p), intersections
-of the (I : t_v) over v in p, and the symbolic powers I^(n), intersections
-of the prime powers p^n, are folds of `vertexsets.meet`, as are the minimal
-covers.  An associated prime is the vertex mask of its minimal cover, and a
-monomial's support is a vertex mask too.  Exponent tuples are only the
-output form of symbolic_power.  The algebraic v-number bounds each prime's
-colon fold by its own best over the primes before it: a meet only grows
-supports, so the generators that reach the bound are dropped as soon as
-they appear.
+of the (I : t_v) over v in p, are folds of `vertexsets.meet`, as are the
+minimal covers; the symbolic powers I^(n), intersections of the prime
+powers p^n, are folds of `_meet_prime_power`, a `meet` that drops the
+unions of too high a degree in p before any containment test.  An
+associated prime is the vertex mask of its minimal cover, and a monomial's
+support is a vertex mask too.  Exponent tuples are only the output form of
+symbolic_power.
+
+Each fold tests only what can fail.  A colon piece (I : t_v) is split, not
+minimized: the edges through v, shrunk by v, are minimal, and an edge that
+avoids v is tested only against them.  The algebraic v-number folds each
+prime's pieces from its highest bit down and keeps the fold of every
+prefix on a stack: the minimal covers come sorted as ints, so consecutive
+primes share their high bits and a shared prefix is folded once.  Each
+fold is bounded by the route's own best over the primes before it: a meet
+only grows supports, so the generators that reach the bound are dropped as
+soon as they appear, and a prefix whose fold is empty settles every prime
+that shares it.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ def _symbolic_power_masks(c: Clutter, n: int) -> list[int]:
     and divisibility is the subset test.  The intersection of the prime
     powers p^n, one per minimal cover, smallest first, whose generators are
     the degree-n monomials in the variables of p, is therefore a fold of
-    `meet`; no exponent exceeds n.
+    `_meet_prime_power`; no exponent exceeds n.
     """
     if n < 1:
         raise ValueError("symbolic power needs n >= 1")
@@ -52,8 +62,47 @@ def _symbolic_power_masks(c: Clutter, n: int) -> list[int]:
                 m |= 1 << (layer * s + v - 1)
                 prev = v
             piece.append(m)
-        out = meet(out, piece)
+        out = _meet_prime_power(out, piece, n)
     return out
+
+
+def _meet_prime_power(gens: list[int], piece: list[int], n: int) -> list[int]:
+    """`meet(gens, piece)` for piece the generators of a prime power p^n.
+
+    The piece is every degree-n monomial in the variables of p, on unary
+    layers, and its union P holds the layer bits of p, so a generator g lies
+    in p^n exactly when |g & P| >= n; those are kept as `meet` keeps them.
+    For every other g, a union g | h with |(g | h) & P| > n is never
+    minimal: lowering the exponents of p's variables towards g's, down to
+    total degree n, gives a smaller union g | h' with h' in p^n.  So only
+    the h that hold g & P make unions, and the layer bits of g | h are then
+    exactly h.  Two such unions with different h never contain each other,
+    and with the same h one lies inside the other exactly when its bits off
+    P do, so the unions are minimized by h, on their bits off P alone.  A
+    kept k lies inside g | h only when its layer bits are h and its bits
+    off P lie inside g: the kept generators of degree n in p, grouped by
+    their bits off P, rule out their h by one AND for each group.
+    """
+    layers = or_all(piece)
+    kept: list[int] = []
+    tight: dict[int, set[int]] = {}
+    rest: list[int] = []
+    for g in gens:
+        degree = (g & layers).bit_count()
+        if degree >= n:
+            kept.append(g)
+            if degree == n:
+                tight.setdefault(g & ~layers, set()).add(g & layers)
+        else:
+            rest.append(g)
+    offs: dict[int, set[int]] = {}  # h -> bits off P of the unions g | h
+    for g in rest:
+        low, off = g & layers, g & ~layers
+        held = {h for other, hs in tight.items() if other & ~off == 0 for h in hs}
+        for h in piece:
+            if low & ~h == 0 and h not in held:
+                offs.setdefault(h, set()).add(off)
+    return kept + [o | h for h, group in offs.items() for o in antichain_minima(group)]
 
 
 def symbolic_power(c: Clutter, n: int) -> list[tuple[int, ...]]:
@@ -105,31 +154,67 @@ def alpha_of_colon_quotient(c: Clutter, prime: int) -> int:
     if prime not in c.minimal_cover_masks():
         raise ValueError("prime is not associated to the edge ideal")
     # no support has more than s vertices, so this bound drops nothing
-    return _alpha_of_colon(c, prime, _colon_pieces(c, prime), c.vertex_count + 1)
+    return _alpha_of_colon(
+        c, prime, _colon_pieces(c, prime), c.vertex_count + 1, []
+    )
 
 
 def _colon_pieces(c: Clutter, mask: int) -> dict[int, list[int]]:
-    """Generators of (I : t_v) for each vertex bit v of mask."""
-    return {
-        b: antichain_minima(e & ~b for e in c.edge_masks) for b in iter_bits(mask)
-    }
+    """Generators of (I : t_v) for each vertex bit v of mask.
+
+    (I : t_v) is generated by the minimal sets among the e - v.  The shrunk
+    edges e - v of the edges through v are all minimal: one inside another,
+    or an edge inside one, would put an edge of the clutter inside another.
+    An edge that avoids v is minimal unless it holds a shrunk edge.  The
+    one-vertex shrunk edges are tested at once, by one AND against their
+    union, and only the wider ones one by one, as in `meet`.  Both groups
+    are antichains, so each piece is the antichain that `meet` requires.
+    """
+    out = {}
+    for b in iter_bits(mask):
+        shrunk = [e ^ b for e in c.edge_masks if e & b]
+        singles = or_all(h for h in shrunk if h.bit_count() == 1)
+        wide = [h for h in shrunk if h.bit_count() != 1]
+        out[b] = shrunk + [
+            e
+            for e in c.edge_masks
+            if not e & (b | singles) and not any(h & ~e == 0 for h in wide)
+        ]
+    return out
 
 
 def _alpha_of_colon(
-    c: Clutter, prime: int, pieces: dict[int, list[int]], bound: int
+    c: Clutter,
+    prime: int,
+    pieces: dict[int, list[int]],
+    bound: int,
+    stack: list[tuple[int, list[int]]],
 ) -> int:
     """min(alpha((I : p)/I), bound) for the prime on the vertex mask `prime`.
 
-    After every `meet` the generators whose degree reaches the bound are
-    dropped: a meet only joins supports, so none of their descendants can
-    fall below it, and the generators below the bound at the end are those
-    of the whole fold.
+    The pieces are folded from the prime's highest bit down.  `stack` holds
+    (prefix, fold) pairs, each prefix the highest bits of an earlier prime
+    and each extending the one below it; the entries that are not prefixes
+    of this prime are popped, the fold resumes from the longest one left,
+    and the folds of this prime's longer prefixes are pushed.  After every
+    `meet` the generators whose degree reaches the bound are dropped: a
+    meet only joins supports, so none of their descendants can fall below
+    it, and the generators below the bound at the end are those of the
+    whole fold.  A stored fold was filtered by an earlier bound, no smaller
+    than this one, so it holds every generator this fold needs; an empty
+    one settles the prime at the bound.
     """
-    colon = [0]  # the unit ideal, generated by the empty support
-    for b in iter_bits(prime):
+    # a prefix is shared when the prime has the same bits from its lowest up
+    while stack and prime & -(stack[-1][0] & -stack[-1][0]) != stack[-1][0]:
+        stack.pop()
+    prefix, colon = stack[-1] if stack else (0, [0])  # [0]: the unit ideal
+    rest = prime ^ prefix
+    while colon and rest:
+        b = 1 << rest.bit_length() - 1
+        rest ^= b
+        prefix |= b
         colon = [g for g in meet(colon, pieces[b]) if g.bit_count() < bound]
-        if not colon:
-            return bound
+        stack.append((prefix, colon))
     return min((g.bit_count() for g in colon if c.is_stable_mask(g)), default=bound)
 
 
@@ -137,14 +222,17 @@ def v_number_algebraic(c: Clutter) -> int:
     """min over associated primes p of alpha((I : p)/I).
 
     The colon piece (I : t_v) of each vertex is built once and shared by
-    every prime that contains v.  Each prime's fold is bounded by this
-    route's own best over the primes before it, which starts above every
-    possible degree.
+    every prime that contains v.  The primes come sorted as ints, so
+    consecutive ones share their highest bits, and one stack of prefix
+    folds serves them all (`_alpha_of_colon`).  Each prime's fold is
+    bounded by this route's own best over the primes before it, which
+    starts above every possible degree.
     """
     if not c.has_edges():
         raise ZeroIdealError("v-number undefined for the zero ideal")
     pieces = _colon_pieces(c, c.full_mask)
     best = c.vertex_count + 1
+    stack: list[tuple[int, list[int]]] = []
     for p in c.minimal_cover_masks():
-        best = _alpha_of_colon(c, p, pieces, best)
+        best = _alpha_of_colon(c, p, pieces, best, stack)
     return best

@@ -46,8 +46,10 @@ from vnum.complexes import Field, SimplicialComplex, _Chains, independence_compl
 from vnum.vertexsets import (
     antichain_maxima,
     antichain_minima,
+    iter_bits,
     mask_members,
     mask_of,
+    meet,
     or_all,
 )
 
@@ -338,6 +340,70 @@ def meet_quadratic(gens: Iterable[int], piece: Sequence[int]) -> list[int]:
             out.extend(g | h for h in piece)
     return antichain_minima(out)
 
+
+
+# -- the mask folds before they tested only what can fail -------------------------
+
+
+def colon_pieces_by_minima(c: Clutter, mask: int) -> dict[int, list[int]]:
+    """Generators of (I : t_v) for each vertex bit v of mask, as the
+    inclusion-minimal sets among all the e - v.
+
+    The package splits the edges through v from the others instead
+    (`monomials._colon_pieces`).
+    """
+    return {
+        b: antichain_minima(e & ~b for e in c.edge_masks) for b in iter_bits(mask)
+    }
+
+
+def alpha_of_colon_per_prime(
+    c: Clutter, prime: int, pieces: dict[int, list[int]], bound: int
+) -> int:
+    """min(alpha((I : p)/I), bound), folding the prime's pieces afresh from
+    its lowest bit up and dropping the generators that reach the bound.
+
+    The package folds from the highest bit down and reuses the folds of
+    prefixes that an earlier prime shares (`monomials._alpha_of_colon`).
+    """
+    colon = [0]
+    for b in iter_bits(prime):
+        colon = [g for g in meet(colon, pieces[b]) if g.bit_count() < bound]
+        if not colon:
+            return bound
+    return min((g.bit_count() for g in colon if c.is_stable_mask(g)), default=bound)
+
+
+def v_number_algebraic_per_prime(c: Clutter) -> int:
+    """min over associated primes of alpha((I : p)/I), one bounded fold of
+    minimized colon pieces per prime."""
+    pieces = colon_pieces_by_minima(c, c.full_mask)
+    best = c.vertex_count + 1
+    for p in c.minimal_cover_masks():
+        best = alpha_of_colon_per_prime(c, p, pieces, best)
+    return best
+
+
+def symbolic_power_masks_by_meet(c: Clutter, n: int) -> list[int]:
+    """Minimal generators of I^(n) as unary-layer masks, a fold of `meet`
+    over the prime powers p^n, smallest prime first.
+
+    The package drops the unions of degree above n in p before `meet`'s
+    containment tests (`monomials._meet_prime_power`).
+    """
+    s = c.vertex_count
+    out = [0]
+    for p in sorted(c.minimal_cover_masks(), key=int.bit_count):
+        piece = []
+        for combo in combinations_with_replacement(mask_members(p), n):
+            m, layer, prev = 0, 0, None
+            for v in combo:
+                layer = layer + 1 if v == prev else 0
+                m |= 1 << (layer * s + v - 1)
+                prev = v
+            piece.append(m)
+        out = meet(out, piece)
+    return out
 
 def edge_ideal(c: Clutter) -> MonomialIdeal:
     """Squarefree ideal generated by one monomial t_e per edge e."""
@@ -909,6 +975,37 @@ def dominated(facets: tuple[int, ...]) -> int:
             taken |= b
     return taken
 
+
+
+def folds_by_edge_scan(edges: Sequence[int]) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The scan's (mask, pair, wide) fold checks, testing each edge e
+    through u against every edge f through w.
+
+    The package reads each w's link members f - w once, and tests the
+    one-vertex ones by one AND (`complexes._folds`).
+    """
+    vertices = list(iter_bits(or_all(edges)))
+    through = {v: [e for e in edges if e & v] for v in vertices}
+    checks = []
+    for u in vertices:
+        for w in vertices:
+            if w == u:
+                continue
+            mask = u | w
+            wide: tuple[int, ...] = ()
+            for e in through[u]:
+                rest = e & ~(u | w)
+                if any(f & ~(rest | w) == 0 for f in through[w]):
+                    continue
+                if not rest:
+                    break
+                if rest & rest - 1:
+                    wide += (rest,)
+                else:
+                    mask |= rest
+            else:
+                checks.append((mask, u | w, wide))
+    return sorted(checks, key=lambda check: check[0].bit_count())
 
 # -- vertex decomposability -----------------------------------------------------------
 

@@ -467,9 +467,11 @@ class TestGoldenCommands:
     are the golden inputs that are not graphs, and no benchmark workload
     has one: their regularity scans skip subsets by the same cone-link rule
     as a graph's, with wider rests that a graph never has, and their colon
-    pieces hold the pairs left of their 3-edges.  clutter16.txt holds the
-    edges with no proper subset among 26 drawn by `random.Random(0)`, each
-    `frozenset(rng.sample(range(1, 17), rng.choice((2, 3, 3))))`.
+    pieces hold the pairs left of their 3-edges.  Their symbolic squares,
+    and clutter10's cube, are frozen as well, so that the prime-power fold
+    has goldens on wide edges and not on graphs alone.  clutter16.txt holds
+    the edges with no proper subset among 26 drawn by `random.Random(0)`,
+    each `frozenset(rng.sample(range(1, 17), rng.choice((2, 3, 3))))`.
     """
 
     def test_commands_match_golden(self, capsys):
@@ -479,6 +481,11 @@ class TestGoldenCommands:
              f"{g}.power{k}.out")
             for g in ("example-graph3", "c5")
             for k in (1, 2, 3)
+        ]
+        runs += [
+            (["symbolic-power", os.path.join(data, f"{g}.txt"), str(k)],
+             f"{g}.power{k}.out")
+            for g, k in (("clutter10", 2), ("clutter10", 3), ("clutter16", 2))
         ]
         runs += [
             (["report", os.path.join(data, f"{g}.txt"), "--field", "both", "--json"],

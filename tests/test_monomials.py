@@ -8,7 +8,7 @@ import pytest
 
 import vnum.monomials as monomials
 from vnum.catalog import EXAMPLE_GRAPH3
-from vnum.clutters import Clutter, ZeroIdealError
+from vnum.clutters import Clutter, Graph, ZeroIdealError
 from vnum.monomials import (
     alpha_of_colon_quotient,
     polarized_symbolic_power,
@@ -258,7 +258,7 @@ class TestBoundedColonFold:
             for p in g.minimal_cover_masks():
                 alpha = alpha_of_colon_quotient(g, p)
                 for bound in range(alpha + 3):
-                    got = monomials._alpha_of_colon(g, p, pieces, bound)
+                    got = monomials._alpha_of_colon(g, p, pieces, bound, [])
                     assert got == min(alpha, bound), (g.edge_lists(), p, bound)
 
     def test_no_generator_reaching_the_bound_is_carried(self, corpus, monkeypatch):
@@ -269,7 +269,7 @@ class TestBoundedColonFold:
             for p in g.minimal_cover_masks():
                 bound = alpha_of_colon_quotient(g, p)
                 carried.clear()
-                monomials._alpha_of_colon(g, p, pieces, bound)
+                monomials._alpha_of_colon(g, p, pieces, bound, [])
                 # the first meet starts from the unit ideal
                 for gens in carried[1:]:
                     assert all(m.bit_count() < bound for m in gens), (g.edge_lists(), p)
@@ -287,6 +287,46 @@ class TestBoundedColonFold:
         assert v_number_algebraic(g) == 3
         assert sum(map(len, carried)) < unbounded
 
+
+
+class TestPrefixFoldWork:
+    """The meets of the algebraic route on three inputs at the vertex cap.
+
+    Their primes come sorted as ints and share long high prefixes, whose
+    folds the stack reuses.  Folding each prime afresh took 49,152, 104,976
+    and 12,048 meets on 12K2, 8 K3 and C24; the pins are the number of
+    distinct prefixes, so a return to per-prime folds fails here without
+    any timing.
+    """
+
+    @pytest.mark.parametrize(
+        "edges,v,pin",
+        [
+            ([(2 * k + 1, 2 * k + 2) for k in range(12)], 12, 8_190),
+            (
+                [
+                    (3 * k + i, 3 * k + j)
+                    for k in range(8)
+                    for i, j in ((1, 2), (1, 3), (2, 3))
+                ],
+                8,
+                16_400,
+            ),
+            ([(k, k % 24 + 1) for k in range(1, 25)], 6, 2_848),
+        ],
+        ids=["12K2", "8K3", "C24"],
+    )
+    def test_meets_at_most_the_prefixes(self, monkeypatch, edges, v, pin):
+        g = Graph.of(24, edges)
+        calls = []
+
+        def counting(gens, piece):
+            calls.append(None)
+            return meet(gens, piece)
+
+        monkeypatch.setattr(monomials, "meet", counting)
+        assert v_number_algebraic(g) == v
+        assert len(calls) <= pin
 
 class TestVNumberAlgebraic:
     def test_p3(self):

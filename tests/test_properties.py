@@ -26,7 +26,10 @@ from vnum.complexes import (
     regularity,
 )
 from vnum.monomials import (
+    _alpha_of_colon,
     _colon_pieces,
+    _meet_prime_power,
+    _symbolic_power_masks,
     alpha_of_colon_quotient,
     polarized_symbolic_power,
     v_number_algebraic,
@@ -44,10 +47,12 @@ from .graphs import complete_graph, cycle_graph, delete_edge, disjoint_union, wh
 from .oracles import (
     Monomial,
     MonomialIdeal,
+    alpha_of_colon_per_prime,
     alpha_of_colon_quotient_tuples,
     beta0_naive,
     clutter_of_squarefree_ideal,
     colon_by_monomial,
+    colon_pieces_by_minima,
     dense_rows,
     dominated,
     domination_by_size,
@@ -56,6 +61,7 @@ from .oracles import (
     edge_subgraph_facets,
     euler_characteristic_reduced,
     family_a_naive,
+    folds_by_edge_scan,
     homology_ranks_naive,
     intersect,
     is_cohen_macaulay_per_field,
@@ -76,8 +82,10 @@ from .oracles import (
     stable_masks_naive,
     subsets,
     symbolic_power,
+    symbolic_power_masks_by_meet,
     symbolic_power_tuples,
     times,
+    v_number_algebraic_per_prime,
 )
 
 
@@ -195,6 +203,21 @@ def layer_mask(s, exponents):
     return or_all(1 << (k * s + i) for i, e in enumerate(exponents) for k in range(e))
 
 
+
+@st.composite
+def prime_power_pairs(draw):
+    """(gens, piece, n): an antichain of unary-layer masks with exponents at
+    most n, and the degree-n monomials of a prime on s variables, s <= 4."""
+    s, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    exponents = st.lists(st.integers(0, n), min_size=s, max_size=s)
+    gens = antichain_minima(layer_mask(s, e) for e in draw(st.lists(exponents, max_size=6)))
+    prime = sorted(draw(st.sets(st.integers(0, s - 1), min_size=1)))
+    piece = [
+        layer_mask(s, [combo.count(i) for i in range(s)])
+        for combo in itertools.combinations_with_replacement(prime, n)
+    ]
+    return gens, piece, n
+
 @st.composite
 def meet_pairs(draw):
     """Antichain pairs (gens, piece) in each shape that `meet` receives.
@@ -212,14 +235,7 @@ def meet_pairs(draw):
         b = 1 << draw(st.integers(0, c.vertex_count - 1))
         gens, piece = draw(antichains(c.vertex_count)), _colon_pieces(c, b)[b]
     elif kind == "layers":
-        s, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-        exponents = st.lists(st.integers(0, n), min_size=s, max_size=s)
-        gens = antichain_minima(layer_mask(s, e) for e in draw(st.lists(exponents, max_size=6)))
-        prime = sorted(draw(st.sets(st.integers(0, s - 1), min_size=1)))
-        piece = [
-            layer_mask(s, [combo.count(i) for i in range(s)])
-            for combo in itertools.combinations_with_replacement(prime, n)
-        ]
+        gens, piece, _ = draw(prime_power_pairs())
     else:
         n = draw(st.integers(1, 6))
         gens = draw(antichains(n))
@@ -312,6 +328,80 @@ class TestClutterFamilies:
         assert v_number_algebraic(c) == want
         assert want == min(alpha_of_colon_quotient_tuples(c, p) for p in primes)
 
+
+
+# singleton edges, wide edges and both: the shapes whose colon pieces, link
+# members and prime powers take the one-AND paths and the loops
+MIXED_CLUTTERS = (
+    Clutter.of(6, [(1,), (2, 3, 4), (4, 5), (2, 6)]),
+    Clutter.of(6, [(1, 2, 3), (3, 4), (4, 5, 6), (1, 6)]),
+    Clutter.of(5, [(1,), (2,), (3, 4, 5)]),
+    Clutter.of(5, [(1, 2), (2, 3, 4), (4, 5), (1, 5)]),
+)
+
+
+def examples(*cases):
+    """One @example per tuple of arguments."""
+
+    def apply(test):
+        for args in cases:
+            test = example(*args)(test)
+        return test
+
+    return apply
+
+
+class TestFoldsAgainstTheirOldPaths:
+    """Each fold that tests only what can fail, against the path it replaced."""
+
+    @given(clutters(max_vertices=7, max_edges=6))
+    @examples(*((c,) for c in MIXED_CLUTTERS))
+    def test_colon_pieces_are_the_minimized_pieces(self, c):
+        got = _colon_pieces(c, c.full_mask)
+        want = colon_pieces_by_minima(c, c.full_mask)
+        assert got.keys() == want.keys()
+        for b, piece in got.items():
+            assert len(piece) == len(set(piece)), (c.edge_lists(), b)
+            assert sorted(piece) == sorted(want[b]), (c.edge_lists(), b)
+
+    @given(clutters(max_vertices=7, max_edges=6))
+    @examples(*((c,) for c in MIXED_CLUTTERS))
+    def test_prefix_folds_give_every_primes_alpha(self, c):
+        # one stack across the primes, unbounded, against a fresh per-prime
+        # fold: a prefix reused past a bit where two primes differ shows here
+        if not c.has_edges():
+            return
+        pieces = _colon_pieces(c, c.full_mask)
+        stack: list = []
+        for p in c.minimal_cover_masks():
+            got = _alpha_of_colon(c, p, pieces, c.vertex_count + 1, stack)
+            want = alpha_of_colon_per_prime(c, p, pieces, c.vertex_count + 1)
+            assert got == want, (c.edge_lists(), p)
+            assert all(prefix & ~p == 0 for prefix, _ in stack), (c.edge_lists(), p)
+        assert v_number_algebraic(c) == v_number_algebraic_per_prime(c)
+
+    @given(clutters(max_vertices=5, max_edges=5), st.integers(1, 3))
+    @examples(*((c, n) for c in MIXED_CLUTTERS[2:] for n in (2, 3)))
+    def test_prime_power_fold_is_the_meet_fold(self, c, n):
+        if not c.has_edges():
+            return
+        got = _symbolic_power_masks(c, n)
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(symbolic_power_masks_by_meet(c, n))
+
+    @given(prime_power_pairs())
+    @settings(max_examples=300)
+    def test_prime_power_meet_is_meet(self, case):
+        gens, piece, n = case
+        got = _meet_prime_power(gens, piece, n)
+        assert len(got) == len(set(got))
+        assert sorted(got) == sorted(meet(gens, piece))
+
+    @given(clutters(max_vertices=7, max_edges=6))
+    @examples(*((c,) for c in MIXED_CLUTTERS))
+    def test_fold_checks_are_the_edge_scans(self, c):
+        # the same checks in the same order
+        assert _folds(c.edge_masks) == folds_by_edge_scan(c.edge_masks)
 
 class TestGraphProperties:
     @given(graphs(min_vertices=2))
