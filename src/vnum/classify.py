@@ -65,37 +65,20 @@ def v_number_checked(c: Clutter) -> tuple[int, int]:
 def is_w2(g: Graph) -> bool:
     """Well-covered with every maximal stable set neighborhood-minimal.
 
-    Route 1: the v-number equals the independence number.  Route 2: the
-    graph is well-covered and the maximal stable sets are exactly the
-    stable sets with minimal-cover neighborhoods.  Route 2 reads that
-    family as a stream, which yields each mask once: it stops at the first
-    member that is not a maximal stable set, and otherwise counts them.
+    Route 1: the v-number equals the independence number.  Route 2:
+    Staples' 1-well-coveredness (J. Graph Theory 3, 1979), which on graphs
+    without isolated vertices is the W2 class.  Reports take route 1 from
+    their cross-checked v, and `InvariantReport` compares it with route 2.
     """
     if g.isolated_vertices():
         raise ValueError("the W2 classification excludes isolated vertices")
     if g.vertex_count < 2:
         raise ValueError("the W2 class needs at least two vertices")
-    return _is_w2(g, g.v_number())
-
-
-def _is_w2(g: Graph, v: int) -> bool:
-    """`is_w2` on a graph that meets its preconditions, with v its v-number."""
-    route1 = v == g.independence_number()
-    route2 = g.is_well_covered() and _yields_exactly(
-        g.family_a_masks(), set(g.maximal_stable_masks())
+    route1 = g.v_number() == g.independence_number()
+    _require_agreement(
+        "W2", {"v=beta0": route1, "1-well-covered": g.is_one_well_covered()}
     )
-    _require_agreement("W2", {"v=dim": route1, "families": route2})
     return route1
-
-
-def _yields_exactly(stream: Iterator[int], masks: set[int]) -> bool:
-    """Whether a stream that yields no mask twice yields exactly `masks`."""
-    count = 0
-    for mask in stream:
-        if mask not in masks:
-            return False
-        count += 1
-    return count == len(masks)
 
 
 def is_edge_critical(g: Graph) -> bool:
@@ -386,7 +369,7 @@ def full_report(c: Clutter, *, name: Optional[str] = None) -> InvariantReport:
     bounds = None
     if is_graph:
         if not isolated and c.vertex_count >= 2:
-            w2 = _is_w2(c, v)
+            w2 = v == beta0
         edge_critical, edge_critical_violation = edge_criticality(c)
         sscm = symbolic_square_cm_by_field(c)
         if beta0 == 2:

@@ -6,8 +6,10 @@ and the graph only adds its adjacency invariants.  Edges are bit masks in
 increasing order as integers, the order of complex facets too, and so are
 the minimal covers, the maximal stable sets and the blocker's edges; equal
 clutters compare equal and every operation is deterministic.  All
-invariants (stable sets, covers, the v-number, the domination numbers) are
-computed exactly; the intended scale is s <= ~24.
+invariants (covers, the v-number, the domination numbers) are computed
+exactly; the intended scale is s <= ~24.  No stable sets are listed
+beyond the maximal ones: the v-number is a pruned search for the least
+stable set whose neighbour set covers every edge.
 
 No subclutter is built.  The stable sets of C - v are the stable sets of C
 that avoid v, so 1-well-coveredness reads every C - v off the maximal
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .vertexsets import (
     antichain_minima,
@@ -94,7 +96,7 @@ class Clutter:
     def isolated_vertices(self) -> tuple[int, ...]:
         return mask_members(self.full_mask & ~or_all(self.edge_masks))
 
-    # -- stability and covers ---------------------------------------------
+    # -- stability and neighbour sets ----------------------------------------
 
     def is_stable_mask(self, mask: int) -> bool:
         return all(e & ~mask for e in self.edge_masks)
@@ -111,30 +113,7 @@ class Clutter:
                 out |= rest
         return out
 
-    def is_cover_mask(self, mask: int) -> bool:
-        return all(e & mask for e in self.edge_masks)
-
     # -- enumeration ------------------------------------------------------
-
-    def stable_masks(self) -> Iterator[int]:
-        """All stable sets as masks, by increasing size then lexicographically.
-
-        Stable sets are closed under taking subsets, so layer k + 1 grows
-        from layer k by adding one vertex above the largest member; taking
-        the vertices in increasing order keeps each layer lexicographic.
-        A stable A grows by exactly the vertices outside N(A), so each
-        stable set costs one pass over the edges.
-        """
-        layer = [0]
-        while layer:
-            yield from layer
-            layer = [
-                mask | 1 << i
-                for mask in layer
-                for nbrs in [self.neighbor_mask(mask)]
-                for i in range(mask.bit_length(), self.vertex_count)
-                if not nbrs >> i & 1
-            ]
 
     def minimal_cover_masks(self) -> tuple[int, ...]:
         return _minimal_transversals(self.edge_masks)
@@ -144,19 +123,6 @@ class Clutter:
         # taking complements reverses the increasing order.
         full = self.full_mask
         return tuple(full ^ c for c in reversed(self.minimal_cover_masks()))
-
-    def family_a_masks(self) -> Iterator[int]:
-        """Stable sets with a minimal-cover neighbor set, in stable_masks order.
-
-        For stable A, N(A) is a minimal cover as soon as it is a cover: each
-        v in N(A) has a private edge, one inside A | {v}, whose other
-        vertices lie in A and so outside N(A), and dropping v uncovers it.
-        """
-        if not self.has_edges():
-            raise ZeroIdealError("family undefined for the zero ideal")
-        for mask in self.stable_masks():
-            if self.is_cover_mask(self.neighbor_mask(mask)):
-                yield mask
 
     # -- numeric invariants -------------------------------------------------
 
@@ -196,15 +162,27 @@ class Clutter:
     def v_number_with_witness(self) -> tuple[int, int]:
         """Least size of a stable set with minimal-cover neighbor set.
 
-        Searches stable sets by increasing size, so the witness mask is the
+        Deepens on the size k.  At each k, `_first_family_a` grows stable
+        sets depth first from the empty set, each by the vertices above
+        its largest member that lie outside its neighbour set, in
+        increasing order.  So it meets the stable sets of size k in
+        lexicographic order, and its prunes drop only sets from which no
+        member of family A grows within k: the witness mask is the
         lexicographically smallest minimizer.  The empty set qualifies
         exactly when every edge is a singleton (prime edge ideal, v = 0).
         """
         if not self.has_edges():
             raise ZeroIdealError("v-number undefined for the zero ideal")
-        for mask in self.family_a_masks():
-            return mask.bit_count(), mask
-        raise AssertionError("unreachable: maximal stable sets always qualify")
+        # A vertex w of e joins N(A) once f - w lies inside A for an edge f
+        # through w, so only the vertices of the edges that meet e can
+        # bring e into N(A)
+        candidates = [
+            or_all(f for f in self.edge_masks if f & e) for e in self.edge_masks
+        ]
+        k = 0  # the maximal stable sets qualify, so k stops by beta0
+        while (witness := _first_family_a(self, candidates, 0, k)) is None:
+            k += 1
+        return k, witness
 
     # -- derived clutters ---------------------------------------------------
 
@@ -233,6 +211,38 @@ def _minimal_transversals(edge_masks: tuple[int, ...]) -> tuple[int, ...]:
     for e in sorted(edge_masks, key=lambda m: (m.bit_count(), m)):
         partial = meet(partial, list(iter_bits(e)))
     return tuple(sorted(partial))
+
+
+def _first_family_a(
+    c: Clutter, candidates: Sequence[int], mask: int, budget: int
+) -> Optional[int]:
+    """The first stable set grown from `mask` by at most `budget` vertices
+    whose neighbour set covers every edge, or None.
+
+    N(A) only grows as A grows among stable sets, so an edge it covers
+    stays covered.  An edge e that it misses needs one of its candidates
+    (the vertices of the edges that meet e) among the vertices that may
+    still join A: those above its largest member and outside N(A).  So
+    the search prunes when a missed edge has no candidate left, or when a
+    greedy packing of missed edges with disjoint candidate sets, which
+    need one vertex each, needs more than `budget`.
+    """
+    nbrs = c.neighbor_mask(mask)
+    allowed = c.full_mask & ~nbrs & -(1 << mask.bit_length())
+    missed = [m & allowed for e, m in zip(c.edge_masks, candidates) if not e & nbrs]
+    if not missed:
+        return mask
+    used = need = 0
+    for cand in missed:
+        if not cand & used:
+            used |= cand
+            need += 1
+    if not all(missed) or need > budget:
+        return None
+    found = (
+        _first_family_a(c, candidates, mask | b, budget - 1) for b in iter_bits(allowed)
+    )
+    return next((f for f in found if f is not None), None)
 
 
 # -- graphs -------------------------------------------------------------------

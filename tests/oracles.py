@@ -18,8 +18,10 @@ domination number by trying sets by size, which a branching search over
 closed neighbourhoods replaced;
 the subclutters C - v built for 1-well-coveredness, which a facet
 trade inside Delta(C) replaced; route 2 of W2 with whole sets, which
-a stream of family A replaced; dense Bareiss elimination for rational
-ranks, which a sparse column reduction replaced; and the shedding test
+a stream of family A and then 1-well-coveredness replaced; the stream of
+every stable set by size and family A read off it, which a pruned search
+for the least member of family A replaced; dense Bareiss elimination for
+rational ranks, which a sparse column reduction replaced; and the shedding test
 that builds each deletion, which `vertexsets.sheds` replaced.  The strong
 collapses of `dominated` are no route the package replaced: they are the
 reference of the scan's fold checks.
@@ -37,11 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from vnum import monomials
 from vnum.classify import _beta2_complement_agreement, edge_criticality
-from vnum.clutters import Clutter, Graph
+from vnum.clutters import Clutter, Graph, ZeroIdealError
 from vnum.complexes import Field, SimplicialComplex, _Chains, independence_complex
 from vnum.vertexsets import (
     antichain_maxima,
@@ -99,6 +101,46 @@ def stable_masks_naive(c: Clutter) -> list[int]:
     ]
 
 
+def is_cover_mask(c: Clutter, mask: int) -> bool:
+    return all(e & mask for e in c.edge_masks)
+
+
+def stable_masks(c: Clutter) -> Iterator[int]:
+    """All stable sets as masks, by increasing size then lexicographically.
+
+    Stable sets are closed under taking subsets, so layer k + 1 grows from
+    layer k by adding one vertex above the largest member; taking the
+    vertices in increasing order keeps each layer lexicographic.  A stable
+    A grows by exactly the vertices outside N(A), so each stable set costs
+    one pass over the edges.  Memory follows the largest layer.
+    """
+    layer = [0]
+    while layer:
+        yield from layer
+        layer = [
+            mask | 1 << i
+            for mask in layer
+            for nbrs in [c.neighbor_mask(mask)]
+            for i in range(mask.bit_length(), c.vertex_count)
+            if not nbrs >> i & 1
+        ]
+
+
+def family_a_masks(c: Clutter) -> Iterator[int]:
+    """Stable sets with a minimal-cover neighbor set, in `stable_masks` order.
+
+    For stable A, N(A) is a minimal cover as soon as it is a cover: each v
+    in N(A) has a private edge, one inside A | {v}, whose other vertices
+    lie in A and so outside N(A), and dropping v uncovers it.  Its first
+    member is the v-number's witness.
+    """
+    if not c.has_edges():
+        raise ZeroIdealError("family undefined for the zero ideal")
+    for mask in stable_masks(c):
+        if is_cover_mask(c, c.neighbor_mask(mask)):
+            yield mask
+
+
 def maximal_stable_naive(c: Clutter) -> set[frozenset]:
     stable = [
         frozenset(a)
@@ -131,11 +173,10 @@ def w2_families_by_sets(g: Graph) -> bool:
     """Route 2 of W2 with whole sets: well-covered, and family A equals the
     set of maximal stable sets.
 
-    The package reads family A as a stream and stops at its first member
-    that is not a maximal stable set.
+    The package takes 1-well-coveredness as route 2 instead.
     """
     return g.is_well_covered() and set(g.maximal_stable_masks()) == set(
-        g.family_a_masks()
+        family_a_masks(g)
     )
 
 

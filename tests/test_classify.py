@@ -78,29 +78,27 @@ class TestW2:
             assert is_w2(g) == g.is_one_well_covered()
 
     def test_family_stream_matches_whole_sets(self, corpus, gnp):
-        # the whiskered G(n, 0.3) are well-covered and not W2, so route 2
-        # reads family A on each; the stream stops at its first member
+        # a third reading of W2, family A listed whole from the oracle
+        # stream; the whiskered G(n, 0.3) are well-covered and not W2
         whiskered = [whisker(gnp(n, 0.3)) for n in range(8, 12)]
         for g in list(corpus) + whiskered:
-            maximal = set(g.maximal_stable_masks())
-            assert classify._yields_exactly(g.family_a_masks(), maximal) == (
-                maximal == set(g.family_a_masks())
-            ), g
             if not g.isolated_vertices():
                 assert is_w2(g) == w2_families_by_sets(g), g
         for g in whiskered:
             assert g.is_well_covered() and not is_w2(g)
 
-    @pytest.mark.parametrize(
-        "stream, want",
-        [([2, 1], True), ([1], False), ([1, 2, 4], False), ([4, 1, 2], False)],
-    )
-    def test_stream_count_and_strangers(self, stream, want):
-        assert classify._yields_exactly(iter(stream), {1, 2}) is want
+    @pytest.mark.parametrize("route", ["v_number", "is_one_well_covered"])
+    def test_public_routes_are_compared(self, monkeypatch, route):
+        g = cycle_graph(5)
+        assert is_w2(g)
+        wrong = {"v_number": lambda c: 0, "is_one_well_covered": lambda c: False}
+        monkeypatch.setattr(Clutter, route, wrong[route])
+        with pytest.raises(CrossRouteError, match="W2 routes disagree"):
+            is_w2(g)
 
     def test_report_reads_the_v_number_once(self, monkeypatch):
-        # W2's route 1 takes the cross-checked v of the report; the public
-        # is_w2 searches it for itself
+        # a report reads W2 off its cross-checked v; the public is_w2
+        # searches the v-number for itself
         calls = []
         search = Clutter.v_number_with_witness
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from vnum.clutters import Clutter, Graph, ZeroIdealError
@@ -23,14 +25,22 @@ from .oracles import (
     delete_closed_neighborhood,
     domination_by_size,
     domination_naive,
+    family_a_masks,
     family_a_naive,
     is_claw_free_naive,
+    is_cover_mask,
     matching_numbers_naive,
     maximal_stable_naive,
     minimal_covers_naive,
+    stable_masks,
     stable_masks_naive,
     v_number_naive,
 )
+
+
+def copies(g, n):
+    """n disjoint copies of g."""
+    return functools.reduce(disjoint_union, [g] * n)
 
 
 def members(masks):
@@ -38,7 +48,7 @@ def members(masks):
 
 
 def family(c):
-    return members(c.family_a_masks())
+    return members(family_a_masks(c))
 
 
 class TestConstruction:
@@ -81,7 +91,7 @@ class TestStability:
     def test_growth_matches_subset_filter(self, small_corpus):
         # same masks in the same order: by size, then lexicographically
         for g in small_corpus:
-            assert list(g.stable_masks()) == stable_masks_naive(g)
+            assert list(stable_masks(g)) == stable_masks_naive(g)
 
     def test_one_stability_test_per_extension(self, monkeypatch):
         # growing reads one neighbour set per stable set, which tests every
@@ -97,7 +107,7 @@ class TestStability:
                 return method(self, mask)
 
             monkeypatch.setattr(Clutter, name, counted)
-        stable = list(whisker(path_graph(8)).stable_masks())
+        stable = list(stable_masks(whisker(path_graph(8))))
         assert calls == {"is_stable_mask": 0, "neighbor_mask": len(stable)}
         assert len(stable) == 3344
 
@@ -119,7 +129,7 @@ class TestNeighborSet:
         # on graphs, N(A) for stable A is the union of adjacencies minus A
         for g in small_corpus[:60]:
             adj = g.adjacency_masks()
-            for mask in g.stable_masks():
+            for mask in stable_masks(g):
                 expected = 0
                 probe = mask
                 while probe:
@@ -134,15 +144,15 @@ class TestCovers:
     def test_c4_minimal(self):
         c4 = cycle_graph(4)
         a = mask_of(4, [2, 4])
-        assert c4.is_cover_mask(a)
+        assert is_cover_mask(c4, a)
 
     def test_c4_non_minimal(self):
         c4 = cycle_graph(4)
         a = mask_of(4, [1, 2, 3])
-        assert c4.is_cover_mask(a)
+        assert is_cover_mask(c4, a)
 
     def test_empty_not_cover(self):
-        assert not complete_graph(2).is_cover_mask(0)
+        assert not is_cover_mask(complete_graph(2), 0)
 
 
 class TestMaximalStableSets:
@@ -188,11 +198,11 @@ class TestFamilyA:
 
     def test_discrete_raises(self):
         with pytest.raises(ZeroIdealError, match="family undefined"):
-            list(Clutter.of(2, []).family_a_masks())
+            list(family_a_masks(Clutter.of(2, [])))
 
     def test_stream_order(self, small_corpus):
         for g in small_corpus:
-            masks = list(g.family_a_masks())
+            masks = list(family_a_masks(g))
             order = sorted(masks, key=lambda m: (m.bit_count(), mask_members(m)))
             assert masks == order
 
@@ -299,6 +309,43 @@ class TestVNumber:
     def test_against_family_scan(self, small_corpus):
         for g in small_corpus:
             assert g.v_number() == v_number_naive(g)
+
+    def test_search_meets_the_first_family_member(self, corpus):
+        # the oracle stream lists family A by size, then lexicographically
+        for g in corpus + [copies(complete_graph(2), 6), cycle_graph(12)]:
+            if g.has_edges():
+                first = next(family_a_masks(g))
+                assert g.v_number_with_witness() == (first.bit_count(), first), g
+
+    def test_all_singleton_edges(self):
+        assert Clutter.of(4, [(1,), (2,), (4,)]).v_number_with_witness() == (0, 0)
+
+    @pytest.mark.parametrize(
+        "g, witness, nodes",
+        [
+            (copies(complete_graph(2), 12), range(1, 24, 2), 25),
+            (copies(complete_graph(2), 14), range(1, 28, 2), 29),
+            (copies(complete_graph(3), 9), range(1, 26, 3), 19),
+            (cycle_graph(30), (1, 3, 7, 11, 15, 19, 23, 27), 59),
+        ],
+        ids=["12K2", "14K2", "9K3", "C30"],
+    )
+    def test_search_nodes(self, monkeypatch, g, witness, nodes):
+        # one neighbour set per node of the search, over every depth k;
+        # the stream lists 531,441 stable sets of 12K2 and 4.8M of 14K2
+        # to find these witnesses.  Without the packing bound, each depth k
+        # below v would visit stable sets of size up to k one by one.
+        calls = []
+        method = Clutter.neighbor_mask
+
+        def counted(self, mask):
+            calls.append(mask)
+            return method(self, mask)
+
+        monkeypatch.setattr(Clutter, "neighbor_mask", counted)
+        want = (len(witness), mask_of(g.vertex_count, witness))
+        assert g.v_number_with_witness() == want
+        assert len(calls) == nodes
 
     def test_bounded_by_independent_domination(self, corpus):
         for g in corpus:

@@ -60,6 +60,7 @@ from .oracles import (
     edge_ideal,
     edge_subgraph_facets,
     euler_characteristic_reduced,
+    family_a_masks,
     family_a_naive,
     folds_by_edge_scan,
     homology_ranks_naive,
@@ -79,6 +80,7 @@ from .oracles import (
     rank_fraction,
     reduced_homology_ranks,
     regularity_per_field,
+    stable_masks,
     stable_masks_naive,
     subsets,
     symbolic_power,
@@ -260,7 +262,7 @@ class TestClutterFamilies:
     @example(Clutter.of(3, []))
     @example(Clutter.of(4, [(1,), (2, 3), (3, 4)]))
     def test_stable_growth_matches_subset_filter(self, c):
-        assert list(c.stable_masks()) == stable_masks_naive(c)
+        assert list(stable_masks(c)) == stable_masks_naive(c)
 
     @given(clutters())
     @example(Clutter.of(5, [(1,), (2, 3, 4), (4, 5)]))
@@ -282,17 +284,36 @@ class TestClutterFamilies:
     def test_maximal_stable_sets_inside_family(self, c):
         if not c.has_edges():
             return
-        family = set(c.family_a_masks())
+        family = set(family_a_masks(c))
         assert {frozenset(mask_members(m)) for m in family} == family_a_naive(c)
         for m in c.maximal_stable_masks():
             assert m in family
+
+    @given(clutters(max_vertices=8, max_edges=8))
+    @example(Clutter.of(4, [(1,), (2,), (4,)]))
+    @example(Clutter.of(6, [(1,), (2, 3, 4, 5, 6)]))
+    @example(Clutter.of(6, [(1, 2, 3), (3, 4), (4, 5, 6), (1, 6)]))
+    @example(Clutter.of(4, [(1, 2), (1, 3, 4)]))
+    def test_search_meets_the_first_family_member(self, c):
+        # the pruned search against the oracle stream, which lists family A
+        # by size, then lexicographically; the stream reads the package's
+        # N(A), so its first member is also checked against the naive
+        # family.  On the last example an N(A) that kept the members of A
+        # in edges with one vertex outside A would take {1}, whose N(A) =
+        # {2} misses {1, 3, 4}.
+        if not c.has_edges():
+            return
+        first = next(family_a_masks(c))
+        assert c.v_number_with_witness() == (first.bit_count(), first)
+        naive = min(family_a_naive(c), key=lambda a: (len(a), sorted(a)))
+        assert mask_members(first) == tuple(sorted(naive))
 
     @given(clutters())
     def test_v_bounded_by_family_members(self, c):
         if not c.has_edges():
             return
         v = c.v_number()
-        assert all(m.bit_count() >= v for m in c.family_a_masks())
+        assert all(m.bit_count() >= v for m in family_a_masks(c))
         assert all(m.bit_count() >= v for m in c.maximal_stable_masks())
 
     @given(clutters())
