@@ -97,11 +97,7 @@ def _cell(value: object) -> str:
 
 
 def _tsv_lines(dicts: Sequence[dict]) -> list[str]:
-    keys: list[str] = []
-    for d in dicts:
-        for k in d:
-            if k not in keys:
-                keys.append(k)
+    keys = list(dict.fromkeys(k for d in dicts for k in d))
     lines = ["\t".join(keys)]
     for d in dicts:
         lines.append("\t".join(_cell(d.get(k)) for k in keys))
@@ -114,6 +110,17 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
+
+
+def _graph6_lines(path: str) -> list[str]:
+    """The graphs of a graph6 stream, one per non-blank line.
+
+    Graph i is named `line i` by the commands that read it: blank lines
+    are not counted.  graph6 bytes are 63..126, so a graph ends at the
+    first whitespace and what follows on its line, such as a label, is
+    not read.
+    """
+    return [ln.split(None, 1)[0] for ln in _read_text(path).splitlines() if ln.strip()]
 
 
 def _load_document(path: str) -> InputDocument:
@@ -207,12 +214,11 @@ def _scan_edge_critical(path: str) -> int:
 
     counts: dict[int, int] = {}
     total = 0
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        doc = parse_graph6(line, name=f"line {lineno}")
-        g = _check_size(doc)
+    for lineno, line in enumerate(_graph6_lines(path), start=1):
+        try:
+            g = _check_size(parse_graph6(line))
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
         total += 1
         if g.vertex_count >= 2 and is_edge_critical(g):
             counts[g.vertex_count] = counts.get(g.vertex_count, 0) + 1
@@ -253,11 +259,10 @@ def _usable_cpus() -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    lines = [ln.strip() for ln in _read_text(args.file).splitlines() if ln.strip()]
     if args.graph6:
-        # graph6 bytes are 63..126, so a graph ends at the first whitespace
-        # and what follows on its line, such as a label, is not read
-        lines = [ln.split(None, 1)[0] for ln in lines]
+        lines = _graph6_lines(args.file)
+    else:
+        lines = [ln.strip() for ln in _read_text(args.file).splitlines() if ln.strip()]
     kind = "graph6" if args.graph6 else "files"
     tasks = [(i, kind, line, args.field) for i, line in enumerate(lines)]
     # the executor starts every worker up front, so never more than can run

@@ -15,13 +15,18 @@ No subclutter is built.  The stable sets of C - v are the stable sets of C
 that avoid v, so 1-well-coveredness reads every C - v off the maximal
 stable sets of C.  The one derived graph, the complement, is the other
 route of cross-checks.
+
+The minimal covers belong to the clutter: it computes them once, on the
+first call of `minimal_cover_masks`, and keeps them with its edges, so
+every invariant built from them reads them off the one object.  The
+module keeps no memo: an equal clutter built afresh computes its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .vertexsets import (
@@ -115,8 +120,28 @@ class Clutter:
 
     # -- enumeration ------------------------------------------------------
 
+    @cached_property
+    def _covers(self) -> tuple[int, ...]:
+        """All minimal vertex covers, by Berge's sequential transversal algorithm.
+
+        The covers generate the intersection over edges e of the primes
+        (t_v : v in e), so starting from the unit ideal this meets one prime at
+        a time, smallest edges first.  Each step is Berge's: the covers that
+        meet e stay, and each other cover gains one vertex of e, kept unless
+        it then holds a cover that stayed; `meet` needs no re-minimization
+        for single-vertex pieces.
+
+        The clutter keeps the result: a report asks for the covers about a
+        dozen times, all on one object, and no module memo holds them after
+        the report is done.
+        """
+        partial = [0]
+        for e in sorted(self.edge_masks, key=lambda m: (m.bit_count(), m)):
+            partial = meet(partial, list(iter_bits(e)))
+        return tuple(sorted(partial))
+
     def minimal_cover_masks(self) -> tuple[int, ...]:
-        return _minimal_transversals(self.edge_masks)
+        return self._covers
 
     def maximal_stable_masks(self) -> tuple[int, ...]:
         # Maximal stable sets are exactly complements of minimal covers, and
@@ -191,26 +216,6 @@ class Clutter:
         if not self.has_edges():
             raise ZeroIdealError("blocker undefined for the zero ideal")
         return Clutter(self.vertex_count, self.minimal_cover_masks())
-
-
-# -- hypergraph transversals -------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _minimal_transversals(edge_masks: tuple[int, ...]) -> tuple[int, ...]:
-    """All minimal vertex covers, by Berge's sequential transversal algorithm.
-
-    The covers generate the intersection over edges e of the primes
-    (t_v : v in e), so starting from the unit ideal this meets one prime at
-    a time, smallest edges first.  Each step is Berge's: the covers that
-    meet e stay, and each other cover gains one vertex of e, kept unless
-    it then holds a cover that stayed; `meet` needs no re-minimization
-    for single-vertex pieces.
-    """
-    partial = [0]
-    for e in sorted(edge_masks, key=lambda m: (m.bit_count(), m)):
-        partial = meet(partial, list(iter_bits(e)))
-    return tuple(sorted(partial))
 
 
 def _first_family_a(

@@ -45,6 +45,14 @@ through the link and the deletion of each shedding vertex and prunes with
 the Cohen-Macaulay memo, which then mostly answers from complexes that
 recursion has seen.
 
+Both memos are process-wide, unlike a clutter's minimal covers, which the
+clutter keeps: small links recur across inputs, not only within one, so a
+batch of many graphs answers much of each report from earlier reports.
+Over the seed-1 benchmark inputs, 592 of the 904 Cohen-Macaulay hits and
+all 118 decomposability hits on cm36 came from earlier inputs (70 of 111
+and 523 of 558 on batch-small), and clearing both memos before each report
+made cm36's in-process reports 1.3 to 1.5 times slower (2 vCPUs).
+
 Only the scan prunes with strong collapses (Barmak-Minian): a vertex whose
 link is a cone can be deleted without changing the homotopy type, so
 reduced homology stays the same over every field.  The scan skips a subset
@@ -510,7 +518,9 @@ def _cm_recursive(facets: tuple[int, ...]) -> int:
     The complex has at least two facets and no cone point (`_cm_level`
     settles the others).  Keyed by relabelled facet tuples (see `_relabel`):
     call it through `_cm_level`, so that isomorphic copies mostly share one
-    entry.
+    entry.  The memo is process-wide, since isomorphic links recur across
+    inputs: on the cm36 benchmark inputs, 592 of its 904 hits came from
+    earlier reports.
 
     First a gluing step, tried at each vertex b, in bit order, that sheds
     (`vertexsets.sheds`): every facet of its deletion del b is a facet of
@@ -572,7 +582,10 @@ def is_vertex_decomposable(complex_: SimplicialComplex) -> bool:
     `cohen_macaulay_fields`, since both go through `_cm_level`.  The shedding
     search is memoized on the same key, `_relabel`, since decomposability
     does not depend on labels either; so the prune mostly asks about
-    complexes the Cohen-Macaulay recursion has already seen.
+    complexes the Cohen-Macaulay recursion has already seen.  Both memos
+    are process-wide, since isomorphic links recur across inputs: on the
+    cm36 benchmark inputs, all 118 hits of this one came from earlier
+    reports.
     """
     return _vd(_relabel(complex_.facets))
 

@@ -22,6 +22,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def workload_lines(name, seed):
+    """`python3 bench/workloads.py NAME --seed SEED`: graph6, a tab, a label."""
+    script = os.path.join(
+        os.path.dirname(os.path.dirname(__file__)), "bench", "workloads.py"
+    )
+    labelled = subprocess.run(
+        [sys.executable, script, name, "--seed", str(seed)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert "\t" in labelled
+    return labelled
+
+
 @pytest.fixture()
 def k2_file(tmp_path):
     path = tmp_path / "k2.txt"
@@ -175,6 +188,37 @@ class TestCatalogVerify:
         code, out, _ = run_cli(capsys, "catalog-verify", "--edge-critical", str(stream))
         assert code == 0
         assert "scanned 3 graphs" in out
+
+    def test_labelled_stream_scans_as_its_first_column(self, capsys, tmp_path):
+        # the scan reads graph6 lines as a batch does: the first field of
+        # each, so the labels the workload script prints are not read
+        labelled = workload_lines("cm36", 1)
+        first_column = "".join(ln.split("\t")[0] + "\n" for ln in labelled.splitlines())
+        outs = []
+        for text in (labelled, first_column):
+            stream = tmp_path / "cm36.g6"
+            stream.write_text(text)
+            code, out, _ = run_cli(capsys, "catalog-verify", "--edge-critical", str(stream))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].endswith(
+            "scanned 37 graphs; edge-critical with 2..9 vertices: 36, "
+            "of which 17 have 9 vertices\n"
+        )
+
+    def test_bad_line_named_as_in_a_batch(self, capsys, tmp_path):
+        # blank lines are not counted, so "B!" (byte 33 is no graph6 byte)
+        # is line 3 in the scan's message and in the batch's rows
+        stream = tmp_path / "bad.g6"
+        stream.write_text("A_\n\nBw\tP3\nB!\n")
+        code, out, err = run_cli(capsys, "catalog-verify", "--edge-critical", str(stream))
+        assert code == 1 and out == ""
+        assert "input error: line 3: invalid graph6 byte 33" in err
+        code, out, _ = run_cli(capsys, "batch", str(stream), "--graph6", "--json")
+        rows = [json.loads(ln) for ln in out.splitlines()]
+        assert [r["name"] for r in rows] == ["line 1", "line 2", "line 3"]
+        assert rows[2]["error"] == "invalid graph6 byte 33"
 
     def test_empty_stream(self, capsys, tmp_path):
         stream = tmp_path / "empty.g6"
@@ -440,16 +484,8 @@ class TestGoldenOutput:
     def test_labelled_workload_lines_match_golden(self, capsys, tmp_path):
         # a batch reads the first field of each graph6 line, so the labels
         # the workload script prints after a tab are not part of a graph
-        script = os.path.join(
-            os.path.dirname(os.path.dirname(__file__)), "bench", "workloads.py"
-        )
-        labelled = subprocess.run(
-            [sys.executable, script, "cm36", "--seed", "2"],
-            capture_output=True, text=True, check=True,
-        ).stdout
-        assert "\t" in labelled
         stream = tmp_path / "cm36-seed2.labelled.g6"
-        stream.write_text(labelled)
+        stream.write_text(workload_lines("cm36", 2))
         self.assert_batch_matches(capsys, "cm36-seed2", str(stream))
 
 

@@ -6,9 +6,12 @@ import functools
 
 import pytest
 
+import vnum.clutters as clutters
+from vnum.catalog import CM36
+from vnum.classify import ORACLE_CAP, full_report
 from vnum.clutters import Clutter, Graph, ZeroIdealError
 from vnum.complexes import independence_complex
-from vnum.vertexsets import mask_members, mask_of
+from vnum.vertexsets import mask_members, mask_of, meet
 
 from .graphs import (
     complete_graph,
@@ -153,6 +156,52 @@ class TestCovers:
 
     def test_empty_not_cover(self):
         assert not is_cover_mask(complete_graph(2), 0)
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The Berge folds that run while a test runs, one entry each.
+
+    The fold is the only caller of `clutters.meet`, and each fold starts
+    from the unit ideal, whose one cover is 0, which no later step holds.
+    """
+    started = []
+
+    def recording(gens, piece):
+        gens = list(gens)
+        if gens == [0]:
+            started.append(piece)
+        return meet(gens, piece)
+
+    monkeypatch.setattr(clutters, "meet", recording)
+    return started
+
+
+class TestCoversLiveOnTheClutter:
+    """The clutter keeps its minimal covers; no module memo shares them."""
+
+    def test_one_fold_per_object(self, folds):
+        g = cycle_graph(7)
+        for _ in range(3):
+            assert len(g.minimal_cover_masks()) == 7
+            assert len(g.maximal_stable_masks()) == 7
+            assert g.independence_number() == 3
+        assert len(folds) == 1
+
+    def test_equal_objects_fold_their_own(self, folds):
+        g = cycle_graph(7)
+        h = Graph(g.vertex_count, g.edge_masks)
+        c = Clutter(g.vertex_count, g.edge_masks)
+        assert g == h and h is not g
+        assert g.minimal_cover_masks() == h.minimal_cover_masks()
+        assert c.minimal_cover_masks() == g.minimal_cover_masks()
+        assert len(folds) == 3
+
+    @pytest.mark.parametrize("fix", CM36, ids=lambda fix: fix.label)
+    def test_report_folds(self, folds, fix):
+        # the graph, and up to ORACLE_CAP vertices its polarized square
+        full_report(fix.graph())
+        assert len(folds) == (2 if fix.vertex_count <= ORACLE_CAP else 1)
 
 
 class TestMaximalStableSets:

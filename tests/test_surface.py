@@ -1,6 +1,6 @@
 """The package surface: no function or method in `src/vnum`, exported or
-not, lacks a caller, and the README's CLI synopsis names every command-line
-option."""
+not, lacks a caller, the README's CLI synopsis names every command-line
+option, and the README's edge-list example parses."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ import re
 
 import vnum
 from vnum.cli import build_parser
+from vnum.formats import parse_edge_list
 
 SRC = pathlib.Path(vnum.__file__).parent
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -94,3 +95,11 @@ def test_readme_synopsis_names_every_option():
         for command, parser in sub.choices.items()
     }
     assert parsed == documented
+
+
+def test_readme_edge_list_example_parses():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```$", text, re.M | re.S)
+    (example,) = [b for b in blocks if b.startswith(("graph", "clutter"))]
+    doc = parse_edge_list(example)
+    assert (doc.kind, doc.vertex_count, len(doc.edges)) == ("graph", 5, 5)

@@ -4,6 +4,7 @@ the size classes that spare antichain checks their equal-size tests."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import os
@@ -53,9 +54,7 @@ class TestMeetPrecondition:
         # the folds call `meet` by the name they imported
         monkeypatch.setattr(clutters, "meet", recording)
         monkeypatch.setattr(monomials, "meet", recording)
-        clutters._minimal_transversals.cache_clear()
-        yield calls
-        clutters._minimal_transversals.cache_clear()
+        return calls
 
     @staticmethod
     def assert_antichains(calls):
@@ -63,8 +62,15 @@ class TestMeetPrecondition:
             assert is_antichain(gens), gens
             assert is_antichain(piece), piece
 
+    @staticmethod
+    def fresh(corpus):
+        """New copies of the corpus graphs, and clutter10.  A clutter keeps
+        the covers it has folded, so copies make every cover fold run
+        under the recorder, whatever the tests before folded."""
+        return [dataclasses.replace(c) for c in corpus] + [clutter10()]
+
     def test_reports_pass_antichains(self, corpus, received):
-        for c in list(corpus) + [clutter10()]:
+        for c in self.fresh(corpus):
             full_report(c)
         # colon pieces mix single vertices and wider generators
         assert any(
@@ -74,7 +80,7 @@ class TestMeetPrecondition:
         self.assert_antichains(received)
 
     def test_symbolic_powers_pass_antichains(self, corpus, received):
-        for c in list(corpus) + [clutter10()]:
+        for c in self.fresh(corpus):
             for k in (1, 2, 3):
                 symbolic_power(c, k)
         self.assert_antichains(received)
@@ -146,7 +152,7 @@ class TestCoverFoldWork:
         CountedMask.ands = 0
         for c, covers in zip(inputs, want):
             counted = tuple(CountedMask(m) for m in c.edge_masks)
-            assert clutters._minimal_transversals.__wrapped__(counted) == covers
+            assert Clutter(c.vertex_count, counted).minimal_cover_masks() == covers
         assert not minimized
         # 396,503 when the bound was set; the quadratic kernel of
         # tests/oracles.py makes 5,619,178
